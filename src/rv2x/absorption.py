@@ -36,10 +36,12 @@ def _kernel(a, w_cut, lambda_y):
     small = np.abs(a) < 1e-8
     safe = np.where(small, 1.0, a)
     wa = w_cut * safe
-    main = 2.0 * np.sin(wa) / safe + (2.0 / lambda_y) * (np.sin(wa) - wa * np.cos(wa)) / (safe * safe)
+    sin_wa = np.sin(wa)
+    out = (2.0 / lambda_y) * (sin_wa - wa * np.cos(wa)) / (safe * safe)
+    out += 2.0 * sin_wa / safe
     # series limit at a -> 0: 2W + 2W^3 a / (3 lambda)
-    limit = 2.0 * w_cut + 2.0 * w_cut ** 3 * a / (3.0 * lambda_y)
-    return np.where(small, limit, main)
+    out[small] = 2.0 * w_cut + 2.0 * w_cut ** 3 * a[small] / (3.0 * lambda_y)
+    return out
 
 
 def estimate_pdf(estimate, e):

@@ -19,11 +19,9 @@ p_i/p_v.  Per slot the allocator:
 The satisfaction functional folds the empirical characteristic function of
 the probes into a truncated-frequency integral over the window x = e + ell in
 [0, K], where K grows with ell so that the window always holds the shifted
-probes (``_beta_window``).  It is evaluated either by composite
-Gauss-Legendre panels with doubling refinement, or — when the probe spread
-makes the integrand oscillate too fast for that — by an exact per-sample
-closed form built from sine and exponential integrals.  Both evaluators
-agree to machine precision wherever both apply.
+probes (``_beta_window``).  It is evaluated per probe in closed form, from
+sine and exponential integrals (``_beta_exact``), so its cost and accuracy do
+not depend on how far the probes spread.
 """
 
 import dataclasses
@@ -34,13 +32,9 @@ from scipy import special
 
 from .errors import ConfigurationError, QuadratureError
 
-_ABS_TOL = 1e-8         # quadrature acceptance on the satisfaction integral
 _ROOT_REL_TOL = 1e-6    # root-search tolerance on c (log width); the kept
                         # endpoint always sits on the satisfied side
 _ROOT_MAX_ITER = 100
-_GL_ORDER = 12
-_MAX_PANELS = 4096
-_QUAD_PANEL_LIMIT = 128  # above this the closed form is cheaper than panels
 
 
 @dataclasses.dataclass
@@ -142,67 +136,6 @@ def prop1_holds(lambda_y, k2, c_lo, c_hi, n_grid=256):
     return bool((_prop1_lhs(1.0 / grid, lambda_y, k2) <= 0.0).all())
 
 
-# --------------------------------------------------------------------- beta: quadrature
-
-
-_NODE_CACHE = {}
-
-
-def _nodes_cached(panels, w_cut):
-    key = (panels, round(w_cut, 12))
-    if key not in _NODE_CACHE:
-        x, wts = np.polynomial.legendre.leggauss(_GL_ORDER)
-        edges = np.linspace(0.0, w_cut, panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * np.diff(edges)
-        nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-        weights = (half[:, None] * wts[None, :]).ravel()
-        _NODE_CACHE[key] = (nodes, weights)
-    return _NODE_CACHE[key]
-
-
-def _ecf(estimate, panels, w_cut):
-    """Empirical characteristic factor of the probes at the node set."""
-    cache = getattr(estimate, "_ecf_cache", None)
-    if cache is None:
-        cache = {}
-        try:
-            estimate._ecf_cache = cache
-        except AttributeError:
-            pass
-    key = (panels, round(w_cut, 12))
-    if key not in cache:
-        nodes, _ = _nodes_cached(panels, w_cut)
-        z = np.asarray(estimate.samples, dtype=float)
-        acc = np.zeros(nodes.shape, dtype=complex)
-        step = max(1, int(4e6) // max(nodes.size, 1))
-        for lo in range(0, z.size, step):
-            acc += np.exp(1j * np.outer(z[lo:lo + step], nodes)).sum(axis=0)
-        cache[key] = acc / z.size
-    return cache[key]
-
-
-def _beta_quad_level(cs, ells, estimate, lambda_y, k1, w_cut, panels):
-    """Composite Gauss-Legendre value of the satisfaction integral; ``k1`` is
-    the window length, one per lane or shared."""
-    nodes, wts = _nodes_cached(panels, w_cut)
-    ecf = _ecf(estimate, panels, w_cut)
-    tail = ecf * (1.0 - 1j * nodes / lambda_y) * wts
-    k1s = np.broadcast_to(np.asarray(k1, dtype=float), cs.shape)
-    out = np.empty(cs.shape)
-    chunk = max(1, int(4e6) // max(nodes.size, 1))
-    for lo in range(0, cs.size, chunk):
-        c = cs[lo:lo + chunk, None]
-        l = ells[lo:lo + chunk, None]
-        k = k1s[lo:lo + chunk, None]
-        e_nodes = np.exp(-1j * nodes[None, :] * k)
-        fpsi = ((e_nodes - 1.0) / (-1j * nodes[None, :])
-                + (np.exp(-c * k) * e_nodes - 1.0) / (c + 1j * nodes[None, :])
-                ) * np.exp(1j * l * nodes[None, :])
-        out[lo:lo + chunk] = 2.0 * (fpsi * tail[None, :]).real.sum(axis=1)
-    return 1.0 - out / (2.0 * np.pi)
-
-
 # --------------------------------------------------------------------- beta: exact form
 
 
@@ -289,60 +222,11 @@ def _beta_window(ells, z_hi, k1):
 
 def _beta_batch_deconv(cs, ells, estimate, lambda_y, k1, k2):
     """Raw satisfaction values for matched (c, ell) arrays."""
-    w_cut = k2 * np.pi
     cs = np.asarray(cs, dtype=float)
     ells = np.asarray(ells, dtype=float)
     z = np.asarray(estimate.samples, dtype=float)
-    z_lo, z_hi = float(z.min()), float(z.max())
-    k1 = _beta_window(ells, z_hi, k1)
-
-    spread = np.maximum(np.abs(ells + z_hi), np.abs(ells + z_lo)) + k1
-    need = np.maximum(32.0, 2.5 * (w_cut * spread / (2.0 * np.pi)) / _GL_ORDER)
-
-    out = np.empty(cs.shape)
-    # panels scale with the probe spread; past the limit the per-sample
-    # closed form is both cheaper and free of refinement failures
-    quadable = need <= _QUAD_PANEL_LIMIT
-    idx = np.flatnonzero(quadable)
-    if idx.size:
-        panels = int(2 ** math.ceil(math.log2(float(need[idx].max()))))
-        top = float(spread[idx].max())
-        # a level validated by doubling at some spread covers every later
-        # batch of smaller spread, so the check runs once per level
-        accepted = getattr(estimate, "_accept_cache", None)
-        if accepted is None:
-            accepted = {}
-            try:
-                estimate._accept_cache = accepted
-            except AttributeError:
-                pass
-        key = (panels, round(w_cut, 12))
-        got = accepted.get(key)
-        if got is not None and got[0] >= top:
-            out[idx] = _beta_quad_level(cs[idx], ells[idx], estimate, lambda_y, k1[idx],
-                                        w_cut, got[1])
-        else:
-            coarse = _beta_quad_level(cs[idx], ells[idx], estimate, lambda_y, k1[idx],
-                                      w_cut, panels)
-            while True:
-                fine = _beta_quad_level(cs[idx], ells[idx], estimate, lambda_y, k1[idx],
-                                        w_cut, 2 * panels)
-                gap = np.abs(fine - coarse)
-                if float(gap.max()) <= _ABS_TOL:
-                    out[idx] = fine
-                    accepted[key] = (top, 2 * panels)
-                    break
-                panels *= 2
-                coarse = fine
-                if 2 * panels > _MAX_PANELS:
-                    ok = gap <= _ABS_TOL
-                    out[idx[ok]] = fine[ok]
-                    hard = idx[~ok]
-                    out[hard] = _beta_exact(cs[hard], ells[hard], z, lambda_y, k1[hard], w_cut)
-                    break
-    rest = np.flatnonzero(~quadable)
-    if rest.size:
-        out[rest] = _beta_exact(cs[rest], ells[rest], z, lambda_y, k1[rest], w_cut)
+    k1 = _beta_window(ells, float(z.max()), k1)
+    out = _beta_exact(cs, ells, z, lambda_y, k1, k2 * np.pi)
     if not np.isfinite(out).all():
         raise QuadratureError(
             "satisfaction integral did not evaluate to finite values",
@@ -506,8 +390,9 @@ def solve_slots(pair, slots):
     p_v = np.where(c_star <= c_mid, pv_max,
                    pair.gamma_v * pi_max * pair.l_cross / (c_star * pair.l_v * one_minus))
     p_i = _p_i_of_c(c_star, pair, c_lo, c_mid)
-    p_v = np.where(feasible, p_v, pv_max)
-    p_i = np.where(feasible, p_i, pi_min)
+    # the map can round one ulp outside the box at its corners
+    p_v = np.where(feasible, np.clip(p_v, pv_min, pv_max), pv_max)
+    p_i = np.where(feasible, np.clip(p_i, pi_min, pi_max), pi_min)
 
     if kind == "hpr":
         worst = c_star * (g2_cross_hat + est.hi) - d2 * g2_v_hat / one_minus
@@ -662,9 +547,11 @@ def _u_pick(cl, cu, pair):
                 if float(np.max(hi - lo)) <= 1e-9:
                     break
             pick[rooted] = np.exp(0.5 * (lo + hi))
-        return pick
-    # condition failed somewhere in the box: dense argmin instead
-    t = np.linspace(0.0, 1.0, 1024)
-    grid = np.exp(np.log(cl)[:, None] * (1.0 - t) + np.log(cu)[:, None] * t)
-    err = np.abs(u_value(grid, pair.lambda_y, pair.trunc_k2) - 1.0)
-    return grid[np.arange(grid.shape[0]), np.argmin(err, axis=1)]
+    else:
+        # condition failed somewhere in the box: dense argmin instead
+        t = np.linspace(0.0, 1.0, 1024)
+        grid = np.exp(np.log(cl)[:, None] * (1.0 - t) + np.log(cu)[:, None] * t)
+        err = np.abs(u_value(grid, pair.lambda_y, pair.trunc_k2) - 1.0)
+        pick = grid[np.arange(grid.shape[0]), np.argmin(err, axis=1)]
+    # exp(log(c)) can round one ulp outside [cl, cu]
+    return np.clip(pick, cl, cu)

@@ -5,11 +5,9 @@ matching); they differ only in the error model driving the adaptation solve.
 """
 
 import dataclasses
-import math
 
 import numpy as np
 
-from . import adaptation
 from .errors import ConfigurationError
 
 
@@ -65,17 +63,3 @@ def fit_hpr(samples, lambda_y, prob_req):
     hi = float(np.quantile(proxies, 1.0 - tail, method="higher"))
     coverage = float(np.mean((proxies >= lo) & (proxies <= hi)))
     return HprRegion(lo=lo, hi=hi, coverage=coverage, n=int(z.size))
-
-
-def gaussian_allocator(context):
-    """Per-slot powers under the Gaussian error model."""
-    if not isinstance(context.estimate, GaussianFit):
-        raise ConfigurationError("gaussian_allocator needs a GaussianFit estimate")
-    return adaptation.solve_power(context)
-
-
-def hpr_allocator(context):
-    """Per-slot powers under the worst-case region reconstruction."""
-    if not isinstance(context.estimate, HprRegion):
-        raise ConfigurationError("hpr_allocator needs an HprRegion estimate")
-    return adaptation.solve_power(context)

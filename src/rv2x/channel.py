@@ -53,16 +53,14 @@ def pathloss_winner_b1_db(d_m, los, f_c_hz):
     """WINNER+ B1 street path loss in dB.
 
     For the NLOS case the scalar distance is split into two equal orthogonal
-    legs (d/sqrt(2) each); the model is the minimum over both leg orderings,
-    which is symmetric here but kept for clarity.
+    legs (d/sqrt(2) each), so both leg orderings give the same loss and the
+    model's minimum over them is that loss.
     """
     fc_ghz = f_c_hz / 1.0e9
     if los:
         return np.asarray(_b1_los_db(d_m, fc_ghz), dtype=float)
     leg = np.asarray(d_m, dtype=float) / np.sqrt(2.0)
-    a = _b1_nlos_db(leg, leg, fc_ghz)
-    b = _b1_nlos_db(leg, leg, fc_ghz)
-    return np.asarray(np.minimum(a, b), dtype=float)
+    return np.asarray(_b1_nlos_db(leg, leg, fc_ghz), dtype=float)
 
 
 def doppler_coefficient(speed_mps, f_c_hz, delta_t_s):

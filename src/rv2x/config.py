@@ -33,7 +33,6 @@ class SimConfig:
     bandwidth_hz: float = 2.0e6
     carrier_freq_hz: float = 5.9e9
     noise_psd_dbm_hz: float = -174.0
-    pathloss_exponent: float = 3.0      # generic exponent of the propagation family (informational)
     shadow_std_v2v_db: float = 4.0      # direct V2V (LOS)
     shadow_std_v2i_db: float = 8.0      # V2I uplink
     shadow_std_nlos_db: float = 8.0     # interference cross links
@@ -96,7 +95,6 @@ class SimConfig:
             (c.v2i_placement in _PLACEMENTS, f"v2i_placement must be one of {_PLACEMENTS}"),
             (c.bandwidth_hz > 0, "bandwidth_hz must be positive"),
             (c.carrier_freq_hz > 0, "carrier_freq_hz must be positive"),
-            (c.pathloss_exponent > 0, "pathloss_exponent must be positive"),
             (c.shadow_std_v2v_db >= 0, "shadow_std_v2v_db must be >= 0"),
             (c.shadow_std_v2i_db >= 0, "shadow_std_v2i_db must be >= 0"),
             (c.shadow_std_nlos_db >= 0, "shadow_std_nlos_db must be >= 0"),

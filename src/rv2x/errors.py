@@ -6,10 +6,10 @@ class ConfigurationError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """A numerical integration failed to reach its tolerance.
+    """The satisfaction evaluator returned non-finite satisfaction values.
 
-    Carries a ``diagnostics`` dict (levels tried, last delta, parameters)
-    so the caller can log what happened.
+    Carries a ``diagnostics`` dict (count of bad values, parameters and the
+    queried ranges) so the caller can log what happened.
     """
 
     def __init__(self, message, diagnostics=None):

@@ -4,13 +4,15 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, optimize
 
 from rv2x.absorption import DeconvEstimate, estimate_pdf
 from rv2x.adaptation import (AdaptationContext, beta, c_box, c_param,
                              check_prop1_condition, ell, feasible_interval,
                              prop1_holds, solve_power, solve_slots, u_value,
-                             _beta_exact, _beta_quad_level, _bracket_root, _prop1_lhs)
+                             _bracket_root, _prop1_lhs)
 from rv2x.baselines import GaussianFit, HprRegion
 from rv2x.channel import error_law
 from rv2x.errors import ConfigurationError, QuadratureError
@@ -110,17 +112,16 @@ def _window(l, estimate, k1=10):
 
 def test_beta_matches_direct_integral():
     est = _estimate()
-    for l in (-0.2, 0.1, 0.5):
-        ctx = _ctx(est, 20.0, l)
-        for c in (0.3, 2.0, 20.0):
-            _, raw = beta(c, ctx, return_raw=True)
-            np.testing.assert_allclose(raw, _beta_oracle(c, l, est), atol=2e-7,
-                                       err_msg=f"ell={l} c={c}")
+    cases = [(c, l) for l in (-0.2, 0.1, 0.5) for c in (0.3, 2.0, 20.0)] + [(0.05, 0.0)]
+    for c, l in cases:
+        _, raw = beta(c, _ctx(est, 20.0, l), return_raw=True)
+        np.testing.assert_allclose(raw, _beta_oracle(c, l, est), atol=2e-7,
+                                   err_msg=f"ell={l} c={c}")
 
 
 def test_beta_exact_path_matches_direct_integral():
-    # probes spread two hundred apart force the per-sample closed form; the
-    # window must reach the upper cluster, where half the mass sits
+    # probes spread two hundred apart: the window must reach the upper
+    # cluster, where half the mass sits
     est = _estimate(np.concatenate([Z12, Z12 + 260.0]))
     for l in (-130.0, 0.1):
         ctx = _ctx(est, 20.0, l)
@@ -143,15 +144,6 @@ def test_beta_window_keeps_the_interference_tail():
     # no rise beyond the kernel's tail ripple
     assert np.max(raw - np.minimum.accumulate(raw)) <= 2e-3
     assert np.all(raw[ells >= 8.0] <= 0.01)
-
-
-def test_beta_evaluators_agree():
-    est = _estimate()
-    cs = np.array([0.3, 2.0, 20.0, 0.05])
-    ells = np.array([0.1, -0.2, 0.5, 0.0])
-    ex = _beta_exact(cs, ells, Z12, 20.0, 10, 10 * np.pi)
-    qd = _beta_quad_level(cs, ells, est, 20.0, 10, 10 * np.pi, 256)
-    np.testing.assert_allclose(ex, qd, atol=1e-10)
 
 
 def test_beta_tracks_true_law():
@@ -416,3 +408,39 @@ def test_solver_contract_on_wide_spread_estimate():
     # infeasible slots fall back to the lowest budget
     assert np.all(res["c_star"][~ok] == lo)
     assert np.all(res["p_v"][~ok] == pv_max) and np.all(res["p_i"][~ok] == pi_min)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(n_probes=st.integers(12, 400), mean_e=st.floats(-2.0, 0.5),
+       spread=st.floats(0.01, 1.0), lam_y=st.floats(0.5, 50.0),
+       d2=st.floats(0.0, 0.6), rate_gamma=st.floats(0.0, 1.0),
+       pi_min=st.floats(0.01, 1.0), pi_span=st.floats(1.5, 1000.0),
+       pv_min=st.floats(0.01, 1.0), pv_span=st.floats(1.5, 1000.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+# here exp(log(c_l)) on the dense-argmin u-pick rounds one ulp below c_l
+@example(n_probes=12, mean_e=-1.0, spread=0.25, lam_y=9.0, d2=0.125, rate_gamma=1.0,
+         pi_min=1.0, pi_span=298.0, pv_min=1.0, pv_span=2.0, seed=3)
+# here c_star = c_hi maps to a sidelink power one ulp below the box
+@example(n_probes=12, mean_e=0.0, spread=1.0, lam_y=33.0, d2=0.59375, rate_gamma=0.0,
+         pi_min=0.875, pi_span=2.0, pv_min=1.0, pv_span=2.0, seed=1)
+def test_solver_invariants_on_random_estimates(n_probes, mean_e, spread, lam_y, d2,
+                                               rate_gamma, pi_min, pi_span, pv_min,
+                                               pv_span, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(mean_e, spread, n_probes) + rng.exponential(1.0 / lam_y, n_probes)
+    box = (pi_min, pi_min * pi_span, pv_min, pv_min * pv_span)
+    base = _ctx(_estimate(z, lam=lam_y), lam_y, 0.0, d2=d2, rate_gamma=rate_gamma, box=box)
+    lo, hi = c_box(base)
+    base = dataclasses.replace(base, prop1_ok=prop1_holds(lam_y, 10, lo, hi))
+    slots = {name: rng.exponential(1.0, 8)
+             for name in ("g2_v_hat", "g2_cross_hat", "g2_i", "g2_v_rsu")}
+    res = solve_slots(base, slots)
+    assert np.all((res["p_i"] >= box[0]) & (res["p_i"] <= box[1]))
+    assert np.all((res["p_v"] >= box[2]) & (res["p_v"] <= box[3]))
+    for k in np.flatnonzero(res["feasible"]):
+        c_l, c_u, c_star = res["c_l"][k], res["c_u"][k], res["c_star"][k]
+        assert c_l <= c_star <= c_u, f"slot {k}"
+        one = dataclasses.replace(base, g2_v_hat=float(slots["g2_v_hat"][k]),
+                                  g2_cross_hat=float(slots["g2_cross_hat"][k]))
+        assert beta(float(c_u), one) >= base.prob_req, f"slot {k}: beta at c_u"
+        assert beta(float(c_star), one) >= base.prob_req, f"slot {k}: beta at c_star"

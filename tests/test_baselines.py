@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from rv2x.adaptation import AdaptationContext, c_box, feasible_interval, solve_power
-from rv2x.baselines import (GaussianFit, HprRegion, fit_gaussian, fit_hpr,
-                            gaussian_allocator, hpr_allocator)
+from rv2x.baselines import HprRegion, fit_gaussian, fit_hpr
 from rv2x.channel import error_law
 from rv2x.errors import ConfigurationError
 
@@ -103,22 +102,6 @@ def test_fit_hpr_needs_enough_probes():
 
 # ------------------------------------------------------------------ allocators
 
-def test_gaussian_allocator_delegates_and_guards():
-    fit = GaussianFit(mean_e=0.5, var_e=0.01)
-    ctx = _ctx(fit)
-    assert gaussian_allocator(ctx) == solve_power(ctx)
-    with pytest.raises(ConfigurationError):
-        gaussian_allocator(_ctx(HprRegion(lo=0.0, hi=1.0, coverage=1.0)))
-
-
-def test_hpr_allocator_delegates_and_guards():
-    region = HprRegion(lo=-0.1, hi=0.4, coverage=0.96)
-    ctx = _ctx(region)
-    assert hpr_allocator(ctx) == solve_power(ctx)
-    with pytest.raises(ConfigurationError):
-        hpr_allocator(_ctx(GaussianFit(mean_e=0.0, var_e=1.0)))
-
-
 def test_hpr_widening_lowers_the_budget():
     narrow = _ctx(HprRegion(lo=-0.1, hi=0.4, coverage=0.96))
     wide = _ctx(HprRegion(lo=-0.5, hi=0.8, coverage=0.99))
@@ -126,6 +109,6 @@ def test_hpr_widening_lowers_the_budget():
     cu_wide = feasible_interval(wide)[1]
     assert cu_wide < cu_narrow <= c_box(narrow)[1]
     # deployed powers move the same way: wider region, more conservative c
-    pv_n, pi_n = hpr_allocator(narrow)
-    pv_w, pi_w = hpr_allocator(wide)
+    pv_n, pi_n = solve_power(narrow)
+    pv_w, pi_w = solve_power(wide)
     assert pi_w / pv_w < pi_n / pv_n
