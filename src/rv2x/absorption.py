@@ -9,7 +9,6 @@ recoverability score.
 """
 
 import dataclasses
-import io
 
 import numpy as np
 
@@ -114,21 +113,6 @@ class DeconvEstimate:
         u = rng.random(n)
         return np.interp(u, cdf, x)
 
-    def to_text(self):
-        buf = io.StringIO()
-        buf.write(f"{self.lambda_y!r} {self.trunc_k} {self.p_i_mw!r} {self.p_v_mw!r}\n")
-        buf.write(" ".join(repr(float(v)) for v in self.samples))
-        buf.write("\n")
-        return buf.getvalue()
-
-    @classmethod
-    def from_text(cls, text):
-        head, body = text.strip().split("\n", 1)
-        lam, k, p_i, p_v = head.split()
-        samples = np.fromiter(map(float, body.split()), dtype=float)
-        return cls(samples=samples, lambda_y=float(lam), trunc_k=int(k),
-                   p_i_mw=float(p_i), p_v_mw=float(p_v))
-
 
 def _capability_bracket(delta, o, k):
     beta = k * np.pi * (1.0 - delta * delta)
@@ -180,58 +164,106 @@ def edge_weight(l_v, l_cross, delta, lambda_m, box, k):
 
 
 def hungarian_match(weights):
-    """Exact minimum-weight perfect matching (rows -> columns).
+    """Exact minimum-weight perfect matching (rows -> columns), O(N^3).
 
-    Subset dynamic program over columns, O(2^N * N).  Ties are broken
-    lexicographically: the lowest row index gets the lowest admissible
-    column.  A +inf optimum means no finite perfect matching exists.
+    Shortest augmenting paths with row and column potentials (Jonker and
+    Volgenant 1987, in the form of Crouse 2016): each row in turn is added
+    by a Dijkstra search over reduced costs ``w - u - v``, and the
+    potentials then certify that every edge of the matching is tight
+    (reduced cost zero) and no reduced cost is negative.  ``+inf`` entries
+    are forbidden edges; ``InfeasibleMatching`` is raised when no finite
+    perfect matching exists.
+
+    Ties are broken lexicographically: among the optimal matchings the
+    lowest row gets the lowest column, then the next row, and so on.  Every
+    optimal matching uses tight edges only, so each row in turn moves to
+    its lowest tight column along an alternating path of tight edges over
+    the rows not yet fixed.  An edge counts as tight when its reduced cost
+    is at most ``1e-12 * N`` times the largest magnitude among its weight
+    and its two potentials.  The scale is per entry because weights within
+    one matrix span up to 24 orders of magnitude: a tolerance scaled by the
+    largest weight of the matrix ties edges that are not tied and returns
+    a costlier matching.
     """
     w = np.asarray(weights, dtype=float)
-    n = w.shape[0]
+    n = w.shape[0] if w.ndim == 2 else -1
     if w.shape != (n, n):
         raise ConfigurationError("weight matrix must be square")
-    if n > 20:
-        raise ConfigurationError("exact matcher supports at most 20 pairs")
+    if np.isnan(w).any() or np.isneginf(w).any():
+        raise ConfigurationError("weights must be finite or +inf")
 
-    size = 1 << n
-    # h[s] = min cost of matching the last popcount(s) rows to column set s
-    h = np.full(size, np.inf)
-    h[0] = 0.0
-    masks = np.arange(size, dtype=np.uint32)
-    popcnt = np.bitwise_count(masks)
-    by_count = [np.flatnonzero(popcnt == k).astype(np.int64) for k in range(n + 1)]
-    for k in range(1, n + 1):
-        row = n - k
-        sets_k = by_count[k]
-        best = np.full(sets_k.shape, np.inf)
-        for c in range(n):
-            bit = 1 << c
-            has = (sets_k & bit) != 0
-            cand = h[sets_k[has] ^ bit] + w[row, c]
-            np.minimum.at(best, np.flatnonzero(has), cand)
-        h[sets_k] = best
-
-    full = size - 1
-    if not np.isfinite(h[full]):
-        raise InfeasibleMatching("no finite-weight perfect matching")
-
-    assign = np.empty(n, dtype=np.int64)
-    s = full
-    for row in range(n):
-        target = h[s]
-        for c in range(n):
-            bit = 1 << c
-            if s & bit and h[s ^ bit] + w[row, c] == target:
-                assign[row] = c
-                s ^= bit
+    u = np.zeros(n)
+    v = np.zeros(n)
+    col4row = np.full(n, -1, dtype=np.int64)
+    row4col = np.full(n, -1, dtype=np.int64)
+    for cur in range(n):
+        dist = np.full(n, np.inf)         # shortest reduced path cost to each column
+        path = np.full(n, -1, dtype=np.int64)
+        done = np.zeros(n, dtype=bool)    # columns whose distance is final
+        seen = []                         # rows reached besides ``cur``
+        row, min_val = cur, 0.0
+        while True:
+            red = min_val + w[row] - u[row] - v
+            better = (red < dist) & ~done
+            dist[better] = red[better]
+            path[better] = row
+            open_dist = np.where(done, np.inf, dist)
+            min_val = open_dist.min()
+            if min_val == np.inf:
+                raise InfeasibleMatching("no finite-weight perfect matching")
+            ties = np.flatnonzero(open_dist == min_val)
+            free = ties[row4col[ties] < 0]
+            col = free[0] if free.size else ties[0]
+            done[col] = True
+            if row4col[col] < 0:
                 break
-        else:  # float tie fell through exact equality; take the best column
-            cols = [c for c in range(n) if s & (1 << c)]
-            costs = [h[s ^ (1 << c)] + w[row, c] for c in cols]
-            c = cols[int(np.argmin(costs))]
-            assign[row] = c
-            s ^= 1 << c
-    return assign
+            row = row4col[col]
+            seen.append(row)
+        u[cur] += min_val
+        if seen:
+            seen = np.array(seen)
+            u[seen] += min_val - dist[col4row[seen]]
+        v[done] -= min_val - dist[done]
+        while True:  # flip the augmenting path ending at the free column
+            row = path[col]
+            row4col[col] = row
+            col4row[row], col = col, col4row[row]
+            if row == cur:
+                break
+
+    scale = np.maximum(np.abs(w), np.maximum(np.abs(u)[:, None], np.abs(v)[None, :]))
+    tight = np.isfinite(w) & (w - u[:, None] - v[None, :] <= 1e-12 * n * scale)
+    tight[np.arange(n), col4row] = True
+    movable = np.ones(n, dtype=bool)      # rows whose column is not yet fixed
+    for r in range(n):
+        movable[r] = False
+        c0 = col4row[r]
+        lower = np.flatnonzero(tight[r, :c0])
+        if lower.size:
+            # columns from which an alternating path of tight edges over the
+            # movable rows ends at c0: handing such a column to r frees c0
+            step = tight[row4col] & movable[row4col][:, None]
+            reach = np.zeros(n, dtype=bool)
+            reach[c0] = True
+            nxt = np.full(n, -1, dtype=np.int64)
+            frontier = np.array([c0])
+            while frontier.size:
+                hit = step[:, frontier] & ~reach[:, None]
+                new = np.flatnonzero(hit.any(axis=1))
+                nxt[new] = frontier[hit[new].argmax(axis=1)]
+                reach[new] = True
+                frontier = new
+            lower = lower[reach[lower]]
+            if lower.size:
+                row, col = r, lower[0]
+                while True:
+                    owner = row4col[col]
+                    row4col[col] = row
+                    col4row[row] = col
+                    if col == c0:
+                        break
+                    row, col = owner, nxt[col]
+    return col4row
 
 
 @dataclasses.dataclass

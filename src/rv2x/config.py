@@ -86,7 +86,6 @@ class SimConfig:
         c = self
         checks = [
             (c.num_pairs >= 1, "num_pairs must be >= 1"),
-            (c.num_pairs <= 20, "num_pairs above 20 is not supported by the exact matcher"),
             (c.area_side_m > 0, "area_side_m must be positive"),
             (c.manhattan_spacing_m > 0, "manhattan_spacing_m must be positive"),
             (c.manhattan_spacing_m <= c.area_side_m, "manhattan_spacing_m exceeds the area side"),

@@ -55,8 +55,7 @@ class RunReport:
     infeasible_rate: float
     cross_clamped: int
     degenerate_sinr: int
-    estimates_text: list           # serialised per-pair estimates of trial 0
-    lambda_y_trial0: list
+    estimates: list                # per-pair DeconvEstimate of the first completed trial
     partial_errors: list           # (trial, repr) for aborted trials
 
 
@@ -198,15 +197,13 @@ def run_trial(config, allocator, trial):
             cursor = _fill_rows(rows, cursor, config.absorption_len + s, "adaptation",
                                 sample, m)
 
-    est_text = [e.to_text() for e in estimates]
     return {
         "trial": trial,
         "rows": rows,
         "decisions": decisions,
         "j_trace": j_trace,
         "flags": flags,
-        "estimates_text": est_text,
-        "lambda_y": [float(v) for v in plan.lambda_y],
+        "estimates": estimates,
     }
 
 
@@ -298,8 +295,7 @@ def run(config, allocator="proposed", trials=1, threads=None):
         mean_throughput_mbps=(thr_sum / thr_cnt) if thr_cnt else float("nan"),
         infeasible_rate=(infeas / v2v_all) if v2v_all else float("nan"),
         cross_clamped=clamped, degenerate_sinr=degenerate,
-        estimates_text=(ok[0]["estimates_text"] if ok else []),
-        lambda_y_trial0=(ok[0]["lambda_y"] if ok else []),
+        estimates=(ok[0]["estimates"] if ok else []),
         partial_errors=errors,
     )
 
@@ -309,6 +305,26 @@ def run(config, allocator="proposed", trials=1, threads=None):
 
 def _fmt(x):
     return f"{x:.10g}"
+
+
+_ROW_FMT = "%d,%s,%d,%.10g,%.10g,%.10g,%.10g,%d,%d\n"
+_ROW_COLS = ("slot", "phase", "pair", "p_v_mw", "p_i_mw", "delay_ms",
+             "throughput_mbps", "satisfied", "infeasible")
+_CHUNK_ROWS = 4096
+
+
+def _write_rows(fh, rows, base):
+    """One trial's rows as CSV lines, formatted one chunk per ``%`` call."""
+    n_cols = len(_ROW_COLS)
+    for lo in range(0, rows["slot"].shape[0], _CHUNK_ROWS):
+        hi = lo + _CHUNK_ROWS
+        cols = [rows[name][lo:hi] for name in _ROW_COLS]
+        cols[0] = cols[0] + base
+        k = cols[0].shape[0]
+        flat = [None] * (n_cols * k)
+        for c, col in enumerate(cols):
+            flat[c::n_cols] = col.tolist()
+        fh.write((_ROW_FMT * k) % tuple(flat))
 
 
 def emit(report, out_dir):
@@ -323,19 +339,7 @@ def emit(report, out_dir):
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("slot,phase,pair,p_v_mw,p_i_mw,delay_ms,throughput_mbps,satisfied,infeasible\n")
         for t, rows in zip(report.trial_ids, report.rows):
-            base = t * n_slots
-            for i in range(rows["slot"].shape[0]):
-                fh.write(",".join((
-                    str(base + int(rows["slot"][i])),
-                    rows["phase"][i],
-                    str(int(rows["pair"][i])),
-                    _fmt(rows["p_v_mw"][i]),
-                    _fmt(rows["p_i_mw"][i]),
-                    _fmt(rows["delay_ms"][i]),
-                    _fmt(rows["throughput_mbps"][i]),
-                    str(int(rows["satisfied"][i])),
-                    str(int(rows["infeasible"][i])),
-                )) + "\n")
+            _write_rows(fh, rows, t * n_slots)
 
     def _num(x):
         # empty aggregates surface as null, not NaN (NaN is not valid JSON)
@@ -377,10 +381,7 @@ def _emit_tables(report, tables_dir):
     hi = float(np.max(law.means + 5.0 * np.sqrt(law.variances)))
     x = np.linspace(lo, hi, 601)
     true_pdf = law.pdf(x)
-    est_cols = []
-    for text in report.estimates_text:
-        est = absorption.DeconvEstimate.from_text(text)
-        est_cols.append(est.pdf(x))
+    est_cols = [est.pdf(x) for est in report.estimates]
     est_mean = np.mean(est_cols, axis=0) if est_cols else np.zeros_like(x)
     with open(os.path.join(tables_dir, "error_pdf.csv"), "w", encoding="utf-8") as fh:
         fh.write("x,true_pdf,estimated_pdf\n")

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -10,9 +12,10 @@ from rv2x.absorption import (AbsorptionPlan, DeconvEstimate,
                              absorption_power, adaptation_capability_bound,
                              collect_sample, edge_weight, estimate_pdf,
                              hungarian_match, run_absorption)
-from rv2x.channel import LargeScaleState, error_law
+from rv2x.channel import LargeScaleState, build_large_scale, error_law
 from rv2x.config import SimConfig
 from rv2x.errors import ConfigurationError, InfeasibleMatching
+from rv2x.scenario import build_topology
 
 
 # ---------------------------------------------------------------- kernel/pdf
@@ -118,19 +121,19 @@ def test_estimate_sampling_support_and_determinism():
 
 
 def test_serialization_round_trip():
+    # estimates cross the worker-process boundary by pickle: exact samples and pdf
     est = DeconvEstimate(samples=[0.125, -2.5, 0.3333333333333333, 17.0],
                          lambda_y=34.848484, trunc_k=10, p_i_mw=20.0, p_v_mw=199.5)
-    back = DeconvEstimate.from_text(est.to_text())
-    np.testing.assert_array_equal(back.samples, est.samples)
-    assert back.lambda_y == est.lambda_y
-    assert back.trunc_k == est.trunc_k
-    assert back.p_i_mw == est.p_i_mw and back.p_v_mw == est.p_v_mw
-    # irrational payloads survive exactly (repr round-trip)
     est2 = DeconvEstimate(samples=np.random.default_rng(0).normal(size=50),
                           lambda_y=np.pi, trunc_k=7)
-    back2 = DeconvEstimate.from_text(est2.to_text())
-    np.testing.assert_array_equal(back2.samples, est2.samples)
-    assert back2.lambda_y == est2.lambda_y
+    x = np.linspace(-4.0, 20.0, 97)
+    for orig in (est, est2):
+        back = pickle.loads(pickle.dumps(orig))
+        np.testing.assert_array_equal(back.samples, orig.samples)
+        assert back.lambda_y == orig.lambda_y and back.trunc_k == orig.trunc_k
+        assert back.p_i_mw == orig.p_i_mw or np.isnan(orig.p_i_mw)
+        assert back.p_v_mw == orig.p_v_mw or np.isnan(orig.p_v_mw)
+        np.testing.assert_array_equal(back.pdf(x), orig.pdf(x))
 
 
 def test_estimate_requires_samples():
@@ -272,7 +275,80 @@ def test_hungarian_infeasible_and_validation():
     with pytest.raises(ConfigurationError):
         hungarian_match(np.ones((2, 3)))
     with pytest.raises(ConfigurationError):
-        hungarian_match(np.ones((21, 21)))
+        hungarian_match([[0.0, np.nan], [1.0, 0.0]])
+    # no size cap: wide systems solve, with the lexicographic tie break
+    np.testing.assert_array_equal(hungarian_match(np.ones((21, 21))), np.arange(21))
+    w = np.random.default_rng(3).random((60, 60))
+    assign = hungarian_match(w)
+    assert sorted(assign) == list(range(60))
+    # the optimum: no pairwise swap lowers the cost
+    rows = np.arange(60)
+    base = w[rows, assign]
+    swap = w[rows[:, None], assign[None, :]] + w[rows[None, :], assign[:, None]]
+    assert np.all(swap >= base[:, None] + base[None, :] - 1e-12)
+
+
+@functools.cache
+def _permutations(n):
+    return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+
+
+def _lex_min_optimum(w):
+    """Brute force: (cost, lexicographically smallest optimal permutation)."""
+    n = w.shape[0]
+    perms = _permutations(n)   # in lexicographic order
+    costs = w[np.arange(n), perms].sum(axis=1)
+    best = costs.min()
+    if not np.isfinite(best):
+        return best, None
+    first = np.flatnonzero(costs <= best + 1e-12 * max(1.0, abs(best)))[0]
+    return best, tuple(int(c) for c in perms[first])
+
+
+@st.composite
+def _tied_weights(draw):
+    n = draw(st.integers(1, 7))
+    vals = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, np.inf]),
+                         min_size=n * n, max_size=n * n))
+    return np.array(vals).reshape(n, n)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(w=_tied_weights())
+def test_hungarian_is_lexicographic_optimum_property(w):
+    best, want = _lex_min_optimum(w)
+    if want is None:
+        with pytest.raises(InfeasibleMatching):
+            hungarian_match(w)
+        return
+    assign = hungarian_match(w)
+    assert tuple(int(c) for c in assign) == want
+    assert abs(w[np.arange(w.shape[0]), assign].sum() - best) <= 1e-12
+
+
+def test_hungarian_on_real_weights_with_wide_ranges():
+    # weights within one matrix span 15+ orders of magnitude; a tight-edge
+    # tolerance scaled by the largest weight ties edges that are not tied
+    m = 8
+    config = SimConfig(num_pairs=m)
+    box = (config.pi_min_mw, config.pi_max_mw, config.pv_min_mw, config.pv_max_mw)
+    checked = 0
+    for seed in range(60):
+        topo = build_topology(config, np.random.default_rng((seed, 0)))
+        large = build_large_scale(topo, config, np.random.default_rng((seed, 1)))
+        w = np.array([[edge_weight(large.l_v[i], large.l_cross[j, i], large.delta,
+                                   config.hr_weight, box, config.trunc_k)
+                       for j in range(m)] for i in range(m)])
+        finite = w[np.isfinite(w)]
+        if finite.max() < 1e15 * finite.min():
+            continue
+        checked += 1
+        best, want = _lex_min_optimum(w)
+        assign = hungarian_match(w)
+        got = w[np.arange(m), assign].sum()
+        assert got <= best * (1.0 + 1e-12), f"seed {seed}: costlier matching"
+        assert tuple(int(c) for c in assign) == want, f"seed {seed}: tie break"
+    assert checked >= 40
 
 
 # --------------------------------------------------------------- probe algebra

@@ -85,7 +85,7 @@ def test_load_bool_variants(tmp_path):
 
 @pytest.mark.parametrize("kwargs,fragment", [
     (dict(num_pairs=0), "num_pairs"),
-    (dict(num_pairs=21), "20"),
+    (dict(manhattan_spacing_m=0.0), "manhattan_spacing_m"),
     (dict(absorption_len=2000, matching_horizon=1000), "matching_horizon"),
     (dict(prob_req=1.0), "prob_req"),
     (dict(prob_req=0.0), "prob_req"),
@@ -102,6 +102,11 @@ def test_load_bool_variants(tmp_path):
 def test_validate_rejections(kwargs, fragment):
     with pytest.raises(ConfigurationError, match=fragment):
         SimConfig(**kwargs).validate()
+
+
+def test_validate_accepts_wide_systems():
+    config = SimConfig(num_pairs=40)
+    assert config.validate() is config
 
 
 def test_validate_custom_law():

@@ -56,11 +56,22 @@ def test_run_report_structure_and_row_semantics():
     assert 0.0 <= report.v2v_ok_rate <= 1.0
     assert 0.0 <= report.v2i_ok_rate <= 1.0
     assert report.mean_throughput_mbps > 0.0
-    assert len(report.estimates_text) == config.num_pairs
-    for text, lam in zip(report.estimates_text, report.lambda_y_trial0):
-        est = DeconvEstimate.from_text(text)
+    assert len(report.estimates) == config.num_pairs
+    trial0 = run_trial(config, "proposed", 0)["estimates"]
+    for est, want in zip(report.estimates, trial0):
+        assert isinstance(est, DeconvEstimate)
         assert est.samples.shape == (config.absorption_len,)
-        np.testing.assert_allclose(est.lambda_y, lam, rtol=1e-12)
+        np.testing.assert_array_equal(est.samples, want.samples)
+        assert est.lambda_y == want.lambda_y > 0.0
+
+
+def test_forty_pairs_run_end_to_end():
+    config = _tiny(num_pairs=40, absorption_len=30, matching_horizon=30, adaptation_len=3)
+    for allocator in ("proposed", "gaussian", "hpr"):
+        report = run(config, allocator, trials=1, threads=1)
+        assert report.completed == 1, allocator
+        assert report.rows[0]["slot"].shape == (33 * 40,)
+        assert 0.0 <= report.v2v_ok_rate <= 1.0
 
 
 def test_all_allocators_complete():
@@ -191,7 +202,7 @@ def test_emit_conditional_delay_and_infinite_sentinel(tmp_path):
         v2v_ok_rate=0.0, v2i_ok_rate=1.0, mean_delay_ms=20.0,
         conditional_mean_delay_ms=20.0, mean_throughput_mbps=1.5,
         infeasible_rate=0.0, cross_clamped=0, degenerate_sinr=0,
-        estimates_text=[], lambda_y_trial0=[], partial_errors=[])
+        estimates=[], partial_errors=[])
     out = tmp_path / "synthetic"
     csv_path, summary_path, tables = emit(report, str(out))
     summary = json.loads(_read(summary_path))
@@ -202,6 +213,51 @@ def test_emit_conditional_delay_and_infinite_sentinel(tmp_path):
     # the infinite delay never enters the cdf: it tops out at 1/2
     np.testing.assert_allclose(cdf["cdf"][-1], 0.5, atol=1e-12)
     np.testing.assert_allclose(cdf["ccdf"][-1], 0.5, atol=1e-12)
+
+
+def test_emit_slots_csv_matches_row_by_row_reference(tmp_path):
+    # two trials (ids 0 and 3) of 4,500 rows each: the chunks cross a boundary
+    config = SimConfig(num_pairs=3, absorption_len=500, matching_horizon=500,
+                       adaptation_len=1000)
+    n = (config.absorption_len + config.adaptation_len) * config.num_pairs
+    rng = np.random.default_rng(5)
+    special = np.array([-1.0, 0.0, 1e-300, 1e20, 0.1, 123456789.0123, 2.5e-7, 1.0])
+
+    def vals():
+        return np.where(rng.random(n) < 0.2, rng.choice(special, n), rng.lognormal(0.0, 4.0, n))
+
+    def trial_rows():
+        slot = np.repeat(np.arange(n // config.num_pairs), config.num_pairs)
+        return {
+            "slot": slot,
+            "phase": np.where(slot < config.absorption_len, "absorption", "adaptation"),
+            "pair": np.tile(np.arange(config.num_pairs), n // config.num_pairs),
+            "p_v_mw": vals(), "p_i_mw": vals(), "delay_ms": vals(),
+            "throughput_mbps": vals(),
+            "satisfied": rng.integers(0, 2, n), "infeasible": rng.integers(0, 2, n),
+        }
+
+    rows = [trial_rows(), trial_rows()]
+    report = RunReport(
+        allocator="gaussian", config=config, trials=4, completed=2,
+        trial_ids=[0, 3], rows=rows, decisions=[{}, {}], j_trace=[np.zeros(2)] * 2,
+        v2v_ok_rate=0.5, v2i_ok_rate=0.5, mean_delay_ms=1.0,
+        conditional_mean_delay_ms=None, mean_throughput_mbps=1.0,
+        infeasible_rate=0.0, cross_clamped=0, degenerate_sinr=0,
+        estimates=[], partial_errors=[])
+    want = ["slot,phase,pair,p_v_mw,p_i_mw,delay_ms,throughput_mbps,satisfied,infeasible"]
+    n_slots = config.absorption_len + config.adaptation_len
+    for t, r in zip(report.trial_ids, rows):
+        for i in range(n):
+            want.append(",".join((
+                str(t * n_slots + int(r["slot"][i])), str(r["phase"][i]), str(int(r["pair"][i])),
+                *(f"{r[k][i]:.10g}" for k in ("p_v_mw", "p_i_mw", "delay_ms",
+                                              "throughput_mbps")),
+                str(int(r["satisfied"][i])), str(int(r["infeasible"][i])))))
+    csv_path, _, _ = emit(report, str(tmp_path / "rows"))
+    got = _read(csv_path).decode()
+    assert got == "\n".join(want) + "\n"
+    assert "1e-300" in got and "1e+20" in got and ",-1," in got
 
 
 def test_conditional_delay_counts_finite_violations_only(monkeypatch):
