@@ -50,10 +50,8 @@ from .errors import ConfigurationError, InfeasibleMatching, QuadratureError
 from .harness import RunReport, emit, run, run_trial
 from .qosmodel import (
     AllocationDecision,
-    QosSample,
     delay,
     delay_outage_closed_form,
-    deviation_J,
     hazard_rate,
     hazard_rate_noise_free_approx,
     sinr,
@@ -76,7 +74,6 @@ __all__ = [
     "HprRegion",
     "InfeasibleMatching",
     "LargeScaleState",
-    "QosSample",
     "QuadratureError",
     "RunReport",
     "SimConfig",
@@ -92,7 +89,6 @@ __all__ = [
     "collect_sample",
     "delay",
     "delay_outage_closed_form",
-    "deviation_J",
     "doppler_coefficient",
     "edge_weight",
     "ell",

@@ -13,13 +13,12 @@ import dataclasses
 import numpy as np
 
 from . import channel as chan
-from . import qosmodel
 from .errors import ConfigurationError, InfeasibleMatching
 from .scenario import noise_power
 
 
 def collect_sample(true_rss, nominal_rss, p_i_a, l_cross, p_v_a, l_v, delta, g2_v_hat):
-    """One deconvolution probe from a received-power residual.
+    """Deconvolution probes from received-power residuals, elementwise.
 
     Rescales the RSS gap by the cross-link received power and adds back the
     reported sidelink contribution so the probe equals the hidden cross error
@@ -63,9 +62,7 @@ def estimate_pdf(estimate, e):
 class DeconvEstimate:
     """Recovered cross-error density for one pair.
 
-    Keeps the raw probes so the estimate is exactly reproducible; the
-    clipped-and-renormalised variant (a proper density) is derived lazily on
-    a fixed grid.
+    Keeps the raw probes so the estimate is exactly reproducible.
     """
 
     samples: np.ndarray
@@ -82,36 +79,9 @@ class DeconvEstimate:
         self.trunc_k = int(self.trunc_k)
         self.p_i_mw = float(self.p_i_mw)
         self.p_v_mw = float(self.p_v_mw)
-        self._grid = None
 
     def pdf(self, e):
         return estimate_pdf(self, e)
-
-    def _clipped_grid(self):
-        if self._grid is None:
-            lo = float(self.samples.min()) - 3.0 - 1.0 / self.lambda_y
-            hi = float(self.samples.max()) + 3.0
-            x = np.linspace(lo, hi, 4001)
-            f = np.maximum(self.pdf(x), 0.0)
-            norm = np.trapezoid(f, x)
-            if norm <= 0.0:
-                # degenerate estimate: fall back to uniform over the window
-                f = np.full_like(x, 1.0 / (hi - lo))
-                norm = 1.0
-            self._grid = (x, f / norm)
-        return self._grid
-
-    def pdf_clipped(self, e):
-        x, f = self._clipped_grid()
-        return np.interp(np.asarray(e, dtype=float), x, f, left=0.0, right=0.0)
-
-    def sample(self, n, rng):
-        """Inverse-CDF draws from the clipped density."""
-        x, f = self._clipped_grid()
-        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(x))])
-        cdf /= cdf[-1]
-        u = rng.random(n)
-        return np.interp(u, cdf, x)
 
 
 def _capability_bracket(delta, o, k):
@@ -278,12 +248,12 @@ class AbsorptionPlan:
     bound: np.ndarray      # (M,) capability bound at the horizon length
 
 
-def run_absorption(large, config, law, rng, lambda_m=None, flags=None):
+def run_absorption(large, config, law, rng, lambda_m=None):
     """Match pairs, probe for T slots, and recover per-pair error densities.
 
-    Returns (plan, estimates, qos_log) where ``qos_log`` is a list of
-    :class:`rv2x.qosmodel.QosSample`, one per probing slot.  ``flags`` may be
-    a dict accumulating SINR clamp counters across phases.
+    Returns (plan, estimates, fading): ``fading`` is the
+    :class:`rv2x.channel.ChannelState` of the T probing slots, from which the
+    caller computes the probing phase's realised QoS.
     """
     m = large.l_v.shape[0]
     n = large.l_i.shape[0]
@@ -312,25 +282,13 @@ def run_absorption(large, config, law, rng, lambda_m=None, flags=None):
     bracket2 = weights[np.arange(m), pairing]
     bound = (k * k / (4.0 * t_len)) * bracket2
 
-    p_i_full = np.empty(n)
-    p_i_full[pairing] = p_i_a
-    alloc = qosmodel.AllocationDecision(pairing=pairing, p_v_mw=p_v_a, p_i_mw=p_i_full)
-
-    probes = np.empty((t_len, m))
-    qos_log = []
-    state = None
-    flags = {} if flags is None else flags
-    idx = np.arange(m)
-    for slot in range(t_len):
-        state = chan.evolve_small_scale(state, large, law, rng, num_v2i=n, num_v2v=m)
-        g2c_hat = state.g2_cross_hat[pairing, idx]
-        g2c = state.g2_cross[pairing, idx]
-        rss = p_i_a * l_cross_pair * g2c + p_v_a * large.l_v * state.g2_v + sigma2
-        nominal = p_i_a * l_cross_pair * g2c_hat + p_v_a * large.l_v * state.g2_v_hat + sigma2
-        probes[slot] = collect_sample(rss, nominal, p_i_a, l_cross_pair, p_v_a,
-                                      large.l_v, delta, state.g2_v_hat)
-        qos_log.append(_qos_sample(slot, "absorption", state, large, alloc, sigma2,
-                                   config, flags, np.zeros(m, dtype=bool)))
+    fading = chan.evolve_small_scale(large, law, rng, n, m, t_len)
+    g2c_hat = fading.g2_cross_hat[:, pairing, np.arange(m)]      # (T, M)
+    g2c = fading.g2_cross[:, pairing, np.arange(m)]
+    rss = p_i_a * l_cross_pair * g2c + p_v_a * large.l_v * fading.g2_v + sigma2
+    nominal = p_i_a * l_cross_pair * g2c_hat + p_v_a * large.l_v * fading.g2_v_hat + sigma2
+    probes = collect_sample(rss, nominal, p_i_a, l_cross_pair, p_v_a,
+                            large.l_v, delta, fading.g2_v_hat)
 
     estimates = [
         DeconvEstimate(samples=probes[:, i], lambda_y=float(lambda_y[i]), trunc_k=k,
@@ -339,17 +297,4 @@ def run_absorption(large, config, law, rng, lambda_m=None, flags=None):
     ]
     plan = AbsorptionPlan(pairing=pairing, p_i_mw=p_i_a, p_v_mw=p_v_a,
                           lambda_y=lambda_y, weights=weights, bound=bound)
-    return plan, estimates, qos_log
-
-
-def _qos_sample(slot, phase, state, large, alloc, sigma2, config, flags, infeasible):
-    g_i = qosmodel.sinr("v2i", state, large, alloc, sigma2, flags)
-    g_v = qosmodel.sinr("v2v", state, large, alloc, sigma2, flags)
-    thr = qosmodel.throughput(g_i, config.bandwidth_hz)
-    dly = qosmodel.delay(g_v, config.packet_bits, config.bandwidth_hz)
-    return qosmodel.QosSample(
-        slot=slot, phase=phase, delay_s=dly, thr_bps=thr,
-        v2v_ok=dly <= config.delay_req_s, v2i_ok=thr >= config.rate_req_bps,
-        pairing=alloc.pairing.copy(), p_v_mw=alloc.p_v_mw.copy(), p_i_mw=alloc.p_i_mw.copy(),
-        infeasible=infeasible.copy(),
-    )
+    return plan, estimates, fading

@@ -163,48 +163,53 @@ def build_large_scale(topology, config, rng):
 
 @dataclasses.dataclass
 class ChannelState:
-    """Squared fading magnitudes for one slot: reported and actual."""
+    """Squared fading magnitudes, reported and actual, for a block of S slots.
 
-    slot: int
-    g2_i: np.ndarray           # (N,)  uplink direct; reported == actual
-    g2_v_rsu: np.ndarray       # (M,)  V2V TX -> RSU; reported == actual
-    g2_v_hat: np.ndarray       # (M,)  sidelink direct, as reported
-    g2_v: np.ndarray           # (M,)  sidelink direct, actual after aging
-    g2_cross_hat: np.ndarray   # (N, M) cross channel, as reported
-    g2_cross: np.ndarray       # (N, M) actual = reported + hidden error (can be < 0)
-    e_cross: np.ndarray        # (N, M) the hidden additive errors
-    e_direct: np.ndarray       # (M,)  the unit exponentials driving sidelink aging
+    :func:`evolve_small_scale` gives every array a leading slot axis; a
+    single slot may also be held without it, as :func:`rv2x.qosmodel.sinr`
+    takes either.
+    """
+
+    g2_i: np.ndarray           # (S, N)  uplink direct; reported == actual
+    g2_v_rsu: np.ndarray       # (S, M)  V2V TX -> RSU; reported == actual
+    g2_v_hat: np.ndarray       # (S, M)  sidelink direct, as reported
+    g2_v: np.ndarray           # (S, M)  sidelink direct, actual after aging
+    g2_cross_hat: np.ndarray   # (S, N, M) cross channel, as reported
+    g2_cross: np.ndarray       # (S, N, M) actual = reported + hidden error (can be < 0)
+    e_cross: np.ndarray        # (S, N, M) the hidden additive errors
+    e_direct: np.ndarray       # (S, M)  the unit exponentials driving sidelink aging
 
 
-def evolve_small_scale(prev, large, law, rng, num_v2i=None, num_v2v=None):
-    """Draw the next slot of fading state.
+def evolve_small_scale(large, law, rng, num_v2i, num_v2v, slots):
+    """Draw ``slots`` consecutive slots of fading state.
 
     Reported gains are fresh unit exponentials each slot (squared magnitudes
     of unit complex-normal fades).  The actual sidelink gain mixes the report
     with an independent exponential through the squared aging coefficient;
-    the actual cross gain adds a hidden mixture error to the report.
+    the actual cross gain adds a hidden mixture error to the report.  The
+    draws run slot by slot, in the same order within each slot, so a block
+    equals that many one-slot calls on the same generator.
     """
-    if prev is not None:
-        n, m = prev.g2_i.shape[0], prev.g2_v_hat.shape[0]
-        slot = prev.slot + 1
-    else:
-        n, m = num_v2i, num_v2v
-        slot = 0
+    n, m = num_v2i, num_v2v
+    g2_i = np.empty((slots, n))
+    g2_v_rsu = np.empty((slots, m))
+    g2_v_hat = np.empty((slots, m))
+    e_direct = np.empty((slots, m))
+    g2_cross_hat = np.empty((slots, n, m))
+    e_cross = np.empty((slots, n, m))
+    for s in range(slots):
+        g2_i[s] = rng.exponential(1.0, n)
+        g2_v_rsu[s] = rng.exponential(1.0, m)
+        g2_v_hat[s] = rng.exponential(1.0, m)
+        e_direct[s] = rng.exponential(1.0, m)
+        g2_cross_hat[s] = rng.exponential(1.0, (n, m))
+        e_cross[s] = law.sample(rng, (n, m))
     d2 = large.delta * large.delta
-
-    g2_i = rng.exponential(1.0, n)
-    g2_v_rsu = rng.exponential(1.0, m)
-    g2_v_hat = rng.exponential(1.0, m)
-    e_direct = rng.exponential(1.0, m)
-    g2_v = d2 * g2_v_hat + (1.0 - d2) * e_direct
-    g2_cross_hat = rng.exponential(1.0, (n, m))
-    e_cross = law.sample(rng, (n, m))
     return ChannelState(
-        slot=slot,
         g2_i=g2_i,
         g2_v_rsu=g2_v_rsu,
         g2_v_hat=g2_v_hat,
-        g2_v=g2_v,
+        g2_v=d2 * g2_v_hat + (1.0 - d2) * e_direct,
         g2_cross_hat=g2_cross_hat,
         g2_cross=g2_cross_hat + e_cross,
         e_cross=e_cross,

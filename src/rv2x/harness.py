@@ -4,8 +4,11 @@ Trials are statistically independent and individually seeded from
 (rng_seed, trial_index), so results are byte-identical no matter how many
 worker processes participate.  Per trial the flow is: draw a topology and
 epoch shadowing, run the probing/matching phase (shared by all allocators),
-fit the allocator's error model, then sweep the adaptation slots with the
-per-pair vectorised solver and log realised QoS.
+fit the allocator's error model, then draw the adaptation slots' fading as
+one block and solve them with the per-pair vectorised solver.  Each phase's
+realised QoS is computed in one call over all its slots and written straight
+into the trial's row columns; this module alone knows the row format.  The
+CLI runs as ``rv2x`` or ``python -m rv2x``.
 """
 
 import argparse
@@ -73,21 +76,34 @@ def _trial_rows(n_slots, n_pairs):
     }
 
 
-def _fill_rows(rows, cursor, slot, phase, sample, m):
-    """One slot of per-pair records into the flat row arrays."""
-    sl = slice(cursor, cursor + m)
-    pairing = sample.pairing
-    rows["slot"][sl] = slot
-    rows["phase"][sl] = phase
-    rows["pair"][sl] = np.arange(m)
-    rows["p_v_mw"][sl] = sample.p_v_mw
-    rows["p_i_mw"][sl] = sample.p_i_mw[pairing]
-    finite = np.isfinite(sample.delay_s)
-    rows["delay_ms"][sl] = np.where(finite, sample.delay_s * 1e3, -1.0)
-    rows["throughput_mbps"][sl] = sample.thr_bps[pairing] / 1e6
-    rows["satisfied"][sl] = (sample.v2v_ok & finite).astype(np.int64)
-    rows["infeasible"][sl] = sample.infeasible.astype(np.int64)
-    return cursor + m
+def _fill_phase(rows, first_slot, phase, fading, large, alloc, infeasible, config, flags):
+    """One phase's realised QoS into the row columns, slot-major.
+
+    ``fading`` holds the phase's S slots and the powers of ``alloc`` are per
+    phase or per slot, so a single SINR/throughput/delay evaluation covers
+    the phase; ``infeasible`` is a flag per (slot, pair) or one for all.
+    """
+    sigma2 = noise_power(config)
+    g_i = qosmodel.sinr("v2i", fading, large, alloc, sigma2, flags)
+    g_v = qosmodel.sinr("v2v", fading, large, alloc, sigma2, flags)
+    thr = qosmodel.throughput(g_i, config.bandwidth_hz)
+    dly = qosmodel.delay(g_v, config.packet_bits, config.bandwidth_hz)
+    n_slots, m = dly.shape
+    finite = np.isfinite(dly)
+    cols = {
+        "slot": np.arange(first_slot, first_slot + n_slots)[:, None],
+        "phase": phase,
+        "pair": np.arange(m),
+        "p_v_mw": alloc.p_v_mw,
+        "p_i_mw": alloc.p_i_mw[..., alloc.pairing],
+        "delay_ms": np.where(finite, dly * 1e3, -1.0),
+        "throughput_mbps": thr[:, alloc.pairing] / 1e6,
+        "satisfied": (dly <= config.delay_req_s) & finite,
+        "infeasible": infeasible,
+    }
+    sl = slice(first_slot * m, (first_slot + n_slots) * m)
+    for name, val in cols.items():
+        rows[name][sl].reshape(n_slots, m)[...] = val
 
 
 def run_trial(config, allocator, trial):
@@ -103,9 +119,8 @@ def run_trial(config, allocator, trial):
     topo = build_topology(config, _stream(seed, trial, "topology"))
     large = chan.build_large_scale(topo, config, _stream(seed, trial, "shadowing"))
 
-    flags = {}
-    plan, estimates, qos_abs = absorption.run_absorption(
-        large, config, law, _stream(seed, trial, "absorption"), flags=flags)
+    plan, estimates, probing = absorption.run_absorption(
+        large, config, law, _stream(seed, trial, "absorption"))
 
     # error model per pair for the selected allocator
     if allocator == "proposed":
@@ -121,28 +136,27 @@ def run_trial(config, allocator, trial):
     box = (config.pi_min_mw, config.pi_max_mw, config.pv_min_mw, config.pv_max_mw)
     n_slots = config.absorption_len + adapt_len
     rows = _trial_rows(n_slots, m)
-    cursor = 0
-    for s, sample in enumerate(qos_abs):
-        cursor = _fill_rows(rows, cursor, s, "absorption", sample, m)
+    flags = {}
+    pairing = plan.pairing
+    p_i_probe = np.empty(m)
+    p_i_probe[pairing] = plan.p_i_mw
+    _fill_phase(rows, 0, "absorption", probing, large,
+                qosmodel.AllocationDecision(pairing=pairing, p_v_mw=plan.p_v_mw,
+                                            p_i_mw=p_i_probe),
+                False, config, flags)
 
     decisions = {k: np.empty((adapt_len, m)) for k in
                  ("c_l", "c_u", "c_star", "p_v", "p_i", "beta_star", "feasible")}
     j_trace = np.zeros(adapt_len)
 
     if adapt_len:
-        rng_ad = _stream(seed, trial, "adaptation")
-        states = []
-        state = None
-        for _ in range(adapt_len):
-            state = chan.evolve_small_scale(state, large, law, rng_ad, num_v2i=m, num_v2v=m)
-            states.append(state)
-
+        fading = chan.evolve_small_scale(large, law, _stream(seed, trial, "adaptation"),
+                                         m, m, adapt_len)
         idx = np.arange(m)
-        pairing = plan.pairing
-        g2_v_hat = np.stack([st.g2_v_hat for st in states])            # (S, M)
-        g2_cross_hat = np.stack([st.g2_cross_hat[pairing, idx] for st in states])
-        g2_i = np.stack([st.g2_i[pairing] for st in states])           # matched uplink fading
-        g2_v_rsu = np.stack([st.g2_v_rsu for st in states])
+        g2_v_hat = fading.g2_v_hat                              # (S, M)
+        g2_cross_hat = fading.g2_cross_hat[:, pairing, idx]
+        g2_i = fading.g2_i[:, pairing]                          # matched uplink fading
+        g2_v_rsu = fading.g2_v_rsu
 
         p_v_slots = np.empty((adapt_len, m))
         p_i_slots = np.empty((adapt_len, m))
@@ -185,17 +199,12 @@ def run_trial(config, allocator, trial):
                 p_true = (lhs >= rhs).mean(axis=1)
                 j_trace[s] = float(np.sum((decisions["beta_star"][s] - p_true) ** 2))
 
-        for s in range(adapt_len):
-            p_i_full = np.empty(m)
-            p_i_full[pairing] = p_i_slots[s]
-            alloc = qosmodel.AllocationDecision(pairing=pairing, p_v_mw=p_v_slots[s],
-                                                p_i_mw=p_i_full)
-            infeasible = decisions["feasible"][s] < 0.5
-            sample = absorption._qos_sample(config.absorption_len + s, "adaptation",
-                                            states[s], large, alloc, sigma2, config,
-                                            flags, infeasible)
-            cursor = _fill_rows(rows, cursor, config.absorption_len + s, "adaptation",
-                                sample, m)
+        p_i_full = np.empty((adapt_len, m))
+        p_i_full[:, pairing] = p_i_slots
+        _fill_phase(rows, config.absorption_len, "adaptation", fading, large,
+                    qosmodel.AllocationDecision(pairing=pairing, p_v_mw=p_v_slots,
+                                                p_i_mw=p_i_full),
+                    decisions["feasible"] < 0.5, config, flags)
 
     return {
         "trial": trial,
@@ -249,6 +258,9 @@ def run(config, allocator="proposed", trials=1, threads=None):
 
     ok = [r for r in results if "error" not in r]
     errors = [(r["trial"], r["error"]) for r in results if "error" in r]
+    for r in results:
+        if "error" in r:
+            print(f"trial {r['trial']} failed:\n{r['trace']}", file=sys.stderr, end="")
 
     v2v_ok = v2v_all = v2i_ok = 0
     thr_sum = 0.0

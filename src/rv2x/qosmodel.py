@@ -20,32 +20,18 @@ class AllocationDecision:
     """Matching plus transmit powers for one slot (or a whole phase)."""
 
     pairing: np.ndarray   # (M,) V2I index matched to each V2V pair
-    p_v_mw: np.ndarray    # (M,)
-    p_i_mw: np.ndarray    # (N,)
-
-
-@dataclasses.dataclass
-class QosSample:
-    """Realised QoS of one slot."""
-
-    slot: int
-    phase: str
-    delay_s: np.ndarray      # (M,) sidelink packet delay, +inf when the rate is zero
-    thr_bps: np.ndarray      # (N,) uplink throughput
-    v2v_ok: np.ndarray       # (M,) delay <= budget
-    v2i_ok: np.ndarray       # (N,) rate >= requirement
-    pairing: np.ndarray      # (M,)
-    p_v_mw: np.ndarray       # (M,)
-    p_i_mw: np.ndarray       # (N,)
-    infeasible: np.ndarray   # (M,) allocator fell back to the protective default
+    p_v_mw: np.ndarray    # (M,) or per slot (S, M)
+    p_i_mw: np.ndarray    # (N,) or per slot (S, N)
 
 
 def sinr(link_kind, channel, large, alloc, sigma2, flags=None):
     """Matched-pair SINR for every link of one class.
 
-    Actual cross gains can dip below zero under the additive error model;
-    they are clamped at zero here (a count is recorded in ``flags``).  A
-    zero denominator is replaced by a large finite cap, also counted.
+    ``channel`` holds one slot or a block of slots (a leading slot axis), and
+    the powers of ``alloc`` broadcast against it, so one call covers a whole
+    phase.  Actual cross gains can dip below zero under the additive error
+    model; they are clamped at zero here (a count is recorded in ``flags``).
+    A zero denominator is replaced by a large finite cap, also counted.
     """
     if link_kind not in ("v2i", "v2v"):
         raise ConfigurationError(f"unknown link kind {link_kind!r}")
@@ -53,16 +39,16 @@ def sinr(link_kind, channel, large, alloc, sigma2, flags=None):
     if link_kind == "v2i":
         num = alloc.p_i_mw * large.l_i * channel.g2_i
         interf = np.zeros_like(num)
-        interf[pairing] = alloc.p_v_mw * large.l_v_rsu * channel.g2_v_rsu
+        interf[..., pairing] = alloc.p_v_mw * large.l_v_rsu * channel.g2_v_rsu
         den = interf + sigma2
     elif link_kind == "v2v":
         m = np.arange(pairing.shape[0])
-        cross = channel.g2_cross[pairing, m]
+        cross = channel.g2_cross[..., pairing, m]
         clamped = cross < 0.0
         if flags is not None and clamped.any():
             flags["cross_clamped"] = flags.get("cross_clamped", 0) + int(clamped.sum())
         num = alloc.p_v_mw * large.l_v * channel.g2_v
-        den = alloc.p_i_mw[pairing] * large.l_cross[pairing, m] * np.maximum(cross, 0.0) + sigma2
+        den = alloc.p_i_mw[..., pairing] * large.l_cross[pairing, m] * np.maximum(cross, 0.0) + sigma2
 
     degenerate = den <= 0.0
     if degenerate.any():
@@ -138,29 +124,3 @@ def true_satisfaction_prob_mc(context, alloc, law, n_draws, rng):
     lhs = p_v * context.l_v * (d2 * context.g2_v_hat + (1.0 - d2) * e_direct)
     rhs = context.gamma_v * (p_i * context.l_cross * (context.g2_cross_hat + e_cross) + context.sigma2)
     return float(np.mean(lhs >= rhs))
-
-
-def deviation_J(contexts, allocs, estimates, law, n_draws, rng):
-    """Sum of squared gaps between estimated-law and true-law satisfaction.
-
-    ``estimates`` provide ``sample(n, rng)`` draws of the cross error under
-    the estimated law (clipped to a proper density); the true law is ``law``.
-    """
-    if n_draws < 1000:
-        raise ConfigurationError("deviation_J needs n_draws >= 1000")
-    total = 0.0
-    for context, alloc, est in zip(contexts, allocs, estimates):
-        p_v, p_i = alloc
-        d2 = context.delta2
-        e_direct = rng.exponential(1.0, n_draws)
-        lhs = p_v * context.l_v * (d2 * context.g2_v_hat + (1.0 - d2) * e_direct)
-
-        def prob(e_cross):
-            rhs = context.gamma_v * (
-                p_i * context.l_cross * (context.g2_cross_hat + e_cross) + context.sigma2)
-            return float(np.mean(lhs >= rhs))
-
-        p_est = prob(est.sample(n_draws, rng))
-        p_true = prob(law.sample(rng, n_draws))
-        total += (p_est - p_true) ** 2
-    return total

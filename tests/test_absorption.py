@@ -88,38 +88,6 @@ def test_estimate_tracks_true_density():
         assert abs(est.pdf(pt)[0] - law.pdf(pt)) < 0.05
 
 
-def test_clipped_density_properties():
-    law = error_law("type1")
-    rng = np.random.default_rng(12345)
-    z = _model_samples(rng, law, 20.0, 2000)
-    est = DeconvEstimate(samples=z, lambda_y=20.0, trunc_k=10)
-    x = np.linspace(-6.0, 7.0, 9001)
-    f = est.pdf_clipped(x)
-    assert np.all(f >= 0.0)
-    np.testing.assert_allclose(np.trapezoid(f, x), 1.0, atol=2e-3)
-    # vanishes outside the sample-driven window
-    assert est.pdf_clipped(z.min() - 10.0) == 0.0
-    assert est.pdf_clipped(z.max() + 10.0) == 0.0
-
-
-def test_estimate_sampling_support_and_determinism():
-    law = error_law("type2")
-    rng = np.random.default_rng(4)
-    z = _model_samples(rng, law, 20.0, 1500)
-    est = DeconvEstimate(samples=z, lambda_y=20.0, trunc_k=10)
-    draws = est.sample(400, np.random.default_rng(7))
-    again = est.sample(400, np.random.default_rng(7))
-    np.testing.assert_array_equal(draws, again)
-    lo = z.min() - 3.0 - 1.0 / 20.0
-    hi = z.max() + 3.0
-    assert draws.min() >= lo and draws.max() <= hi
-    # drawn moments roughly match the clipped density
-    x = np.linspace(lo, hi, 4001)
-    f = est.pdf_clipped(x)
-    mean_pdf = np.trapezoid(x * f, x)
-    assert abs(est.sample(20000, np.random.default_rng(11)).mean() - mean_pdf) < 0.05
-
-
 def test_serialization_round_trip():
     # estimates cross the worker-process boundary by pickle: exact samples and pdf
     est = DeconvEstimate(samples=[0.125, -2.5, 0.3333333333333333, 17.0],
@@ -414,8 +382,8 @@ def test_run_absorption_plan_invariants():
     config = _small_config()
     large = _large_state()
     law = error_law("type1")
-    plan, estimates, qos_log = run_absorption(large, config, law,
-                                              np.random.default_rng(17))
+    plan, estimates, fading = run_absorption(large, config, law,
+                                             np.random.default_rng(17))
     m = config.num_pairs
     assert sorted(plan.pairing) == list(range(m))
     box = (config.pi_min_mw, config.pi_max_mw, config.pv_min_mw, config.pv_max_mw)
@@ -436,15 +404,19 @@ def test_run_absorption_plan_invariants():
     for _ in range(50):
         perm = rng.permutation(m)
         assert matched <= plan.weights[np.arange(m), perm].sum() + 1e-12
-    assert len(estimates) == m and len(qos_log) == t
+    assert len(estimates) == m
+    assert fading.g2_cross.shape == (t, m, m) and fading.g2_v.shape == (t, m)
     for i, est in enumerate(estimates):
         assert est.samples.shape == (t,)
         np.testing.assert_allclose(est.lambda_y, plan.lambda_y[i], rtol=1e-12)
         assert est.trunc_k == k
-    for slot, sample in enumerate(qos_log):
-        assert sample.slot == slot and sample.phase == "absorption"
-        np.testing.assert_array_equal(sample.pairing, plan.pairing)
-        assert np.all(sample.delay_s > 0)
+    # the probes come from the returned fading: cross error plus an exponential
+    pair = np.arange(m)
+    probes = np.stack([est.samples for est in estimates], axis=1)
+    residual = (fading.e_cross[:, plan.pairing, pair]
+                + (plan.p_v_mw * large.l_v / (plan.p_i_mw * l_cross_pair))
+                * (1.0 - large.delta ** 2) * fading.e_direct)
+    np.testing.assert_allclose(probes, residual, rtol=1e-6, atol=1e-9)
 
 
 def test_run_absorption_identity_flag():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -159,28 +160,25 @@ def test_evolve_identities():
     law = error_law("type1")
     rng = np.random.default_rng(1)
     large = _unit_large(0.65, 3, 3)
-    st = evolve_small_scale(None, large, law, rng, num_v2i=3, num_v2v=3)
+    st = evolve_small_scale(large, law, rng, 3, 3, 2)
     d2 = large.delta ** 2
     np.testing.assert_allclose(st.g2_v, d2 * st.g2_v_hat + (1 - d2) * st.e_direct,
                                rtol=1e-12)
     np.testing.assert_allclose(st.g2_cross, st.g2_cross_hat + st.e_cross, rtol=1e-12)
-    assert st.slot == 0
-    nxt = evolve_small_scale(st, large, law, rng)
-    assert nxt.slot == 1
-    assert nxt.g2_i.shape == (3,) and nxt.g2_cross.shape == (3, 3)
+    assert st.g2_i.shape == (2, 3) and st.g2_cross.shape == (2, 3, 3)
 
 
 def test_evolve_full_correlation_keeps_report():
     law = error_law("type1")
     rng = np.random.default_rng(2)
-    st = evolve_small_scale(None, _unit_large(1.0), law, rng, num_v2i=2, num_v2v=2)
+    st = evolve_small_scale(_unit_large(1.0), law, rng, 2, 2, 1)
     np.testing.assert_allclose(st.g2_v, st.g2_v_hat, rtol=1e-12)
 
 
 def test_evolve_zero_error_law_keeps_cross_report():
     law = error_law("custom", weights=(1.0,), means=(0.0,), variances=(1e-30,))
     rng = np.random.default_rng(3)
-    st = evolve_small_scale(None, _unit_large(0.65), law, rng, num_v2i=2, num_v2v=2)
+    st = evolve_small_scale(_unit_large(0.65), law, rng, 2, 2, 1)
     np.testing.assert_allclose(st.g2_cross, st.g2_cross_hat, atol=1e-12)
 
 
@@ -189,13 +187,9 @@ def test_evolve_zero_correlation_mean():
     law = error_law("type1")
     rng = np.random.default_rng(4)
     large = _unit_large(0.0, 1, 10_000)
-    total = 0.0
     slots = 100
-    st = None
-    for _ in range(slots):
-        st = evolve_small_scale(st, large, law, rng, num_v2i=1, num_v2v=10_000)
-        total += st.g2_v.mean()
-    mean = total / slots
+    st = evolve_small_scale(large, law, rng, 1, 10_000, slots)
+    mean = st.g2_v.mean()
     n = slots * 10_000
     assert abs(mean - 1.0) < 3.0 / math.sqrt(n)
 
@@ -204,8 +198,8 @@ def test_evolve_reported_gains_are_unit_exponential():
     law = error_law("type1")
     rng = np.random.default_rng(5)
     large = _unit_large(0.65, 1, 100_000)
-    st = evolve_small_scale(None, large, law, rng, num_v2i=1, num_v2v=100_000)
-    res = stats.kstest(st.g2_v_hat, "expon")
+    st = evolve_small_scale(large, law, rng, 1, 100_000, 1)
+    res = stats.kstest(st.g2_v_hat[0], "expon")
     assert res.pvalue > 1e-3, f"reported fading fails Exp(1) fit: {res}"
     assert abs(st.g2_v_hat.mean() - 1.0) < 3.0 / math.sqrt(100_000)
 
@@ -214,7 +208,7 @@ def test_evolve_lag_relation():
     law = error_law("type1")
     rng = np.random.default_rng(6)
     large = _unit_large(0.6527530721238584, 1, 200_000)
-    st = evolve_small_scale(None, large, law, rng, num_v2i=1, num_v2v=200_000)
+    st = evolve_small_scale(large, law, rng, 1, 200_000, 1)
     d2 = large.delta ** 2
     predicted = d2 * st.g2_v_hat.mean() + (1.0 - d2) * 1.0
     assert abs(st.g2_v.mean() - predicted) < 4.0 / math.sqrt(200_000)
@@ -223,18 +217,42 @@ def test_evolve_lag_relation():
 def test_evolve_cross_gain_may_go_negative():
     law = error_law("custom", weights=(1.0,), means=(-5.0,), variances=(0.01,))
     rng = np.random.default_rng(7)
-    st = evolve_small_scale(None, _unit_large(0.65), law, rng, num_v2i=4, num_v2v=4)
+    st = evolve_small_scale(_unit_large(0.65, 4, 4), law, rng, 4, 4, 1)
     assert np.any(st.g2_cross < 0.0), "additive error must be allowed to drive the gain negative"
 
 
 def test_evolve_deterministic_per_seed():
     law = error_law("type1")
-    a = evolve_small_scale(None, _unit_large(0.65), law, np.random.default_rng(8),
-                           num_v2i=3, num_v2v=3)
-    b = evolve_small_scale(None, _unit_large(0.65), law, np.random.default_rng(8),
-                           num_v2i=3, num_v2v=3)
+    a = evolve_small_scale(_unit_large(0.65, 3, 3), law, np.random.default_rng(8), 3, 3, 1)
+    b = evolve_small_scale(_unit_large(0.65, 3, 3), law, np.random.default_rng(8), 3, 3, 1)
     np.testing.assert_array_equal(a.g2_cross, b.g2_cross)
     np.testing.assert_array_equal(a.g2_v, b.g2_v)
+
+
+def test_evolve_block_equals_consecutive_one_slot_calls():
+    law = error_law("type1")
+    large = _unit_large(0.65, 3, 4)
+    block = evolve_small_scale(large, law, np.random.default_rng(9), 3, 4, 5)
+    rng = np.random.default_rng(9)
+    singles = [evolve_small_scale(large, law, rng, 3, 4, 1) for _ in range(5)]
+    for field in dataclasses.fields(ChannelState):
+        got = getattr(block, field.name)
+        want = np.concatenate([getattr(st, field.name) for st in singles])
+        assert got.shape == want.shape and got.shape[0] == 5, field.name
+        assert got.tobytes() == want.tobytes(), field.name
+
+
+def test_evolve_draw_order_within_each_slot():
+    # g2_i, g2_v_rsu, g2_v_hat, e_direct, g2_cross_hat, e_cross, slot after slot:
+    # every seeded trajectory depends on this order
+    law = error_law("type2")
+    block = evolve_small_scale(_unit_large(0.65, 3, 4), law, np.random.default_rng(10), 3, 4, 4)
+    rng = np.random.default_rng(10)
+    for s in range(4):
+        for name, shape in (("g2_i", 3), ("g2_v_rsu", 4), ("g2_v_hat", 4),
+                            ("e_direct", 4), ("g2_cross_hat", (3, 4))):
+            assert getattr(block, name)[s].tobytes() == rng.exponential(1.0, shape).tobytes()
+        assert block.e_cross[s].tobytes() == law.sample(rng, (3, 4)).tobytes()
 
 
 def test_build_large_scale_zero_shadow_matches_pathloss():

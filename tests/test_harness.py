@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rv2x
 from rv2x.absorption import DeconvEstimate
 from rv2x.config import SimConfig
 from rv2x.errors import ConfigurationError
@@ -42,9 +45,15 @@ def test_run_report_structure_and_row_semantics():
     config = _tiny()
     report = run(config, "proposed", trials=2, threads=1)
     assert report.completed == 2 and report.trial_ids == [0, 1]
-    n = (config.absorption_len + config.adaptation_len) * config.num_pairs
+    n_slots, m = config.absorption_len + config.adaptation_len, config.num_pairs
+    n = n_slots * m
     for rows in report.rows:
         assert rows["slot"].shape == (n,)
+        # slot-major: every slot lists its pairs in order
+        np.testing.assert_array_equal(rows["slot"], np.repeat(np.arange(n_slots), m))
+        np.testing.assert_array_equal(rows["pair"], np.tile(np.arange(m), n_slots))
+        probing = rows["delay_ms"][:config.absorption_len * m]
+        assert np.all((probing > 0.0) | (probing == -1.0))
         # satisfied column is recomputable from the delay column alone
         d = rows["delay_ms"]
         want_sat = ((d >= 0.0) & (d <= config.delay_req_s * 1e3)).astype(int)
@@ -108,7 +117,7 @@ def test_worker_count_does_not_change_bytes(tmp_path):
         assert _read(d1 / rel) == _read(d2 / rel), f"{rel} differs across workers"
 
 
-def test_failed_trials_are_recorded_not_fatal(monkeypatch, tmp_path):
+def test_failed_trials_are_recorded_not_fatal(monkeypatch, tmp_path, capsys):
     import rv2x.absorption
 
     def boom(*a, **kw):
@@ -119,6 +128,11 @@ def test_failed_trials_are_recorded_not_fatal(monkeypatch, tmp_path):
     assert report.completed == 0
     assert len(report.partial_errors) == 2
     assert "synthetic failure" in report.partial_errors[0][1]
+    # each failed trial's traceback goes to stderr under its trial number
+    first, second = capsys.readouterr().err.split("trial 1 failed")
+    assert first.startswith("trial 0 failed")
+    for trace in (first, second):
+        assert "Traceback" in trace and "synthetic failure" in trace
     # empty aggregate still emits: headers-only tables, null metrics
     out = tmp_path / "empty"
     emit(report, str(out))
@@ -299,6 +313,16 @@ def test_cli_round_trip(tmp_path, capsys):
     assert summary["hr_weight"] == 0.3
     assert summary["error_law"] == "type2"
     assert (out / "slots.csv").exists() and (out / "tables" / "delay_cdf.csv").exists()
+
+
+def test_python_m_rv2x_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(rv2x.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "rv2x", "--help"],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: rv2x ")
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import types
 
@@ -11,7 +12,7 @@ from rv2x.channel import ChannelState, LargeScaleState, error_law
 from rv2x.config import SimConfig
 from rv2x.errors import ConfigurationError
 from rv2x.qosmodel import (SINR_CAP, AllocationDecision, delay,
-                           delay_outage_closed_form, deviation_J, hazard_rate,
+                           delay_outage_closed_form, hazard_rate,
                            hazard_rate_noise_free_approx, sinr, throughput,
                            true_satisfaction_prob_mc)
 from rv2x.scenario import qos_constants
@@ -24,7 +25,7 @@ def _state(g2_i, g2_v_rsu, g2_v, g2_cross):
     g2_i = np.asarray(g2_i, dtype=float)
     g2_v = np.asarray(g2_v, dtype=float)
     g2_cross = np.asarray(g2_cross, dtype=float)
-    return ChannelState(slot=0, g2_i=g2_i, g2_v_rsu=np.asarray(g2_v_rsu, dtype=float),
+    return ChannelState(g2_i=g2_i, g2_v_rsu=np.asarray(g2_v_rsu, dtype=float),
                         g2_v_hat=g2_v.copy(), g2_v=g2_v,
                         g2_cross_hat=g2_cross.copy(), g2_cross=g2_cross,
                         e_cross=np.zeros_like(g2_cross), e_direct=np.zeros_like(g2_v))
@@ -91,6 +92,48 @@ def test_sinr_negative_cross_gain_clamped_and_counted():
     got = sinr("v2v", state, large, alloc, 1e-3, flags)
     np.testing.assert_allclose(got, 2.0 / 1e-3, rtol=1e-12)
     assert flags["cross_clamped"] == 1
+
+
+def test_phase_qos_equals_per_slot_calls():
+    # S = 4 slots, N = M = 3, a non-identity matching and sigma2 = 0 so that
+    # a clamped cross gain and a dead V2V-to-RSU gain give zero denominators
+    rng = np.random.default_rng(21)
+    s_len, n = 4, 3
+    g2_cross = rng.exponential(1.0, (s_len, n, n))
+    g2_v_rsu = rng.exponential(1.0, (s_len, n))
+    pairing = np.array([2, 0, 1])
+    g2_cross[1, pairing[0], 0] = -0.3      # negative actual cross gain
+    g2_cross[2, pairing[1], 1] = 0.0       # zero cross gain
+    g2_v_rsu[3, 2] = 0.0                   # uplink pairing[2] sees no interference
+    g2_v = rng.exponential(1.0, (s_len, n))
+    state = ChannelState(g2_i=rng.exponential(1.0, (s_len, n)), g2_v_rsu=g2_v_rsu,
+                         g2_v_hat=g2_v.copy(), g2_v=g2_v,
+                         g2_cross_hat=g2_cross.copy(), g2_cross=g2_cross,
+                         e_cross=np.zeros_like(g2_cross), e_direct=np.zeros_like(g2_v))
+    large = _large([2e-9, 3e-9, 4e-9], [5e-8, 6e-8, 7e-8], [1e-10, 2e-10, 3e-10],
+                   rng.uniform(1e-11, 1e-10, (n, n)))
+    p_v = rng.uniform(1.0, 100.0, (s_len, n))
+    p_i = rng.uniform(1.0, 100.0, (s_len, n))
+    for alloc, per_slot in (
+            (AllocationDecision(pairing, p_v, p_i),
+             lambda s: AllocationDecision(pairing, p_v[s], p_i[s])),
+            (AllocationDecision(pairing, p_v[0], p_i[0]),      # one power set for the phase
+             lambda s: AllocationDecision(pairing, p_v[0], p_i[0]))):
+        flags = {}
+        g_i = sinr("v2i", state, large, alloc, 0.0, flags)
+        g_v = sinr("v2v", state, large, alloc, 0.0, flags)
+        got = (g_i, g_v, throughput(g_i, 2e6), delay(g_v, 3200.0, 2e6))
+        slot_flags = {}
+        for s in range(s_len):
+            one = ChannelState(**{f.name: getattr(state, f.name)[s]
+                                  for f in dataclasses.fields(ChannelState)})
+            w_i = sinr("v2i", one, large, per_slot(s), 0.0, slot_flags)
+            w_v = sinr("v2v", one, large, per_slot(s), 0.0, slot_flags)
+            want = (w_i, w_v, throughput(w_i, 2e6), delay(w_v, 3200.0, 2e6))
+            for g, w in zip(got, want):
+                assert g.shape == (s_len, n) and g[s].tobytes() == w.tobytes()
+        assert flags == slot_flags
+        assert flags["cross_clamped"] == 1 and flags["degenerate"] == 3
 
 
 def test_sinr_unknown_kind():
@@ -228,32 +271,3 @@ def test_true_satisfaction_prob_vs_quadrature():
     got = true_satisfaction_prob_mc(ctx, (p_v, p_i), law, n, np.random.default_rng(3))
     se = math.sqrt(want * (1.0 - want) / n)
     assert abs(got - want) < 4.0 * se + 1e-12
-
-
-def test_deviation_j_zero_when_laws_agree():
-    law = error_law("type1")
-
-    class _LawAsEstimate:
-        def sample(self, n, rng):
-            return law.sample(rng, n)
-
-    ctxs = [_mc_context(), _mc_context(g2_cross_hat=2.0)]
-    allocs = [(50.0, 80.0), (30.0, 10.0)]
-    ests = [_LawAsEstimate(), _LawAsEstimate()]
-    j = deviation_J(ctxs, allocs, ests, law, 200_000, np.random.default_rng(5))
-    assert 0.0 <= j < 1e-4
-
-
-def test_deviation_j_positive_for_wrong_law():
-    law = error_law("type1")
-    wrong = error_law("custom", weights=(1.0,), means=(5.0,), variances=(0.01,))
-
-    class _Wrong:
-        def sample(self, n, rng):
-            return wrong.sample(rng, n)
-
-    # an allocation whose satisfaction is sensitive to the error location
-    ctx = _mc_context(l_cross=1e-7, g2_cross_hat=1.0)
-    j = deviation_J([ctx], [(10.0, 100.0)], [_Wrong()], law, 20_000,
-                    np.random.default_rng(6))
-    assert j > 1e-3
