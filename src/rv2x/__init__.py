@@ -29,7 +29,6 @@ from .adaptation import (
     ell,
     feasible_interval,
     prop1_holds,
-    solve_power,
     solve_slots,
     u_value,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "run_absorption",
     "run_trial",
     "sinr",
-    "solve_power",
     "solve_slots",
     "throughput",
     "true_satisfaction_prob_mc",

@@ -68,8 +68,6 @@ class DeconvEstimate:
     samples: np.ndarray
     lambda_y: float
     trunc_k: int
-    p_i_mw: float = float("nan")
-    p_v_mw: float = float("nan")
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float).ravel()
@@ -77,8 +75,6 @@ class DeconvEstimate:
             raise ConfigurationError("DeconvEstimate needs at least one sample")
         self.lambda_y = float(self.lambda_y)
         self.trunc_k = int(self.trunc_k)
-        self.p_i_mw = float(self.p_i_mw)
-        self.p_v_mw = float(self.p_v_mw)
 
     def pdf(self, e):
         return estimate_pdf(self, e)
@@ -291,8 +287,7 @@ def run_absorption(large, config, law, rng, lambda_m=None):
                             large.l_v, delta, fading.g2_v_hat)
 
     estimates = [
-        DeconvEstimate(samples=probes[:, i], lambda_y=float(lambda_y[i]), trunc_k=k,
-                       p_i_mw=float(p_i_a[i]), p_v_mw=float(p_v_a[i]))
+        DeconvEstimate(samples=probes[:, i], lambda_y=float(lambda_y[i]), trunc_k=k)
         for i in range(m)
     ]
     plan = AbsorptionPlan(pairing=pairing, p_i_mw=p_i_a, p_v_mw=p_v_a,

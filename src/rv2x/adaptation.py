@@ -13,7 +13,8 @@ p_i/p_v.  Per slot the allocator:
    largest c whose satisfaction estimate still meets the target, found by a
    bracketing Brent-Dekker search between the floor and that pick) and picks
    again below the bound, falling back to the floor if the estimate dips
-   below the target there, and
+   below the target there.  Satisfaction is queried only at budgets that
+   decide the deployed power: the floor, that pick and the search, and
 5. maps c to box powers, preferring the highest feasible transmit powers.
 
 The satisfaction functional folds the empirical characteristic function of
@@ -302,24 +303,48 @@ def beta(c, context, return_raw=False):
 
 
 def feasible_interval(context):
-    """(c_l, c_u): rate-driven floor and verified ceiling on c (see solve_slots)."""
-    res = solve_slots(context, _single_slot(context))
-    return float(res["c_l"][0]), float(res["c_u"][0])
+    """(c_l, c_u): rate-driven floor and satisfaction ceiling on c for one slot.
+
+    The slot is read from the context's reported fading.  ``c_u`` is c_hi
+    where the u-target c_t and c_hi both meet the satisfaction target;
+    elsewhere it is the ceiling ``solve_slots`` verified (see there).
+    ``solve_slots`` does not query c_hi just to record it, so this function
+    makes that query itself.  Infeasible slots hold c_u = 0.
+    """
+    res = solve_slots(context, {name: np.array([getattr(context, name)]) for name in
+                                ("g2_v_hat", "g2_cross_hat", "g2_i", "g2_v_rsu")})
+    c_l, c_u = float(res["c_l"][0]), float(res["c_u"][0])
+    kind = _estimate_kind(context.estimate)
+    c_lo, c_mid, c_hi = _c_range(context)
+    # a c_u below c_t is the searched ceiling: c_t missed the target
+    if (kind != "hpr" and res["feasible"][0] and c_u < c_hi
+            and c_u == _u_pick(np.array([c_l]), np.array([c_hi]), context)[0]):
+        b_hi = _beta_raw(context, kind, np.array([c_hi]), context.g2_v_hat,
+                         context.g2_cross_hat, c_lo, c_mid)[0]
+        if b_hi >= context.prob_req:
+            c_u = c_hi
+    return c_l, c_u
 
 
-def solve_power(context):
-    """Full per-slot solve; returns (p_v_mw, p_i_mw)."""
-    res = solve_slots(context, _single_slot(context))
-    return float(res["p_v"][0]), float(res["p_i"][0])
+def floor_beta(pair, g2_v_hat, g2_cross_hat):
+    """Raw satisfaction at c_lo, the budget infeasible slots deploy.
+
+    ``solve_slots`` evaluates it only on slots whose floor is c_lo, where it
+    decides feasibility; the deviation trace asks for the other slots.
+    """
+    kind = _estimate_kind(pair.estimate)
+    if kind == "hpr":
+        raise ConfigurationError("high-probability regions define no satisfaction curve")
+    c_lo, c_mid, _ = _c_range(pair)
+    return _beta_raw(pair, kind, np.full(np.shape(g2_v_hat), c_lo), g2_v_hat,
+                     g2_cross_hat, c_lo, c_mid)
 
 
-def _single_slot(context):
-    return {
-        "g2_v_hat": np.array([context.g2_v_hat]),
-        "g2_cross_hat": np.array([context.g2_cross_hat]),
-        "g2_i": np.array([context.g2_i]),
-        "g2_v_rsu": np.array([context.g2_v_rsu]),
-    }
+def _c_range(pair):
+    """(c_lo, c_mid, c_hi): budgets at the box corners, as the solver rounds them."""
+    pi_min, pi_max, pv_min, pv_max = pair.box
+    scale = pair.gamma_v * pair.l_cross / (pair.l_v * (1.0 - pair.delta2))
+    return scale * pi_min / pv_max, scale * pi_max / pv_max, scale * pi_max / pv_min
 
 
 def solve_slots(pair, slots):
@@ -332,15 +357,17 @@ def solve_slots(pair, slots):
     A slot is feasible when its rate floor c_l lies in the box and meets the
     satisfaction target there; on feasible slots c_l <= c_star <= c_u and the
     satisfaction at c_u and at c_star meets the target.  ``c_u`` is the
-    highest budget the decision verified: c_hi when c_hi meets the target;
-    else, where the u-target c_t (the pick on [c_l, c_hi]) misses the target,
-    the satisfied end of the root search on [c_l, c_t], which is the
-    satisfaction ceiling; else c_t itself, since a ceiling above c_t cannot
-    change the pick and is not searched.  Infeasible slots, decided before
-    any search (floor above the box, or floor below the target), hold
-    c_u = 0 and deploy (pv_max, pi_min) at c_star = c_lo.  For a
-    high-probability region c_u is the closed-form worst-case ceiling
-    clipped to the box.
+    highest budget the decision verified: the u-target c_t (the pick on
+    [c_l, c_hi]) where c_t meets the target, else the satisfied end of the
+    root search on [c_l, c_t], which is the satisfaction ceiling.  c_hi is
+    not queried unless it is c_t, since a ceiling above c_t cannot change
+    the pick; ``feasible_interval`` queries it on request.  Infeasible
+    slots, decided before any search (floor above the box, or floor below
+    the target), hold c_u = 0 and deploy (pv_max, pi_min) at c_star = c_lo;
+    their ``beta_star`` is the satisfaction at c_lo where the floor is c_lo
+    and was evaluated to decide, and NaN elsewhere (``floor_beta`` computes
+    it).  For a high-probability region c_u is the closed-form worst-case
+    ceiling clipped to the box, and ``beta_star`` its worst-case bound.
     """
     est = pair.estimate
     kind = _estimate_kind(est)
@@ -352,10 +379,7 @@ def solve_slots(pair, slots):
     g2_v_rsu = np.asarray(slots["g2_v_rsu"], dtype=float)
 
     pi_min, pi_max, pv_min, pv_max = pair.box
-    scale = pair.gamma_v * pair.l_cross / (pair.l_v * one_minus)
-    c_lo = scale * pi_min / pv_max
-    c_hi = scale * pi_max / pv_min
-    c_mid = scale * pi_max / pv_max
+    c_lo, c_mid, c_hi = _c_range(pair)
 
     # rate floor; a dead uplink report pushes the floor to infinity
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -379,12 +403,10 @@ def solve_slots(pair, slots):
         c_star = np.where(feasible, c_u, c_lo)
     else:
         feasible, c_u, c_star, b_raw, b_l = _decide(beta_raw_at, c_l, c_hi, pair)
-        # infeasible slots deploy the lowest budget; record beta there too
+        # infeasible slots deploy the lowest budget, where beta is known
+        # only if the floor sits there
         c_star = np.where(feasible, c_star, c_lo)
         b_raw = np.where(feasible, b_raw, np.where(c_l == c_lo, b_l, np.nan))
-        todo = np.flatnonzero(np.isnan(b_raw))
-        if todo.size:
-            b_raw[todo] = beta_raw_at(c_star[todo], todo)
 
     # ---- map c to powers (highest-power preference) ----
     p_v = np.where(c_star <= c_mid, pv_max,
@@ -411,11 +433,12 @@ def _decide(beta_raw_at, c_l, c_hi, pair):
 
     A floor above the box is infeasible with no query, and so is a floor whose
     satisfaction misses the target.  On the other slots the u-target c_t is
-    picked on [c_l, c_hi] first; only where c_t misses the target does a root
+    picked on [c_l, c_hi] and queried unless it is the floor; where it meets
+    the target it is both c_u and c*.  Only where it misses does a root
     search on [c_l, c_t] find the ceiling c_u, and c* is then picked again on
-    [c_l, c_u].  Otherwise c_u is c_hi when c_hi meets the target, else c_t.
-    Returns (feasible, c_u, c_star, beta at c_star, beta at c_l); c_u is 0 and
-    the betas NaN where nothing was evaluated.
+    [c_l, c_u].  No budget is queried that cannot change c*.  Returns
+    (feasible, c_u, c_star, beta at c_star, beta at c_l); c_u is 0 and the
+    betas NaN where nothing was evaluated.
     """
     target = pair.prob_req
     n = c_l.shape[0]
@@ -435,13 +458,12 @@ def _decide(beta_raw_at, c_l, c_hi, pair):
     if not j.size:
         return feasible, c_u, c_star, b_star, b_l
     cl, bl = c_l[j], b_l[j]
-    b_hi = beta_raw_at(np.full(j.size, c_hi), j)
     c_t = _u_pick(cl, np.full(j.size, c_hi), pair)
-    b_t = np.where(c_t == cl, bl, np.where(c_t == c_hi, b_hi, np.nan))
-    q = np.isnan(b_t)
+    b_t = bl.copy()
+    q = c_t != cl
     if q.any():
         b_t[q] = beta_raw_at(c_t[q], j[q])
-    c_u[j] = np.where(b_hi >= target, c_hi, c_t)
+    c_u[j] = c_t
     c_star[j] = c_t
     b_star[j] = b_t
 

@@ -183,6 +183,13 @@ def run_trial(config, allocator, trial):
             decisions["p_v"][:, i] = res["p_v"]
             decisions["p_i"][:, i] = res["p_i"]
             decisions["feasible"][:, i] = res["feasible"].astype(float)
+            if config.deviation_trace:
+                # the solver leaves beta at the fallback budget unevaluated
+                # where the floor lies above it; the trace needs it
+                todo = np.flatnonzero(np.isnan(res["beta_star"]))
+                if todo.size:
+                    decisions["beta_star"][todo, i] = np.clip(adaptation.floor_beta(
+                        pair_ctx, g2_v_hat[todo, i], g2_cross_hat[todo, i]), 0.0, 1.0)
 
         if config.deviation_trace:
             rng_mc = _stream(seed, trial, "diagnostics")

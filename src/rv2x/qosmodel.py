@@ -99,8 +99,9 @@ def hazard_rate(p_v, l_v, p_i, l_i, sigma2, constants):
 def hazard_rate_noise_free_approx(p_v, l_v, p_i, l_i, constants):
     """Interference-dominated small-survival approximation of the hazard rate.
 
-    Linear in the received-power ratio o = p_v*l_v / (p_i*l_i); this is the
-    form the matching weights and their retention thresholds are built on.
+    Linear in the received-power ratio o = p_v*l_v / (p_i*l_i).  The matching
+    weights do not call it: ``absorption.edge_weight`` works from the
+    capability bracket at the probing powers.
     """
     gamma_v, d_v = constants
     o = (p_v * l_v) / (p_i * l_i)

@@ -91,7 +91,7 @@ def test_estimate_tracks_true_density():
 def test_serialization_round_trip():
     # estimates cross the worker-process boundary by pickle: exact samples and pdf
     est = DeconvEstimate(samples=[0.125, -2.5, 0.3333333333333333, 17.0],
-                         lambda_y=34.848484, trunc_k=10, p_i_mw=20.0, p_v_mw=199.5)
+                         lambda_y=34.848484, trunc_k=10)
     est2 = DeconvEstimate(samples=np.random.default_rng(0).normal(size=50),
                           lambda_y=np.pi, trunc_k=7)
     x = np.linspace(-4.0, 20.0, 97)
@@ -99,8 +99,6 @@ def test_serialization_round_trip():
         back = pickle.loads(pickle.dumps(orig))
         np.testing.assert_array_equal(back.samples, orig.samples)
         assert back.lambda_y == orig.lambda_y and back.trunc_k == orig.trunc_k
-        assert back.p_i_mw == orig.p_i_mw or np.isnan(orig.p_i_mw)
-        assert back.p_v_mw == orig.p_v_mw or np.isnan(orig.p_v_mw)
         np.testing.assert_array_equal(back.pdf(x), orig.pdf(x))
 
 

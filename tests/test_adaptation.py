@@ -8,11 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize
 
+from rv2x import adaptation
 from rv2x.absorption import DeconvEstimate, estimate_pdf
 from rv2x.adaptation import (AdaptationContext, beta, c_box, c_param,
                              check_prop1_condition, ell, feasible_interval,
-                             prop1_holds, solve_power, solve_slots, u_value,
-                             _bracket_root, _prop1_lhs)
+                             prop1_holds, solve_slots, u_value,
+                             _bracket_root, _c_range, _prop1_lhs, _u_pick)
 from rv2x.baselines import GaussianFit, HprRegion
 from rv2x.channel import error_law
 from rv2x.errors import ConfigurationError, QuadratureError
@@ -32,6 +33,13 @@ def _ctx(estimate, lam_y, gch, d2=0.0, **kw):
                 box=(0.1, 10.0, 0.1, 10.0), trunc_k1=10, trunc_k2=10)
     base.update(kw)
     return AdaptationContext(**base)
+
+
+def _powers(ctx):
+    """(p_v, p_i) that solve_slots deploys on the one slot the context reports."""
+    res = solve_slots(ctx, {name: np.array([getattr(ctx, name)])
+                            for name in ("g2_v_hat", "g2_cross_hat", "g2_i", "g2_v_rsu")})
+    return float(res["p_v"][0]), float(res["p_i"][0])
 
 
 # ------------------------------------------------------------------ u functional
@@ -284,7 +292,7 @@ def test_solver_picks_floor_when_u_exceeds_one():
                box=(10.0, 50.0, 1.0, 1.0))
     assert u_value(c_box(ctx)[0], 34.85, 10) > 1.0
     assert feasible_interval(ctx) == (10.0, 50.0)
-    p_v, p_i = solve_power(ctx)
+    p_v, p_i = _powers(ctx)
     assert (p_v, p_i) == (1.0, 10.0)  # (pv_max, pi_min): lowest budget in the box
 
 
@@ -292,7 +300,7 @@ def test_solver_picks_ceiling_when_u_below_one():
     ctx = _ctx(_neg_mass_estimate(20.0, np.random.default_rng(8)), 20.0, 0.5,
                box=(1e-4, 0.04, 1.0, 1.0))
     assert u_value(c_box(ctx)[1], 20.0, 10) < 1.0
-    p_v, p_i = solve_power(ctx)
+    p_v, p_i = _powers(ctx)
     assert (p_v, p_i) == (1.0, 0.04)  # (pv_max, pi_max): highest budget in the box
     np.testing.assert_allclose(c_param(p_i, p_v, ctx), c_box(ctx)[1], rtol=1e-12)
 
@@ -300,7 +308,7 @@ def test_solver_picks_ceiling_when_u_below_one():
 def test_solver_bisects_to_unit_u():
     ctx = _ctx(_neg_mass_estimate(0.5, np.random.default_rng(9)), 0.5, 0.5,
                box=(0.01, 4.0, 1.0, 1.0))
-    p_v, p_i = solve_power(ctx)
+    p_v, p_i = _powers(ctx)
     c_star = c_param(p_i, p_v, ctx)
     np.testing.assert_allclose(c_star, 0.05685619649520945, rtol=1e-6)
     assert abs(u_value(c_star, 0.5, 10) - 1.0) < 1e-6
@@ -314,7 +322,7 @@ def test_solver_grid_optimality():
         ctx = _ctx(_neg_mass_estimate(lam_y, rng), lam_y, gch, d2=d2,
                    box=(0.01, 4.0, 1.0, 1.0))
         c_l, c_u = feasible_interval(ctx)
-        p_v, p_i = solve_power(ctx)
+        p_v, p_i = _powers(ctx)
         c_star = c_param(p_i, p_v, ctx)
         assert c_l * (1 - 1e-9) <= c_star <= c_u * (1 + 1e-9)
         grid = np.geomspace(c_l, c_u, 4001)
@@ -326,7 +334,7 @@ def test_solver_infeasible_fallback():
     ctx = _ctx(_estimate(), 20.0, 0.1, rate_gamma=1e9)
     c_l, c_u = feasible_interval(ctx)
     assert c_l > c_u
-    assert solve_power(ctx) == (ctx.box[3], ctx.box[0])  # (pv_max, pi_min)
+    assert _powers(ctx) == (ctx.box[3], ctx.box[0])  # (pv_max, pi_min)
 
 
 def test_solver_region_model_rides_worst_case_budget():
@@ -336,7 +344,7 @@ def test_solver_region_model_rides_worst_case_budget():
     want_cu = min(c_box(ctx)[1], q0 / (0.5 + 0.4))
     c_l, c_u = feasible_interval(ctx)
     np.testing.assert_allclose(c_u, want_cu, rtol=1e-12)
-    p_v, p_i = solve_power(ctx)
+    p_v, p_i = _powers(ctx)
     np.testing.assert_allclose(c_param(p_i, p_v, ctx), want_cu, rtol=1e-12)
     # aged sidelink report shifts the worst-case knee
     ctx2 = _ctx(region, 20.0, 0.5, d2=0.4256, g2_v_hat=0.8)
@@ -369,7 +377,7 @@ def test_solve_slots_matches_single_slot_solves():
                                        err_msg=f"slot {s} field {key}")
 
 
-def test_solver_contract_on_wide_spread_estimate():
+def _wide_spread_case():
     # a small nuisance rate spreads the probes over hundreds of units, far
     # past the minimum window; the satisfaction curve is then not monotone
     rng = np.random.default_rng(2024)
@@ -384,6 +392,12 @@ def test_solver_contract_on_wide_spread_estimate():
         "g2_i": rng.exponential(1.0, n),
         "g2_v_rsu": rng.exponential(1.0, n),
     }
+    return base, slots
+
+
+def test_solver_contract_on_wide_spread_estimate():
+    base, slots = _wide_spread_case()
+    n = slots["g2_v_hat"].size
     res = solve_slots(base, slots)
     lo, hi = c_box(base)
     ok = res["feasible"]
@@ -408,6 +422,42 @@ def test_solver_contract_on_wide_spread_estimate():
     # infeasible slots fall back to the lowest budget
     assert np.all(res["c_star"][~ok] == lo)
     assert np.all(res["p_v"][~ok] == pv_max) and np.all(res["p_i"][~ok] == pi_min)
+
+
+def test_solver_queries_only_deciding_budgets(monkeypatch):
+    # c_hi decides nothing unless it is the u-target, and c_lo decides nothing
+    # on an infeasible slot whose floor lies above it
+    base, slots = _wide_spread_case()
+    asked = []
+    real = adaptation._beta_batch_deconv
+
+    def spy(cs, ells, *args):
+        asked.append((np.array(cs, dtype=float), np.array(ells, dtype=float)))
+        return real(cs, ells, *args)
+
+    monkeypatch.setattr(adaptation, "_beta_batch_deconv", spy)
+    res = solve_slots(base, slots)
+    monkeypatch.undo()
+    d2 = base.delta2
+    queried = set()
+    for cs, ells in asked:
+        for c, l in zip(cs, ells):
+            # the lane whose reports give this knee at this budget
+            lane = np.flatnonzero(slots["g2_cross_hat"]
+                                  - (slots["g2_v_hat"] / c) * d2 / (1.0 - d2) == l)
+            assert lane.size == 1
+            queried.add((float(c), int(lane[0])))
+    c_lo, _, c_hi = _c_range(base)
+    c_l, ok = res["c_l"], res["feasible"]
+    cand = np.flatnonzero(ok & (c_l < c_hi))
+    c_t = _u_pick(c_l[cand], np.full(cand.size, c_hi), base)
+    at_hi = {k for c, k in queried if c == c_hi}
+    assert at_hi <= set(cand[c_t == c_hi].tolist())
+    above = np.flatnonzero(~ok & (c_l > c_lo))
+    assert not any((c_lo, int(k)) in queried for k in above)
+    # the case has candidates whose u-target is below c_hi, and infeasible
+    # floors inside the box above c_lo
+    assert np.any(c_t < c_hi) and np.any(c_l[above] <= c_hi)
 
 
 @settings(max_examples=20, derandomize=True, deadline=None, database=None)

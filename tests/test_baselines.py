@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rv2x.adaptation import AdaptationContext, c_box, feasible_interval, solve_power
+from rv2x.adaptation import AdaptationContext, c_box, feasible_interval, solve_slots
 from rv2x.baselines import HprRegion, fit_gaussian, fit_hpr
 from rv2x.channel import error_law
 from rv2x.errors import ConfigurationError
@@ -15,6 +15,13 @@ def _ctx(estimate, **kw):
                 box=(0.1, 10.0, 0.1, 10.0), trunc_k1=10, trunc_k2=10)
     base.update(kw)
     return AdaptationContext(**base)
+
+
+def _powers(ctx):
+    """(p_v, p_i) that solve_slots deploys on the one slot the context reports."""
+    res = solve_slots(ctx, {name: np.array([getattr(ctx, name)])
+                            for name in ("g2_v_hat", "g2_cross_hat", "g2_i", "g2_v_rsu")})
+    return float(res["p_v"][0]), float(res["p_i"][0])
 
 
 # --------------------------------------------------------------- gaussian fit
@@ -109,6 +116,6 @@ def test_hpr_widening_lowers_the_budget():
     cu_wide = feasible_interval(wide)[1]
     assert cu_wide < cu_narrow <= c_box(narrow)[1]
     # deployed powers move the same way: wider region, more conservative c
-    pv_n, pi_n = solve_power(narrow)
-    pv_w, pi_w = solve_power(wide)
+    pv_n, pi_n = _powers(narrow)
+    pv_w, pi_w = _powers(wide)
     assert pi_w / pv_w < pi_n / pv_n

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 
 import rv2x
+from rv2x import adaptation
 from rv2x.absorption import DeconvEstimate
+from rv2x.adaptation import beta, c_box
 from rv2x.config import SimConfig
 from rv2x.errors import ConfigurationError
 from rv2x.harness import (RunReport, default_threads, emit, main, run,
@@ -102,6 +105,42 @@ def test_deviation_trace_lengths():
     assert np.all(trace >= 0.0) and np.all(np.isfinite(trace))
     off = run(_tiny(adaptation_len=3), "proposed", trials=1, threads=1)
     np.testing.assert_array_equal(off.j_trace[0], np.zeros(3))
+
+
+@pytest.mark.parametrize("allocator", ["proposed", "gaussian"])
+def test_deviation_trace_fills_beta_at_the_fallback_budget(monkeypatch, allocator):
+    # the solver evaluates beta at c_lo on an infeasible slot only where the
+    # floor is c_lo; the trace reads beta_star on every slot
+    solved = []
+    real = adaptation.solve_slots
+
+    def spy(pair, slots):
+        solved.append((pair, slots))
+        return real(pair, slots)
+
+    monkeypatch.setattr(adaptation, "solve_slots", spy)
+    on = run_trial(SimConfig(adaptation_len=50, rng_seed=0), allocator, 0)
+    m = len(solved)
+    off = run_trial(SimConfig(adaptation_len=50, rng_seed=0, deviation_trace=False),
+                    allocator, 0)
+    dec, dec_off = on["decisions"], off["decisions"]
+    infeasible = dec["feasible"] < 0.5
+    floor_above = infeasible & (dec["c_l"] > dec["c_star"])   # c_star is c_lo there
+    assert floor_above.any()
+    assert np.all(np.isfinite(dec["beta_star"]))
+    assert np.all(np.isfinite(on["j_trace"]))
+    np.testing.assert_array_equal(np.isnan(dec_off["beta_star"]), floor_above)
+    for key in ("c_l", "c_u", "c_star", "p_v", "p_i", "feasible"):
+        np.testing.assert_array_equal(dec[key], dec_off[key])
+    np.testing.assert_array_equal(dec["beta_star"][~floor_above],
+                                  dec_off["beta_star"][~floor_above])
+    for i, (pair, slots) in enumerate(solved[:m]):
+        for s in np.flatnonzero(infeasible[:, i]):
+            one = dataclasses.replace(pair, g2_v_hat=float(slots["g2_v_hat"][s]),
+                                      g2_cross_hat=float(slots["g2_cross_hat"][s]))
+            want = np.clip(beta(c_box(one)[0], one, return_raw=True)[1], 0.0, 1.0)
+            np.testing.assert_allclose(dec["beta_star"][s, i], want, rtol=1e-12, atol=1e-14,
+                                       err_msg=f"slot {s} pair {i}")
 
 
 def test_worker_count_does_not_change_bytes(tmp_path):
