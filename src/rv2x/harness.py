@@ -322,28 +322,28 @@ def run(config, allocator="proposed", trials=1, threads=None):
 # --------------------------------------------------------------------------- emission
 
 
-def _fmt(x):
-    return f"{x:.10g}"
-
-
 _ROW_FMT = "%d,%s,%d,%.10g,%.10g,%.10g,%.10g,%d,%d\n"
 _ROW_COLS = ("slot", "phase", "pair", "p_v_mw", "p_i_mw", "delay_ms",
              "throughput_mbps", "satisfied", "infeasible")
 _CHUNK_ROWS = 4096
 
 
+def _lines(fmt, cols):
+    """One ``fmt`` line per entry of the equal-length ``cols``, in one ``%`` call."""
+    k = len(cols[0])
+    flat = [None] * (len(cols) * k)
+    for c, col in enumerate(cols):
+        flat[c::len(cols)] = col.tolist()
+    return (fmt * k) % tuple(flat)
+
+
 def _write_rows(fh, rows, base):
     """One trial's rows as CSV lines, formatted one chunk per ``%`` call."""
-    n_cols = len(_ROW_COLS)
     for lo in range(0, rows["slot"].shape[0], _CHUNK_ROWS):
         hi = lo + _CHUNK_ROWS
         cols = [rows[name][lo:hi] for name in _ROW_COLS]
         cols[0] = cols[0] + base
-        k = cols[0].shape[0]
-        flat = [None] * (n_cols * k)
-        for c, col in enumerate(cols):
-            flat[c::n_cols] = col.tolist()
-        fh.write((_ROW_FMT * k) % tuple(flat))
+        fh.write(_lines(_ROW_FMT, cols))
 
 
 def emit(report, out_dir):
@@ -391,6 +391,14 @@ def emit(report, out_dir):
     return csv_path, summary_path, tables
 
 
+def _write_table(path, header, fmt, cols):
+    """A header line, then one ``fmt`` line per entry of ``cols`` (none if empty)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        if cols:
+            fh.write(_lines(fmt, cols))
+
+
 def _emit_tables(report, tables_dir):
     config = report.config
     law = chan.error_law(config.error_law, config.custom_weights,
@@ -402,31 +410,20 @@ def _emit_tables(report, tables_dir):
     true_pdf = law.pdf(x)
     est_cols = [est.pdf(x) for est in report.estimates]
     est_mean = np.mean(est_cols, axis=0) if est_cols else np.zeros_like(x)
-    with open(os.path.join(tables_dir, "error_pdf.csv"), "w", encoding="utf-8") as fh:
-        fh.write("x,true_pdf,estimated_pdf\n")
-        for xi, ti, ei in zip(x, true_pdf, est_mean):
-            fh.write(f"{_fmt(xi)},{_fmt(ti)},{_fmt(ei)}\n")
+    _write_table(os.path.join(tables_dir, "error_pdf.csv"), "x,true_pdf,estimated_pdf",
+                 "%.10g,%.10g,%.10g\n", [x, true_pdf, est_mean])
 
-    delays = []
-    thrs = []
-    for rows in report.rows:
-        ad = rows["phase"] == "adaptation"
-        delays.append(rows["delay_ms"][ad])
-        thrs.append(rows["throughput_mbps"][ad])
-    delays = np.concatenate(delays) if delays else np.empty(0)
-    thrs = np.concatenate(thrs) if thrs else np.empty(0)
+    # rows are slot-major, so the adaptation phase is everything after probing
+    first = config.absorption_len * config.num_pairs
+    delays = np.concatenate([r["delay_ms"][first:] for r in report.rows] or [np.empty(0)])
+    thrs = np.concatenate([r["throughput_mbps"][first:] for r in report.rows] or [np.empty(0)])
 
     def cdf_table(path, vals, header, grid, ccdf=False):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            if not vals.size:
-                return
-            for g in grid:
-                p = float(np.mean(vals <= g))
-                line = f"{_fmt(g)},{_fmt(p)}"
-                if ccdf:
-                    line += f",{_fmt(1.0 - p)}"
-                fh.write(line + "\n")
+        cols = []
+        if vals.size:
+            p = np.searchsorted(np.sort(vals), grid, side="right") / vals.size
+            cols = [grid, p, 1.0 - p] if ccdf else [grid, p]
+        _write_table(path, header, ",".join(["%.10g"] * len(cols)) + "\n", cols)
 
     finite = delays[delays >= 0.0]
     d_hi = float(finite.max()) if finite.size else 1.0
@@ -437,19 +434,16 @@ def _emit_tables(report, tables_dir):
     cdf_table(os.path.join(tables_dir, "throughput_cdf.csv"), thrs,
               "throughput_mbps,cdf", np.linspace(0.0, t_hi, 513))
 
-    with open(os.path.join(tables_dir, "satisfaction_trace.csv"), "w", encoding="utf-8") as fh:
-        fh.write("slot,satisfied_rate\n")
-        if report.rows:
-            n_slots = config.absorption_len + config.adaptation_len
-            hits = np.zeros(n_slots)
-            counts = np.zeros(n_slots)
-            for rows in report.rows:
-                sl = rows["slot"].astype(int)
-                hits += np.bincount(sl, weights=rows["satisfied"], minlength=n_slots)
-                counts += np.bincount(sl, minlength=n_slots)
-            rate = np.divide(hits, counts, out=np.zeros(n_slots), where=counts > 0)
-            for s in range(n_slots):
-                fh.write(f"{s},{_fmt(rate[s])}\n")
+    n_slots = config.absorption_len + config.adaptation_len
+    hits = np.zeros(n_slots)
+    counts = np.zeros(n_slots)
+    for rows in report.rows:
+        sl = rows["slot"].astype(int)
+        hits += np.bincount(sl, weights=rows["satisfied"], minlength=n_slots)
+        counts += np.bincount(sl, minlength=n_slots)
+    rate = np.divide(hits, counts, out=np.zeros(n_slots), where=counts > 0)
+    _write_table(os.path.join(tables_dir, "satisfaction_trace.csv"), "slot,satisfied_rate",
+                 "%d,%.10g\n", [np.arange(n_slots), rate] if report.rows else [])
 
 
 # --------------------------------------------------------------------------- CLI

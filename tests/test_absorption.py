@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from rv2x.absorption import (AbsorptionPlan, DeconvEstimate,
+from rv2x.absorption import (AbsorptionPlan, DeconvEstimate, _kernel,
                              absorption_power, adaptation_capability_bound,
                              collect_sample, edge_weight, estimate_pdf,
                              hungarian_match, run_absorption)
@@ -62,6 +62,31 @@ def test_kernel_small_argument_branch():
     # continuity across the switch point
     below, above = est.pdf(z - 0.99e-8)[0], est.pdf(z - 1.01e-8)[0]
     assert abs(below - above) < 1e-4 * abs(above), "kernel jumps at series switch"
+
+
+def _direct_pdf(z, e, k, lam):
+    """Float64 reference: the closed-form kernel summed over every (point, probe)."""
+    return _kernel(z[None, :] - e[:, None], k * np.pi, lam).sum(axis=1) / (2.0 * np.pi * z.size)
+
+
+@pytest.mark.parametrize("lam", [1e-6, 1e-3, 20.0])
+def test_estimate_matches_direct_kernel_sum(lam):
+    # adversarial probes: on grid points, just off them, on both sides of
+    # |W a| = 1, and far away; the near/far split must not show.  1001 grid
+    # points span several of the row chunks the far sums are taken in.
+    k = 10
+    inv_w = 1.0 / (k * np.pi)
+    e = np.linspace(-1.0, 2.0, 1001)
+    rng = np.random.default_rng(11)
+    probes = [e[[0, 7, 500, 1000]]]
+    for d in (1e-9, 1e-6, 1e-3, inv_w * (1.0 - 1e-12), inv_w * (1.0 + 1e-12)):
+        probes.append(e[rng.integers(0, e.size, 4)] + d * np.array([1.0, -1.0, 1.0, -1.0]))
+    probes.append(rng.normal(0.5, 0.7, 40))
+    probes.append([1e2, -3e3, 5e4, 2.5e5, 1e6, -1e6])
+    z = np.concatenate(probes)
+    got = DeconvEstimate(samples=z, lambda_y=lam, trunc_k=k).pdf(e)
+    want = _direct_pdf(z, e, k, lam)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9 * np.max(np.abs(want)))
 
 
 def _model_samples(rng, law, lam_y, t):

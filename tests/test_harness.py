@@ -11,6 +11,7 @@ import rv2x
 from rv2x import adaptation
 from rv2x.absorption import DeconvEstimate
 from rv2x.adaptation import beta, c_box
+from rv2x.channel import error_law
 from rv2x.config import SimConfig
 from rv2x.errors import ConfigurationError
 from rv2x.harness import (RunReport, default_threads, emit, main, run,
@@ -311,6 +312,90 @@ def test_emit_slots_csv_matches_row_by_row_reference(tmp_path):
     got = _read(csv_path).decode()
     assert got == "\n".join(want) + "\n"
     assert "1e-300" in got and "1e+20" in got and ",-1," in got
+
+
+def _reference_tables(report):
+    """Row-by-row transcription of the plot tables: one mean and one line per entry."""
+    config = report.config
+    law = error_law(config.error_law, config.custom_weights,
+                    config.custom_means, config.custom_vars)
+    lo = float(np.min(law.means - 5.0 * np.sqrt(law.variances)))
+    hi = float(np.max(law.means + 5.0 * np.sqrt(law.variances)))
+    x = np.linspace(lo, hi, 601)
+    true_pdf = law.pdf(x)
+    est = (np.mean([e.pdf(x) for e in report.estimates], axis=0) if report.estimates
+           else np.zeros_like(x))
+    pdf = ["x,true_pdf,estimated_pdf"] + [
+        f"{x[i]:.10g},{true_pdf[i]:.10g},{est[i]:.10g}" for i in range(x.size)]
+
+    ad = [r["phase"] == "adaptation" for r in report.rows]
+    delays = np.concatenate([r["delay_ms"][m] for r, m in zip(report.rows, ad)] or [np.empty(0)])
+    thrs = np.concatenate([r["throughput_mbps"][m] for r, m in zip(report.rows, ad)]
+                          or [np.empty(0)])
+
+    def cdf(vals, header, grid, ccdf):
+        lines = [header]
+        for g in (grid if vals.size else []):
+            p = float(np.mean(vals <= g))
+            lines.append(f"{g:.10g},{p:.10g}" + (f",{1.0 - p:.10g}" if ccdf else ""))
+        return lines
+
+    finite = delays[delays >= 0.0]
+    delay = cdf(np.where(delays < 0.0, np.inf, delays), "delay_ms,cdf,ccdf",
+                np.linspace(0.0, float(finite.max()) if finite.size else 1.0, 513), True)
+    thr = cdf(thrs, "throughput_mbps,cdf",
+              np.linspace(0.0, float(thrs.max()) if thrs.size else 1.0, 513), False)
+
+    trace = ["slot,satisfied_rate"]
+    if report.rows:
+        n_slots = config.absorption_len + config.adaptation_len
+        for s in range(n_slots):
+            hit = sum(float(r["satisfied"][r["slot"] == s].sum()) for r in report.rows)
+            cnt = sum(int((r["slot"] == s).sum()) for r in report.rows)
+            trace.append(f"{s},{(hit / cnt if cnt else 0.0):.10g}")
+    return {"error_pdf.csv": pdf, "delay_cdf.csv": delay,
+            "throughput_cdf.csv": thr, "satisfaction_trace.csv": trace}
+
+
+def test_emit_tables_match_row_by_row_reference(tmp_path):
+    # two synthetic trials with infinite-delay sentinels (-1), ties on grid
+    # points and tiny and huge values, plus the header-only empty report
+    config = SimConfig(num_pairs=3, absorption_len=7, matching_horizon=7, adaptation_len=40)
+    n = (config.absorption_len + config.adaptation_len) * config.num_pairs
+    rng = np.random.default_rng(8)
+    special = np.array([-1.0, 0.0, 1e-300, 1e20, 10.0, 2.5])
+
+    def vals():
+        return np.where(rng.random(n) < 0.3, rng.choice(special, n), rng.lognormal(1.0, 2.0, n))
+
+    def trial_rows():
+        slot = np.repeat(np.arange(n // config.num_pairs), config.num_pairs)
+        return {
+            "slot": slot,
+            "phase": np.where(slot < config.absorption_len, "absorption", "adaptation"),
+            "pair": np.tile(np.arange(config.num_pairs), n // config.num_pairs),
+            "p_v_mw": vals(), "p_i_mw": vals(), "delay_ms": vals(),
+            "throughput_mbps": np.abs(vals()),
+            "satisfied": rng.integers(0, 2, n), "infeasible": rng.integers(0, 2, n),
+        }
+
+    estimates = [DeconvEstimate(samples=rng.normal(0.5, 0.3, 60), lambda_y=lam, trunc_k=10)
+                 for lam in (3e-5, 20.0)]
+    full = RunReport(
+        allocator="proposed", config=config, trials=2, completed=2,
+        trial_ids=[0, 1], rows=[trial_rows(), trial_rows()], decisions=[{}, {}],
+        j_trace=[np.zeros(2)] * 2, v2v_ok_rate=0.5, v2i_ok_rate=0.5, mean_delay_ms=1.0,
+        conditional_mean_delay_ms=None, mean_throughput_mbps=1.0, infeasible_rate=0.0,
+        cross_clamped=0, degenerate_sinr=0, estimates=estimates, partial_errors=[])
+    empty = dataclasses.replace(full, completed=0, trial_ids=[], rows=[], decisions=[],
+                                j_trace=[], estimates=[])
+    for name, report in (("full", full), ("empty", empty)):
+        _, _, tables = emit(report, str(tmp_path / name))
+        for rel, want in _reference_tables(report).items():
+            got = _read(os.path.join(tables, rel)).decode()
+            assert got == "\n".join(want) + "\n", f"{name}: {rel}"
+    delay = _read(tmp_path / "full" / "tables" / "delay_cdf.csv").decode().splitlines()
+    assert delay[-1].split(",")[1] != "1"      # the -1 sentinels never enter the cdf
 
 
 def test_conditional_delay_counts_finite_violations_only(monkeypatch):
