@@ -86,6 +86,8 @@ class ErrorDistribution:
         self.variances = np.asarray(self.variances, dtype=float)
         if not (len(self.weights) == len(self.means) == len(self.variances) > 0):
             raise ConfigurationError("mixture parameter arrays must share a positive length")
+        if not all(np.isfinite(a).all() for a in (self.weights, self.means, self.variances)):
+            raise ConfigurationError("mixture parameters must be finite")
         if abs(self.weights.sum() - 1.0) > 1e-9 or (self.weights <= 0).any():
             raise ConfigurationError("mixture weights must be positive and sum to one")
         if (self.variances <= 0).any():
@@ -101,8 +103,35 @@ class ErrorDistribution:
         return float(self.weights @ self.means)
 
     def sample(self, rng, size):
-        comp = rng.choice(len(self.weights), size=size, p=self.weights)
-        return rng.normal(self.means[comp], np.sqrt(self.variances[comp]))
+        """``size`` draws from the mixture.
+
+        Stream contract: the same raw draws, in the same order, as one
+        ``rng.choice(len(weights), size, p=weights)`` followed by one
+        ``rng.normal(means[comp], sqrt(variances[comp]))``, and the same
+        values bit for bit: a uniform per draw picks the component, then a
+        standard normal per draw is scaled and shifted.
+        """
+        u = rng.random(size)
+        return self._compose(u, rng.standard_normal(size))
+
+    def _compose(self, u, z):
+        """Mixture values from component uniforms ``u`` and standard normals
+        ``z`` of one shape; overwrites both and returns ``z``.
+
+        The component is ``choice``'s inverse-CDF lookup,
+        ``cdf.searchsorted(u, side="right")``, counted as the CDF edges at or
+        below ``u`` (the last edge is 1 > u and never counts), and the value
+        is ``normal``'s ``loc + scale * z``, so the result equals theirs.
+        """
+        cdf = self.weights.cumsum()
+        cdf /= cdf[-1]
+        comp = np.zeros(u.shape, dtype=np.intp)
+        for edge in cdf[:-1]:
+            comp += u >= edge
+        # every index is in range, so "clip" only spares take a buffer
+        z *= np.sqrt(self.variances).take(comp, out=u, mode="clip")
+        z += self.means.take(comp, out=u, mode="clip")
+        return z
 
 
 def error_law(name, weights=(), means=(), variances=()):
@@ -186,24 +215,30 @@ def evolve_small_scale(large, law, rng, num_v2i, num_v2v, slots):
     Reported gains are fresh unit exponentials each slot (squared magnitudes
     of unit complex-normal fades).  The actual sidelink gain mixes the report
     with an independent exponential through the squared aging coefficient;
-    the actual cross gain adds a hidden mixture error to the report.  The
-    draws run slot by slot, in the same order within each slot, so a block
-    equals that many one-slot calls on the same generator.
+    the actual cross gain adds a hidden mixture error to the report.
+
+    Stream contract: each slot takes the same raw draws, in the same order,
+    as per-field ``rng.exponential(1.0, shape)`` calls for ``g2_i``,
+    ``g2_v_rsu``, ``g2_v_hat``, ``e_direct`` and ``g2_cross_hat``, then one
+    ``law.sample(rng, (N, M))`` for ``e_cross``, and gives the same values
+    bit for bit.  The consecutive exponentials are one fill per slot, and so
+    are the mixture's uniforms and its normals; a block therefore equals
+    that many one-slot calls on the same generator.
     """
     n, m = num_v2i, num_v2v
-    g2_i = np.empty((slots, n))
-    g2_v_rsu = np.empty((slots, m))
-    g2_v_hat = np.empty((slots, m))
-    e_direct = np.empty((slots, m))
-    g2_cross_hat = np.empty((slots, n, m))
-    e_cross = np.empty((slots, n, m))
+    ex = np.empty((slots, n + 3 * m + n * m))
+    u = np.empty((slots, n * m))
+    z = np.empty((slots, n * m))
     for s in range(slots):
-        g2_i[s] = rng.exponential(1.0, n)
-        g2_v_rsu[s] = rng.exponential(1.0, m)
-        g2_v_hat[s] = rng.exponential(1.0, m)
-        e_direct[s] = rng.exponential(1.0, m)
-        g2_cross_hat[s] = rng.exponential(1.0, (n, m))
-        e_cross[s] = law.sample(rng, (n, m))
+        rng.standard_exponential(out=ex[s])
+        rng.random(out=u[s])
+        rng.standard_normal(out=z[s])
+    g2_i, g2_v_rsu, g2_v_hat, e_direct, cross = np.split(
+        ex, np.cumsum([n, m, m, m]), axis=1)
+    g2_cross_hat = cross.reshape(slots, n, m)
+    e_cross = law._compose(u, z).reshape(slots, n, m)
+    # the uniforms are spent, so their buffer takes the actual cross gains
+    g2_cross = np.add(g2_cross_hat, e_cross, out=u.reshape(slots, n, m))
     d2 = large.delta * large.delta
     return ChannelState(
         g2_i=g2_i,
@@ -211,7 +246,7 @@ def evolve_small_scale(large, law, rng, num_v2i, num_v2v, slots):
         g2_v_hat=g2_v_hat,
         g2_v=d2 * g2_v_hat + (1.0 - d2) * e_direct,
         g2_cross_hat=g2_cross_hat,
-        g2_cross=g2_cross_hat + e_cross,
+        g2_cross=g2_cross,
         e_cross=e_cross,
         e_direct=e_direct,
     )

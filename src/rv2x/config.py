@@ -121,6 +121,8 @@ class SimConfig:
             w, m, v = c.custom_weights, c.custom_means, c.custom_vars
             if not (len(w) and len(w) == len(m) == len(v)):
                 raise ConfigurationError("custom law needs equal-length non-empty weights/means/vars")
+            if not all(math.isfinite(x) for x in (*w, *m, *v)):
+                raise ConfigurationError("custom law weights, means and vars must be finite")
             if any(x <= 0 for x in w) or abs(sum(w) - 1.0) > 1e-9:
                 raise ConfigurationError("custom law weights must be positive and sum to 1")
             if any(x <= 0 for x in v):
@@ -145,7 +147,13 @@ def _parse_value(key, raw):
     if key in _TUPLE_KEYS:
         if not raw:
             return ()
-        return tuple(float(tok) for tok in raw.split(","))
+        try:
+            vals = tuple(float(tok) for tok in raw.split(","))
+        except ValueError:
+            raise ConfigurationError(f"{key!r} expects comma-separated numbers, got {raw!r}") from None
+        if not all(math.isfinite(x) for x in vals):
+            raise ConfigurationError(f"{key!r} must be finite, got {raw!r}")
+        return vals
     if isinstance(f.default, int) and not isinstance(f.default, bool):
         try:
             val = int(raw, 0)

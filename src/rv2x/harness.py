@@ -19,6 +19,7 @@ import math
 import os
 import sys
 import traceback
+import types
 
 import numpy as np
 
@@ -193,17 +194,14 @@ def run_trial(config, allocator, trial):
 
         if config.deviation_trace:
             rng_mc = _stream(seed, trial, "diagnostics")
-            d2 = large.delta ** 2
-            l_cross_pair = large.l_cross[pairing, idx]
-            draws = config.true_mc_draws
+            slot = types.SimpleNamespace(delta2=large.delta ** 2, gamma_v=gamma_v,
+                                         sigma2=sigma2, l_v=large.l_v,
+                                         l_cross=large.l_cross[pairing, idx])
             for s in range(adapt_len):
-                e_cross = law.sample(rng_mc, (m, draws))
-                e_direct = rng_mc.exponential(1.0, (m, draws))
-                lhs = (p_v_slots[s][:, None] * large.l_v[:, None]
-                       * (d2 * g2_v_hat[s][:, None] + (1.0 - d2) * e_direct))
-                rhs = gamma_v * (p_i_slots[s][:, None] * l_cross_pair[:, None]
-                                 * (g2_cross_hat[s][:, None] + e_cross) + sigma2)
-                p_true = (lhs >= rhs).mean(axis=1)
+                slot.g2_v_hat = g2_v_hat[s]
+                slot.g2_cross_hat = g2_cross_hat[s]
+                p_true = qosmodel.true_satisfaction_prob_mc(
+                    slot, (p_v_slots[s], p_i_slots[s]), law, config.true_mc_draws, rng_mc)
                 j_trace[s] = float(np.sum((decisions["beta_star"][s] - p_true) ** 2))
 
         p_i_full = np.empty((adapt_len, m))

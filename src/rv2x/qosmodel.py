@@ -111,17 +111,39 @@ def hazard_rate_noise_free_approx(p_v, l_v, p_i, l_i, constants):
 def true_satisfaction_prob_mc(context, alloc, law, n_draws, rng):
     """Monte Carlo estimate of the true delay-satisfaction probability.
 
-    ``context`` carries the reported gains and constants for one pair and
-    slot; ``alloc`` is the (p_v, p_i) pair in milliwatt.  Samples the hidden
-    cross error from ``law`` and the sidelink innovation from Exp(1), using
-    the additive error model without clamping.
+    ``context`` carries the constants ``delta2``, ``gamma_v`` and ``sigma2``
+    and the per-pair large-scale gains ``l_v`` and ``l_cross`` and reported
+    gains ``g2_v_hat`` and ``g2_cross_hat`` of one slot; ``alloc`` is the
+    (p_v, p_i) pair in milliwatt.  The per-pair values are scalars for one
+    pair, which returns a float, or (M,) arrays, which return an (M,) array.
+    Draws the hidden cross errors from ``law`` as one (M, n_draws) block,
+    then the sidelink innovations from Exp(1) as another, and uses the
+    additive error model without clamping.  A one-pair call therefore takes
+    the same draws as ``law.sample(rng, n_draws)`` then
+    ``rng.exponential(1.0, n_draws)``.
     """
     if n_draws < 1000:
         raise ConfigurationError("true_satisfaction_prob_mc needs n_draws >= 1000")
     p_v, p_i = alloc
-    e_cross = law.sample(rng, n_draws)
-    e_direct = rng.exponential(1.0, n_draws)
-    d2 = context.delta2
-    lhs = p_v * context.l_v * (d2 * context.g2_v_hat + (1.0 - d2) * e_direct)
-    rhs = context.gamma_v * (p_i * context.l_cross * (context.g2_cross_hat + e_cross) + context.sigma2)
-    return float(np.mean(lhs >= rhs))
+    c = context
+    per_pair = np.broadcast_arrays(
+        p_v * c.l_v, p_i * c.l_cross, c.delta2 * c.g2_v_hat, c.g2_cross_hat)
+    shape = per_pair[0].shape
+    direct, cross, hat_v, hat_cross = (x.reshape(-1, 1) for x in per_pair)
+    m = direct.shape[0]
+
+    # rhs = gamma_v * (p_i * l_cross * (g2_cross_hat + e_cross) + sigma2) and
+    # lhs = p_v * l_v * (delta2 * g2_v_hat + (1 - delta2) * e_direct), each
+    # computed in place on its fresh draws one operation at a time in this
+    # order, so every value equals the formula's bit for bit
+    rhs = law.sample(rng, (m, n_draws))
+    rhs += hat_cross
+    rhs *= cross
+    rhs += c.sigma2
+    rhs *= c.gamma_v
+    lhs = rng.standard_exponential((m, n_draws))
+    lhs *= 1.0 - c.delta2
+    lhs += hat_v
+    lhs *= direct
+    p = (lhs >= rhs).mean(axis=1)
+    return p.reshape(shape) if shape else float(p[0])

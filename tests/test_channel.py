@@ -141,6 +141,39 @@ def test_error_law_custom_and_rejections():
                           variances=np.array([-0.1]))
 
 
+@pytest.mark.parametrize("bad", [
+    dict(weights=(float("nan"), 1.0), means=(0.0, 1.0), variances=(0.1, 0.1)),
+    dict(weights=(0.5, 0.5), means=(0.0, float("inf")), variances=(0.1, 0.1)),
+    dict(weights=(0.5, 0.5), means=(float("nan"), 1.0), variances=(0.1, 0.1)),
+    dict(weights=(0.5, 0.5), means=(0.0, 1.0), variances=(0.1, float("nan"))),
+    dict(weights=(0.5, 0.5), means=(0.0, 1.0), variances=(0.1, float("inf"))),
+])
+def test_error_law_rejects_non_finite_parameters(bad):
+    with pytest.raises(ConfigurationError, match="finite"):
+        ErrorDistribution(**bad)
+
+
+_THREE = dict(weights=(0.2, 0.5, 0.3), means=(-0.3, 0.4, 1.5), variances=(0.01, 0.2, 0.05))
+
+
+def _reference_mixture(law, rng, size):
+    # the stream the mixture is pinned to: one choice, then one normal
+    comp = rng.choice(len(law.weights), size=size, p=law.weights)
+    return rng.normal(law.means[comp], np.sqrt(law.variances[comp]))
+
+
+@pytest.mark.parametrize("size", [7, (3, 4), (10, 1000)])
+@pytest.mark.parametrize("name", ["type1", "type2", "custom"])
+def test_sample_matches_choice_then_normal(name, size):
+    law = error_law(name, **_THREE) if name == "custom" else error_law(name)
+    rng, ref = np.random.default_rng(31), np.random.default_rng(31)
+    got = law.sample(rng, size)
+    want = _reference_mixture(law, ref, size)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_error_law_sampling_moments():
     law = error_law("type1")
     rng = np.random.default_rng(123)
@@ -279,3 +312,31 @@ def test_build_large_scale_shapes_and_positivity():
     for arr in (large.l_i, large.l_v, large.l_v_rsu, large.l_cross):
         assert np.all(arr > 0)
     assert 0.0 < large.delta < 1.0
+
+
+@pytest.mark.parametrize("name", ["type1", "custom"])
+def test_evolve_matches_per_field_reference_loop(name):
+    # every seeded trajectory is pinned to this per-slot loop of separate calls
+    law = error_law(name, **_THREE) if name == "custom" else error_law(name)
+    n, m, slots = 3, 4, 6
+    large = _unit_large(0.65, n, m)
+    rng, ref = np.random.default_rng(12), np.random.default_rng(12)
+    got = evolve_small_scale(large, law, rng, n, m, slots)
+    want = {k: [] for k in ("g2_i", "g2_v_rsu", "g2_v_hat", "e_direct",
+                            "g2_cross_hat", "e_cross")}
+    for _ in range(slots):
+        want["g2_i"].append(ref.exponential(1.0, n))
+        want["g2_v_rsu"].append(ref.exponential(1.0, m))
+        want["g2_v_hat"].append(ref.exponential(1.0, m))
+        want["e_direct"].append(ref.exponential(1.0, m))
+        want["g2_cross_hat"].append(ref.exponential(1.0, (n, m)))
+        want["e_cross"].append(_reference_mixture(law, ref, (n, m)))
+    want = {k: np.stack(v) for k, v in want.items()}
+    d2 = large.delta * large.delta
+    want["g2_v"] = d2 * want["g2_v_hat"] + (1.0 - d2) * want["e_direct"]
+    want["g2_cross"] = want["g2_cross_hat"] + want["e_cross"]
+    for field in dataclasses.fields(ChannelState):
+        a, b = getattr(got, field.name), want[field.name]
+        assert a.shape == b.shape, field.name
+        assert a.tobytes() == np.ascontiguousarray(b).tobytes(), field.name
+    assert rng.bit_generator.state == ref.bit_generator.state

@@ -122,3 +122,37 @@ def test_validate_custom_law():
     cfg = SimConfig(custom_weights=(0.5, 0.5), custom_means=(0.0, 1.0),
                     custom_vars=(0.1, 0.1), **base)
     assert cfg.validate() is cfg
+
+
+@pytest.mark.parametrize("field, value", [
+    ("custom_weights", (float("nan"), 1.0)),
+    ("custom_weights", (float("inf"), 0.5)),
+    ("custom_means", (0.0, float("nan"))),
+    ("custom_means", (float("-inf"), 1.0)),
+    ("custom_vars", (0.1, float("inf"))),
+    ("custom_vars", (float("nan"), 0.1)),
+])
+def test_validate_rejects_non_finite_custom_law(field, value):
+    params = dict(custom_weights=(0.5, 0.5), custom_means=(0.0, 1.0), custom_vars=(0.1, 0.1))
+    params[field] = value
+    with pytest.raises(ConfigurationError, match="finite"):
+        SimConfig(error_law="custom", **params).validate()
+
+
+@pytest.mark.parametrize("line", [
+    "custom_weights = nan, 1.0",
+    "custom_means = 0.0, inf",
+    "custom_vars = -inf, 0.1",
+])
+def test_load_rejects_non_finite_tuple_values(tmp_path, line):
+    path = tmp_path / "nan.cfg"
+    path.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(ConfigurationError, match="finite"):
+        load_config(str(path))
+
+
+def test_load_rejects_non_numeric_tuple_values(tmp_path):
+    path = tmp_path / "text.cfg"
+    path.write_text("custom_means = 0.0, zero\n", encoding="utf-8")
+    with pytest.raises(ConfigurationError, match="custom_means"):
+        load_config(str(path))

@@ -9,13 +9,14 @@ import pytest
 
 import rv2x
 from rv2x import adaptation
-from rv2x.absorption import DeconvEstimate
+from rv2x.absorption import DeconvEstimate, run_absorption
 from rv2x.adaptation import beta, c_box
-from rv2x.channel import error_law
+from rv2x.channel import build_large_scale, error_law, evolve_small_scale
 from rv2x.config import SimConfig
 from rv2x.errors import ConfigurationError
 from rv2x.harness import (RunReport, default_threads, emit, main, run,
                           run_trial, _stream)
+from rv2x.scenario import build_topology, noise_power, qos_constants
 
 
 def _tiny(**kw):
@@ -106,6 +107,42 @@ def test_deviation_trace_lengths():
     assert np.all(trace >= 0.0) and np.all(np.isfinite(trace))
     off = run(_tiny(adaptation_len=3), "proposed", trials=1, threads=1)
     np.testing.assert_array_equal(off.j_trace[0], np.zeros(3))
+
+
+@pytest.mark.parametrize("allocator", ["gaussian", "proposed"])
+def test_deviation_trace_matches_per_slot_reference_loop(allocator):
+    # the trace is pinned to this loop: per slot, one choice and one normal
+    # for the (M, draws) mixture block, then one exponential block
+    config = _tiny(num_pairs=3, adaptation_len=6, deviation_trace=True)
+    seed, trial, m = config.rng_seed, 1, config.num_pairs
+    got = run_trial(config, allocator, trial)
+    law = error_law(config.error_law)
+    large = build_large_scale(build_topology(config, _stream(seed, trial, "topology")),
+                              config, _stream(seed, trial, "shadowing"))
+    plan, _, _ = run_absorption(large, config, law, _stream(seed, trial, "absorption"))
+    pairing, idx = plan.pairing, np.arange(m)
+    fading = evolve_small_scale(large, law, _stream(seed, trial, "adaptation"),
+                                m, m, config.adaptation_len)
+    gamma_v, _ = qos_constants(config)
+    sigma2 = noise_power(config)
+    dec = got["decisions"]
+    rng_mc = _stream(seed, trial, "diagnostics")
+    d2 = large.delta ** 2
+    l_cross_pair = large.l_cross[pairing, idx]
+    draws = config.true_mc_draws
+    want = np.zeros(config.adaptation_len)
+    for s in range(config.adaptation_len):
+        comp = rng_mc.choice(len(law.weights), size=(m, draws), p=law.weights)
+        e_cross = rng_mc.normal(law.means[comp], np.sqrt(law.variances[comp]))
+        e_direct = rng_mc.exponential(1.0, (m, draws))
+        lhs = (dec["p_v"][s][:, None] * large.l_v[:, None]
+               * (d2 * fading.g2_v_hat[s][:, None] + (1.0 - d2) * e_direct))
+        rhs = gamma_v * (dec["p_i"][s][:, None] * l_cross_pair[:, None]
+                         * (fading.g2_cross_hat[s, pairing, idx][:, None] + e_cross) + sigma2)
+        p_true = (lhs >= rhs).mean(axis=1)
+        want[s] = float(np.sum((dec["beta_star"][s] - p_true) ** 2))
+    assert np.count_nonzero(want) >= 2
+    assert got["j_trace"].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("allocator", ["proposed", "gaussian"])

@@ -271,3 +271,52 @@ def test_true_satisfaction_prob_vs_quadrature():
     got = true_satisfaction_prob_mc(ctx, (p_v, p_i), law, n, np.random.default_rng(3))
     se = math.sqrt(want * (1.0 - want) / n)
     assert abs(got - want) < 4.0 * se + 1e-12
+
+
+def _reference_mc(ctx, p_v, p_i, law, n_draws, rng):
+    # the per-slot trace formula that the Monte Carlo is pinned to, draw for
+    # draw: one choice and one normal for the mixture, then the exponential
+    comp = rng.choice(len(law.weights), size=n_draws, p=law.weights)
+    e_cross = rng.normal(law.means[comp], np.sqrt(law.variances[comp]))
+    e_direct = rng.exponential(1.0, n_draws)
+    d2 = ctx.delta2
+    lhs = p_v * ctx.l_v * (d2 * ctx.g2_v_hat + (1.0 - d2) * e_direct)
+    rhs = ctx.gamma_v * (p_i * ctx.l_cross * (ctx.g2_cross_hat + e_cross) + ctx.sigma2)
+    return (lhs >= rhs).mean(axis=-1)
+
+
+def test_true_satisfaction_prob_one_pair_matches_reference():
+    law = error_law("type2")
+    ctx = _mc_context(l_cross=3e-7, g2_v_hat=0.7, g2_cross_hat=1.3)
+    rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+    for p_v, p_i in ((50.0, 80.0), (80.0, 60.0), (30.0, 90.0)):
+        got = true_satisfaction_prob_mc(ctx, (p_v, p_i), law, 2000, rng)
+        want = float(_reference_mc(ctx, p_v, p_i, law, 2000, ref))
+        assert isinstance(got, float) and got == want
+        assert 0.0 < got < 1.0
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_true_satisfaction_prob_per_pair_arrays_match_reference():
+    # one (M, n_draws) block: row i equals the reference on pair i's values
+    # with the mixture block drawn before the exponential block
+    law = error_law("type1")
+    m, n = 4, 1000
+    g = np.random.default_rng(5)
+    ctx = _mc_context(l_v=10.0 ** g.uniform(-7.5, -6.5, m),
+                      l_cross=10.0 ** g.uniform(-8.5, -7.5, m),
+                      g2_v_hat=g.exponential(1.0, m), g2_cross_hat=g.exponential(1.0, m))
+    p_v, p_i = g.uniform(10.0, 200.0, m), g.uniform(10.0, 200.0, m)
+    rng, ref = np.random.default_rng(6), np.random.default_rng(6)
+    got = true_satisfaction_prob_mc(ctx, (p_v, p_i), law, n, rng)
+    comp = ref.choice(2, size=(m, n), p=law.weights)
+    e_cross = ref.normal(law.means[comp], np.sqrt(law.variances[comp]))
+    e_direct = ref.exponential(1.0, (m, n))
+    d2 = ctx.delta2
+    lhs = (p_v[:, None] * ctx.l_v[:, None]
+           * (d2 * ctx.g2_v_hat[:, None] + (1.0 - d2) * e_direct))
+    rhs = ctx.gamma_v * (p_i[:, None] * ctx.l_cross[:, None]
+                         * (ctx.g2_cross_hat[:, None] + e_cross) + ctx.sigma2)
+    want = (lhs >= rhs).mean(axis=1)
+    assert got.shape == (m,) and got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
