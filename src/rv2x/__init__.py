@@ -52,7 +52,6 @@ from .qosmodel import (
     delay,
     delay_outage_closed_form,
     hazard_rate,
-    hazard_rate_noise_free_approx,
     sinr,
     throughput,
     true_satisfaction_prob_mc,
@@ -99,7 +98,6 @@ __all__ = [
     "fit_gaussian",
     "fit_hpr",
     "hazard_rate",
-    "hazard_rate_noise_free_approx",
     "hungarian_match",
     "load_config",
     "noise_power",

@@ -288,7 +288,7 @@ class AbsorptionPlan:
     bound: np.ndarray      # (M,) capability bound at the horizon length
 
 
-def run_absorption(large, config, law, rng, lambda_m=None):
+def run_absorption(large, config, law, rng):
     """Match pairs, probe for T slots, and recover per-pair error densities.
 
     Returns (plan, estimates, fading): ``fading`` is the
@@ -299,7 +299,7 @@ def run_absorption(large, config, law, rng, lambda_m=None):
     n = large.l_i.shape[0]
     if m != n:
         raise ConfigurationError("pair counts of both link classes must agree")
-    lam = np.full(m, config.hr_weight) if lambda_m is None else np.asarray(lambda_m, dtype=float)
+    lam = config.hr_weight
     box = (config.pi_min_mw, config.pi_max_mw, config.pv_min_mw, config.pv_max_mw)
     delta = large.delta
     k = config.trunc_k
@@ -309,14 +309,13 @@ def run_absorption(large, config, law, rng, lambda_m=None):
     weights = np.empty((m, n))
     for i in range(m):
         for j in range(n):
-            weights[i, j] = edge_weight(large.l_v[i], large.l_cross[j, i], delta, lam[i], box, k)
+            weights[i, j] = edge_weight(large.l_v[i], large.l_cross[j, i], delta, lam, box, k)
     if config.identity_matching:
         pairing = np.arange(m)
     else:
         pairing = hungarian_match(weights)
 
-    p_pairs = np.array([absorption_power(lam[i], box) for i in range(m)])
-    p_i_a, p_v_a = p_pairs[:, 0], p_pairs[:, 1]
+    p_i_a, p_v_a = (np.full(m, p, dtype=float) for p in absorption_power(lam, box))
     l_cross_pair = large.l_cross[pairing, np.arange(m)]
     lambda_y = p_i_a * l_cross_pair / (p_v_a * large.l_v * (1.0 - delta * delta))
     o = p_v_a * large.l_v / (p_i_a * l_cross_pair)

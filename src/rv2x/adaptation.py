@@ -31,6 +31,8 @@ import math
 import numpy as np
 from scipy import special
 
+from .absorption import DeconvEstimate
+from .baselines import GaussianFit, HprRegion
 from .errors import ConfigurationError, QuadratureError
 
 _ROOT_REL_TOL = 1e-6    # root-search tolerance on c (log width); the kept
@@ -42,10 +44,9 @@ _ROOT_MAX_ITER = 100
 class AdaptationContext:
     """Inputs for one pair and slot.
 
-    ``estimate`` is whatever error model the allocator runs on: the
+    ``estimate`` is the error model the allocator runs on: the
     deconvolution estimate, a Gaussian moment fit, or a high-probability
-    region.  ``prop1_ok`` records whether the monotonicity precondition of
-    the u-functional held on the c-range induced by the power box.
+    region.
     """
 
     estimate: object
@@ -66,11 +67,12 @@ class AdaptationContext:
     box: tuple               # (pi_min, pi_max, pv_min, pv_max) in mW
     trunc_k1: int
     trunc_k2: int
-    prop1_ok: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.delta2 < 1.0:
             raise ConfigurationError("aging coefficient must satisfy 0 <= delta^2 < 1")
+        if not isinstance(self.estimate, (DeconvEstimate, GaussianFit, HprRegion)):
+            raise ConfigurationError("unrecognised error-model object")
 
 
 def c_param(p_i, p_v, context):
@@ -79,10 +81,18 @@ def c_param(p_i, p_v, context):
             / (p_v * context.l_v * (1.0 - context.delta2)))
 
 
+def _c_range(pair):
+    """(c_lo, c_mid, c_hi): budgets at the box corners (pi_min, pv_max),
+    (pi_max, pv_max) and (pi_max, pv_min)."""
+    pi_min, pi_max, pv_min, pv_max = pair.box
+    scale = pair.gamma_v * pair.l_cross / (pair.l_v * (1.0 - pair.delta2))
+    return scale * pi_min / pv_max, scale * pi_max / pv_max, scale * pi_max / pv_min
+
+
 def c_box(context):
     """The c-values reachable inside the power box (lo, hi)."""
-    pi_min, pi_max, pv_min, pv_max = context.box
-    return c_param(pi_min, pv_max, context), c_param(pi_max, pv_min, context)
+    c_lo, _, c_hi = _c_range(context)
+    return c_lo, c_hi
 
 
 def ell(c, context):
@@ -255,44 +265,30 @@ def _beta_batch_gaussian(cs, ells_full, fit):
     return term1 + np.exp(np.minimum(expo, 0.0))
 
 
-def _estimate_kind(est):
-    if hasattr(est, "samples") and hasattr(est, "lambda_y"):
-        return "deconv"
-    if hasattr(est, "mean_e"):
-        return "gaussian"
-    if hasattr(est, "lo") and hasattr(est, "hi"):
-        return "hpr"
-    raise ConfigurationError("unrecognised error-model object")
-
-
-def _p_i_of_c(cs, context_like, c_lo, c_mid):
+def _p_i_of_c(cs, pair):
     """Uplink power deployed at budget c under the highest-power mapping."""
-    pi_min, pi_max, pv_min, pv_max = context_like.box
-    gain = pv_max * context_like.l_v * (1.0 - context_like.delta2) / (
-        context_like.gamma_v * context_like.l_cross)
+    pi_min, pi_max, pv_min, pv_max = pair.box
+    c_lo, c_mid, _ = _c_range(pair)
+    gain = pv_max * pair.l_v * (1.0 - pair.delta2) / (pair.gamma_v * pair.l_cross)
     return np.where(cs <= c_lo, pi_min, np.where(cs <= c_mid, cs * gain, pi_max))
 
 
-def _beta_raw(pair, kind, cs, g2_v_hat, g2_cross_hat, c_lo, c_mid):
+def _beta_raw(pair, cs, g2_v_hat, g2_cross_hat):
     """Unclamped satisfaction at budgets ``cs`` for the matching reports."""
+    est = pair.estimate
     ells = g2_cross_hat - (g2_v_hat / cs) * pair.delta2 / (1.0 - pair.delta2)
-    if kind == "deconv":
-        return _beta_batch_deconv(cs, ells, pair.estimate, pair.lambda_y,
-                                  pair.trunc_k1, pair.trunc_k2)
-    shift = pair.sigma2 / (_p_i_of_c(cs, pair, c_lo, c_mid) * pair.l_cross)
-    return _beta_batch_gaussian(cs, ells + shift, pair.estimate)
+    if isinstance(est, DeconvEstimate):
+        return _beta_batch_deconv(cs, ells, est, pair.lambda_y, pair.trunc_k1, pair.trunc_k2)
+    if isinstance(est, GaussianFit):
+        shift = pair.sigma2 / (_p_i_of_c(cs, pair) * pair.l_cross)
+        return _beta_batch_gaussian(cs, ells + shift, est)
+    raise ConfigurationError("high-probability regions define no satisfaction curve")
 
 
 def beta(c, context, return_raw=False):
     """Delay-satisfaction estimate at budget c, clamped to [0, 1]."""
-    est = context.estimate
-    kind = _estimate_kind(est)
-    if kind == "hpr":
-        raise ConfigurationError("high-probability regions define no satisfaction curve")
     cs = np.atleast_1d(np.asarray(c, dtype=float))
-    c_lo = c_box(context)[0]
-    c_mid = c_param(context.box[1], context.box[3], context)
-    raw = _beta_raw(context, kind, cs, context.g2_v_hat, context.g2_cross_hat, c_lo, c_mid)
+    raw = _beta_raw(context, cs, context.g2_v_hat, context.g2_cross_hat)
     clamped = np.clip(raw, 0.0, 1.0)
     if np.isscalar(c) or np.asarray(c).ndim == 0:
         raw, clamped = float(raw[0]), float(clamped[0])
@@ -314,13 +310,11 @@ def feasible_interval(context):
     res = solve_slots(context, {name: np.array([getattr(context, name)]) for name in
                                 ("g2_v_hat", "g2_cross_hat", "g2_i", "g2_v_rsu")})
     c_l, c_u = float(res["c_l"][0]), float(res["c_u"][0])
-    kind = _estimate_kind(context.estimate)
-    c_lo, c_mid, c_hi = _c_range(context)
+    c_hi = _c_range(context)[2]
     # a c_u below c_t is the searched ceiling: c_t missed the target
-    if (kind != "hpr" and res["feasible"][0] and c_u < c_hi
+    if (not isinstance(context.estimate, HprRegion) and res["feasible"][0] and c_u < c_hi
             and c_u == _u_pick(np.array([c_l]), np.array([c_hi]), context)[0]):
-        b_hi = _beta_raw(context, kind, np.array([c_hi]), context.g2_v_hat,
-                         context.g2_cross_hat, c_lo, c_mid)[0]
+        b_hi = _beta_raw(context, np.array([c_hi]), context.g2_v_hat, context.g2_cross_hat)[0]
         if b_hi >= context.prob_req:
             c_u = c_hi
     return c_l, c_u
@@ -332,19 +326,8 @@ def floor_beta(pair, g2_v_hat, g2_cross_hat):
     ``solve_slots`` evaluates it only on slots whose floor is c_lo, where it
     decides feasibility; the deviation trace asks for the other slots.
     """
-    kind = _estimate_kind(pair.estimate)
-    if kind == "hpr":
-        raise ConfigurationError("high-probability regions define no satisfaction curve")
-    c_lo, c_mid, _ = _c_range(pair)
-    return _beta_raw(pair, kind, np.full(np.shape(g2_v_hat), c_lo), g2_v_hat,
-                     g2_cross_hat, c_lo, c_mid)
-
-
-def _c_range(pair):
-    """(c_lo, c_mid, c_hi): budgets at the box corners, as the solver rounds them."""
-    pi_min, pi_max, pv_min, pv_max = pair.box
-    scale = pair.gamma_v * pair.l_cross / (pair.l_v * (1.0 - pair.delta2))
-    return scale * pi_min / pv_max, scale * pi_max / pv_max, scale * pi_max / pv_min
+    c_lo = _c_range(pair)[0]
+    return _beta_raw(pair, np.full(np.shape(g2_v_hat), c_lo), g2_v_hat, g2_cross_hat)
 
 
 def solve_slots(pair, slots):
@@ -370,7 +353,6 @@ def solve_slots(pair, slots):
     ceiling clipped to the box, and ``beta_star`` its worst-case bound.
     """
     est = pair.estimate
-    kind = _estimate_kind(est)
     d2 = pair.delta2
     one_minus = 1.0 - d2
     g2_v_hat = np.asarray(slots["g2_v_hat"], dtype=float)
@@ -389,9 +371,9 @@ def solve_slots(pair, slots):
     c_l = np.maximum(c_lo, c_rate)
 
     def beta_raw_at(cs, idx):
-        return _beta_raw(pair, kind, cs, g2_v_hat[idx], g2_cross_hat[idx], c_lo, c_mid)
+        return _beta_raw(pair, cs, g2_v_hat[idx], g2_cross_hat[idx])
 
-    if kind == "hpr":
+    if isinstance(est, HprRegion):
         # the region's worst-case knee gives the ceiling in closed form
         q0 = -math.log(pair.prob_req)
         c0 = d2 * g2_v_hat / one_minus
@@ -411,12 +393,12 @@ def solve_slots(pair, slots):
     # ---- map c to powers (highest-power preference) ----
     p_v = np.where(c_star <= c_mid, pv_max,
                    pair.gamma_v * pi_max * pair.l_cross / (c_star * pair.l_v * one_minus))
-    p_i = _p_i_of_c(c_star, pair, c_lo, c_mid)
+    p_i = _p_i_of_c(c_star, pair)
     # the map can round one ulp outside the box at its corners
     p_v = np.where(feasible, np.clip(p_v, pv_min, pv_max), pv_max)
     p_i = np.where(feasible, np.clip(p_i, pi_min, pi_max), pi_min)
 
-    if kind == "hpr":
+    if isinstance(est, HprRegion):
         worst = c_star * (g2_cross_hat + est.hi) - d2 * g2_v_hat / one_minus
         b_raw = np.exp(-np.maximum(worst, 0.0))
 
@@ -553,8 +535,13 @@ def _bracket_root(fun, a, b, fa, fb):
 
 
 def _u_pick(cl, cu, pair):
-    """The budget in [cl, cu] whose u-functional is closest to one."""
-    if pair.prop1_ok:
+    """The budget in [cl, cu] whose u-functional is closest to one.
+
+    Bisects on u = 1 where the monotonicity condition of u (Prop. 1) holds
+    on the pair's box, and takes a dense argmin of |u - 1| otherwise.
+    """
+    c_lo, _, c_hi = _c_range(pair)
+    if prop1_holds(pair.lambda_y, pair.trunc_k2, c_lo, c_hi):
         u_lo = u_value(cl, pair.lambda_y, pair.trunc_k2)
         u_hi = u_value(cu, pair.lambda_y, pair.trunc_k2)
         pick = np.where(u_lo >= 1.0, cl, cu)
@@ -570,7 +557,6 @@ def _u_pick(cl, cu, pair):
                     break
             pick[rooted] = np.exp(0.5 * (lo + hi))
     else:
-        # condition failed somewhere in the box: dense argmin instead
         t = np.linspace(0.0, 1.0, 1024)
         grid = np.exp(np.log(cl)[:, None] * (1.0 - t) + np.log(cu)[:, None] * t)
         err = np.abs(u_value(grid, pair.lambda_y, pair.trunc_k2) - 1.0)

@@ -159,8 +159,6 @@ def run_trial(config, allocator, trial):
         g2_i = fading.g2_i[:, pairing]                          # matched uplink fading
         g2_v_rsu = fading.g2_v_rsu
 
-        p_v_slots = np.empty((adapt_len, m))
-        p_i_slots = np.empty((adapt_len, m))
         for i in range(m):
             pair_ctx = adaptation.AdaptationContext(
                 estimate=models[i], lambda_y=float(plan.lambda_y[i]),
@@ -171,19 +169,11 @@ def run_trial(config, allocator, trial):
                 rate_gamma=rate_gamma, prob_req=config.prob_req, box=box,
                 trunc_k1=config.trunc_k1, trunc_k2=config.trunc_k2,
             )
-            lo, hi = adaptation.c_box(pair_ctx)
-            pair_ctx.prop1_ok = adaptation.prop1_holds(
-                pair_ctx.lambda_y, config.trunc_k2, lo, hi)
             res = adaptation.solve_slots(pair_ctx, {
                 "g2_v_hat": g2_v_hat[:, i], "g2_cross_hat": g2_cross_hat[:, i],
                 "g2_i": g2_i[:, i], "g2_v_rsu": g2_v_rsu[:, i]})
-            p_v_slots[:, i] = res["p_v"]
-            p_i_slots[:, i] = res["p_i"]
-            for key in ("c_l", "c_u", "c_star", "beta_star"):
-                decisions[key][:, i] = res[key]
-            decisions["p_v"][:, i] = res["p_v"]
-            decisions["p_i"][:, i] = res["p_i"]
-            decisions["feasible"][:, i] = res["feasible"].astype(float)
+            for key, col in decisions.items():
+                col[:, i] = res[key]
             if config.deviation_trace:
                 # the solver leaves beta at the fallback budget unevaluated
                 # where the floor lies above it; the trace needs it
@@ -201,13 +191,14 @@ def run_trial(config, allocator, trial):
                 slot.g2_v_hat = g2_v_hat[s]
                 slot.g2_cross_hat = g2_cross_hat[s]
                 p_true = qosmodel.true_satisfaction_prob_mc(
-                    slot, (p_v_slots[s], p_i_slots[s]), law, config.true_mc_draws, rng_mc)
+                    slot, (decisions["p_v"][s], decisions["p_i"][s]), law,
+                    config.true_mc_draws, rng_mc)
                 j_trace[s] = float(np.sum((decisions["beta_star"][s] - p_true) ** 2))
 
         p_i_full = np.empty((adapt_len, m))
-        p_i_full[:, pairing] = p_i_slots
+        p_i_full[:, pairing] = decisions["p_i"]
         _fill_phase(rows, config.absorption_len, "adaptation", fading, large,
-                    qosmodel.AllocationDecision(pairing=pairing, p_v_mw=p_v_slots,
+                    qosmodel.AllocationDecision(pairing=pairing, p_v_mw=decisions["p_v"],
                                                 p_i_mw=p_i_full),
                     decisions["feasible"] < 0.5, config, flags)
 

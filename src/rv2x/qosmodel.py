@@ -96,18 +96,6 @@ def hazard_rate(p_v, l_v, p_i, l_i, sigma2, constants):
     return d_v * dens / (1.0 - surv)
 
 
-def hazard_rate_noise_free_approx(p_v, l_v, p_i, l_i, constants):
-    """Interference-dominated small-survival approximation of the hazard rate.
-
-    Linear in the received-power ratio o = p_v*l_v / (p_i*l_i).  The matching
-    weights do not call it: ``absorption.edge_weight`` works from the
-    capability bracket at the probing powers.
-    """
-    gamma_v, d_v = constants
-    o = (p_v * l_v) / (p_i * l_i)
-    return d_v * o / (gamma_v * gamma_v)
-
-
 def true_satisfaction_prob_mc(context, alloc, law, n_draws, rng):
     """Monte Carlo estimate of the true delay-satisfaction probability.
 

@@ -478,16 +478,3 @@ def test_run_absorption_determinism_and_edge_cases():
     lopsided.l_i = lopsided.l_i[:3]
     with pytest.raises(ConfigurationError):
         run_absorption(lopsided, _small_config(), law, np.random.default_rng(2))
-
-
-def test_run_absorption_per_pair_weights():
-    large = _large_state(seed=21)
-    law = error_law("type1")
-    lam = np.array([0.3, 0.5, 0.7, 1.0])
-    plan, _, _ = run_absorption(large, _small_config(), law,
-                                np.random.default_rng(6), lambda_m=lam)
-    box = (10.0, SimConfig().pi_max_mw, 10.0, SimConfig().pv_max_mw)
-    for i in range(4):
-        want_pi, want_pv = absorption_power(lam[i], box)
-        np.testing.assert_allclose(plan.p_i_mw[i], want_pi)
-        np.testing.assert_allclose(plan.p_v_mw[i], want_pv)

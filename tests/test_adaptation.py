@@ -234,6 +234,13 @@ def test_c_param_scaling_and_ell():
         ell(2.0, types.SimpleNamespace(delta2=1.0, g2_cross_hat=0.7, g2_v_hat=1.0))
 
 
+def test_c_box_is_the_solvers_corners():
+    # on this context another rounding of the corners puts c_hi one ulp off
+    ctx = _ctx(_estimate(), 20.0, 0.7, d2=0.4256, gamma_v=0.0767, l_cross=3e-9, l_v=2e-7)
+    c_lo, _, c_hi = _c_range(ctx)
+    assert c_box(ctx) == (c_lo, c_hi)
+
+
 def test_context_validates_aging():
     for bad in (1.0, 1.2, -0.05):
         with pytest.raises(ConfigurationError):
@@ -328,6 +335,22 @@ def test_solver_grid_optimality():
         grid = np.geomspace(c_l, c_u, 4001)
         u_min = np.abs(u_value(grid, lam_y, 10) - 1.0).min()
         assert abs(u_value(c_star, lam_y, 10) - 1.0) <= u_min + 1e-9
+
+
+def test_solver_takes_dense_argmin_where_prop1_fails():
+    # u peaks below one inside this box, so Prop. 1 fails and the pick is the
+    # argmin of |u - 1| on a dense log grid, the peak, not an end of the box;
+    # a Gaussian law far below the window satisfies every budget
+    ctx = _ctx(GaussianFit(mean_e=-5.0, var_e=0.01), 50.0, 0.5, box=(20.0, 300.0, 1.0, 1.0))
+    assert not prop1_holds(50.0, 10, *c_box(ctx))
+    t = np.linspace(0.0, 1.0, 1024)
+    grid = np.exp(np.log(20.0) * (1.0 - t) + np.log(300.0) * t)
+    k = np.argmin(np.abs(u_value(grid, 50.0, 10) - 1.0))
+    assert 0 < k < grid.size - 1
+    res = solve_slots(ctx, {name: np.array([getattr(ctx, name)])
+                            for name in ("g2_v_hat", "g2_cross_hat", "g2_i", "g2_v_rsu")})
+    assert res["feasible"][0]
+    assert res["c_star"][0] == grid[k]
 
 
 def test_solver_infeasible_fallback():
@@ -480,8 +503,6 @@ def test_solver_invariants_on_random_estimates(n_probes, mean_e, spread, lam_y, 
     z = rng.normal(mean_e, spread, n_probes) + rng.exponential(1.0 / lam_y, n_probes)
     box = (pi_min, pi_min * pi_span, pv_min, pv_min * pv_span)
     base = _ctx(_estimate(z, lam=lam_y), lam_y, 0.0, d2=d2, rate_gamma=rate_gamma, box=box)
-    lo, hi = c_box(base)
-    base = dataclasses.replace(base, prop1_ok=prop1_holds(lam_y, 10, lo, hi))
     slots = {name: rng.exponential(1.0, 8)
              for name in ("g2_v_hat", "g2_cross_hat", "g2_i", "g2_v_rsu")}
     res = solve_slots(base, slots)

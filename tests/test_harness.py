@@ -486,6 +486,18 @@ def test_python_m_rv2x_runs_the_cli():
     assert proc.stdout.startswith("usage: rv2x ")
 
 
+def test_import_leaves_scipy_optimize_and_integrate_unloaded():
+    # the package needs neither at run time; importing them costs set-up time
+    src = os.path.dirname(os.path.dirname(rv2x.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = ("import sys, rv2x; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_cli_rejects_bad_config(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("not_a_knob = 1\n")

@@ -12,8 +12,7 @@ from rv2x.channel import ChannelState, LargeScaleState, error_law
 from rv2x.config import SimConfig
 from rv2x.errors import ConfigurationError
 from rv2x.qosmodel import (SINR_CAP, AllocationDecision, delay,
-                           delay_outage_closed_form, hazard_rate,
-                           hazard_rate_noise_free_approx, sinr, throughput,
+                           delay_outage_closed_form, hazard_rate, sinr, throughput,
                            true_satisfaction_prob_mc)
 from rv2x.scenario import qos_constants
 
@@ -182,9 +181,6 @@ def test_outage_closed_form_vs_monte_carlo():
 def test_hazard_rate_noise_free_values():
     np.testing.assert_allclose(hazard_rate(1.0, 1.0, 1.0, 1.0, 0.0, CONSTANTS),
                                64.23250996716675, rtol=1e-12)
-    np.testing.assert_allclose(
-        hazard_rate_noise_free_approx(1.0, 1.0, 1.0, 1.0, CONSTANTS),
-        901.273758915527, rtol=1e-12)
 
 
 def test_hazard_rate_matches_finite_difference():
@@ -213,9 +209,6 @@ def test_hazard_rate_monotone_in_power_ratio():
     h1 = hazard_rate(2.0, 1.0, 1.0, 1.0, 0.0, CONSTANTS)
     h2 = hazard_rate(4.0, 1.0, 1.0, 1.0, 0.0, CONSTANTS)
     assert h2 > h1
-    a1 = hazard_rate_noise_free_approx(2.0, 1.0, 1.0, 1.0, CONSTANTS)
-    a2 = hazard_rate_noise_free_approx(4.0, 1.0, 1.0, 1.0, CONSTANTS)
-    np.testing.assert_allclose(a2, 2.0 * a1, rtol=1e-12)
 
 
 def _mc_context(**kw):
