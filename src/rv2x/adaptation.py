@@ -23,6 +23,17 @@ the probes into a truncated-frequency integral over the window x = e + ell in
 probes (``_beta_window``).  It is evaluated per probe in closed form, from
 sine and exponential integrals (``_beta_exact``), so its cost and accuracy do
 not depend on how far the probes spread.
+
+That kernel splits each probe's two points y = z + ell and y - K at
+|W b| = 60.  The far points, nearly all of them, take the asymptotic series
+of E1 and of Si's auxiliary functions f and g in 1/b, which turn a lane's
+sum into real moments of cos(W b), sin(W b) and 1 against powers of 1/b
+with per-lane weights; the near points keep the exact sici/E1 path.  The
+S2(y) kernels of the flat and decaying pieces cancel exactly and are never
+formed, and the two branch-cut jumps merge into one exponential on the
+probes inside the window.  sin and cos are taken directly of the phases
+W y and W (y - K), not by angle addition, whose extra phase rounding the
+large S2 weight at small lambda would amplify.
 """
 
 import dataclasses
@@ -38,6 +49,12 @@ from .errors import ConfigurationError, QuadratureError
 _ROOT_REL_TOL = 1e-6    # root-search tolerance on c (log width); the kept
                         # endpoint always sits on the satisfied side
 _ROOT_MAX_ITER = 100
+
+_FAR = 60.0             # |W b| from which a probe point takes the asymptotic series
+_E1_TERMS = 9           # terms of the asymptotic E1 series, as in _e1_scaled
+_SI_TERMS = 7           # terms of each of Si's auxiliary series f and g; within
+                        # 5e-16 of scipy's sici from |W b| = 60 on
+_BLOCK = 2 ** 13        # lanes x probes per block of the beta workspace
 
 
 @dataclasses.dataclass
@@ -179,42 +196,150 @@ def _sine_kernel(b, w_cut):
     return out
 
 
+def _far_weights(cs, w_cut, w_y, w_ym, w_s2):
+    """Per-lane weights of the far-point moments, shape (lanes, 2, D + 1, 3).
+
+    Axis 1 is the point (y, ym); row j of axis 2, j = 0..D with
+    D = 2 * _SI_TERMS, weighs the moments of b^-j (row 0 of sgn(b)), and
+    axis 3 the cosine, sine and constant column of the moments.
+    A far point b of a lane contributes (+-)pi sgn(b) + cos(W b) C(1/b)
+    + sin(W b) S(1/b).  C and S join three series in 1/b: the E1 series
+    -sum_k k! (q b)^-(k+1) with q = c + iW, whose imaginary and real parts
+    multiply cos and sin after the rotation by e^{iWb}, and Si's auxiliary
+    functions f and g (Si(x) = sgn(x) pi/2 - f(x) cos x - g(x) sin x, DLMF
+    6.12), plus the S2(ym) kernel 2 sin(W ym) / ym at power one.
+    """
+    deg = 2 * _SI_TERMS
+    f = np.zeros(deg + 1)
+    g = np.zeros(deg + 1)
+    for k in range(_SI_TERMS):
+        f[2 * k + 1] = (-1) ** k * math.factorial(2 * k) / w_cut ** (2 * k + 1)
+        g[2 * k + 2] = (-1) ** k * math.factorial(2 * k + 1) / w_cut ** (2 * k + 2)
+    inv_q = 1.0 / (cs + 1j * w_cut)
+    e1 = np.zeros((cs.size, deg + 1), dtype=complex)
+    power = inv_q
+    for k in range(_E1_TERMS):
+        e1[:, k + 1] = -math.factorial(k) * power
+        power = power * inv_q
+    out = np.zeros((cs.size, 2, deg + 1, 3))
+    out[:, 0, :, 0] = 2.0 * w_y[:, None] * e1.imag - 2.0 * f
+    out[:, 0, :, 1] = 2.0 * w_y[:, None] * e1.real - 2.0 * g
+    out[:, 0, 0, 2] = math.pi
+    out[:, 1, :, 0] = 2.0 * f - 2.0 * w_ym[:, None] * e1.imag
+    out[:, 1, :, 1] = 2.0 * g - 2.0 * w_ym[:, None] * e1.real
+    out[:, 1, 1, 1] += 2.0 * w_s2
+    out[:, 1, 0, 2] = -math.pi
+    return out
+
+
+def _near_terms(b, kind, c, w, w_s2, w_cut):
+    """Exact per-point terms of the probes with |W b| < 60, one per entry.
+
+    ``kind`` 0 is the point y (weight ``w`` = 1 + c/lambda), 1 the point
+    ym (weight ``w`` = (1 + c/lambda) e^{-cK}); the sine and exponential
+    integrals are scipy's, or the E1 series where |zeta| >= 60 all the same.
+    """
+    zeta = -b * (c + 1j * w_cut)
+    m = np.where(np.abs(b) < 1e-12, 2.0 * np.arctan(w_cut / c), -2.0 * np.imag(
+        np.exp(1j * b * w_cut) * _e1_scaled(np.where(zeta == 0, 1.0, zeta))))
+    si = special.sici(w_cut * b)[0]
+    if kind == 0:
+        return 2.0 * si - w * m
+    return w * m - 2.0 * si + w_s2 * _sine_kernel(b, w_cut)
+
+
 def _beta_exact(cs, ells, z, lambda_y, k1, w_cut):
     """Per-sample closed form of the satisfaction integral.
 
-    For probe offset y = z + ell the flat-window piece integrates to sine
-    integrals, and the decaying piece to a vertical-path exponential
-    integral whose branch-cut crossing contributes 2*pi*exp(-c*y) on y > 0.
-    Vectorised over lanes: each row is one (c, ell) query against all probes;
-    ``k1`` is the window length, one per lane or shared.
+    For probe offset y = z + ell and ym = y - K the flat-window piece
+    integrates to sine integrals Si(W b) and kernels S2(b) = 2 sin(W b) / b,
+    and the decaying piece to vertical-path exponential integrals
+    M(b) = -2 Im(e^{iWb} e^zeta E1(zeta)), zeta = -b (c + iW), whose
+    branch-cut crossing adds 2 pi e^{-cb} on b >= 1e-12.  Per probe the two
+    pieces sum to
+
+        2 Si(W y) - 2 Si(W ym) + (1 - e^{-cK}) / lambda * S2(ym)
+        + (1 + c/lambda) (e^{-cK} M(ym) - M(y)) + jumps:
+
+    their -S2(y)/lambda and +S2(y)/lambda cancel exactly, and the two jumps
+    cancel where both are present (e^{-cK} e^{-c ym} = e^{-cy}), leaving
+    -2 pi (1 + c/lambda) e^{-cy} on ym < 1e-12 <= y, one exponential.
+
+    A point with |W b| >= 60 is far: its E1 and Si take their asymptotic
+    series in 1/b, so it contributes pi sgn(b) and cos(W b), sin(W b) times
+    polynomials in 1/b whose coefficients depend only on the lane
+    (``_far_weights``).  Summed over the lane's probes that is a weighted
+    sum of moments of cos, sin and 1 against the powers of 1/b, one batched
+    matrix product per block.  The near points (under 1% of them at the
+    default scale) keep the exact sici/E1 path (``_near_terms``).
+
+    sin and cos are taken directly of the rounded phases W y and W ym, the
+    same numbers sici and the S2 kernel were given before.  An angle
+    addition from W z and W ell would round the phase again, by up to
+    W |y| ulp, and at small lambda the S2(ym) weight (1 - e^{-cK}) / lambda
+    reaches 1e5 and more, which amplifies that rounding into beta.
+
+    Vectorised over lanes: each row is one (c, ell) query against all
+    probes; ``k1`` is the window length K, one per lane or shared.  Lanes
+    go through blocks of about ``_BLOCK`` elements in one workspace
+    allocated per call, which every temporary of the block is written into,
+    and each lane's value does not depend on the other lanes of its call.
     """
-    out = np.empty(cs.shape)
-    t = z.size
+    n, t = cs.size, z.size
+    out = np.empty(n)
     k1s = np.broadcast_to(np.asarray(k1, dtype=float), cs.shape)
-    block = max(1, int(2e6) // max(t, 1))
-    for lo in range(0, cs.size, block):
-        c = cs[lo:lo + block, None]
-        k = k1s[lo:lo + block, None]
-        y = z[None, :] + ells[lo:lo + block, None]
-        ym = y - k
+    decay = np.exp(-cs * k1s)
+    w_y = 1.0 + cs / lambda_y
+    w_ym = w_y * decay
+    w_s2 = (1.0 - decay) / lambda_y
+    weights = _far_weights(cs, w_cut, w_y, w_ym, w_s2)
+    deg = weights.shape[2] - 1
 
-        def m_int(b):
-            zeta = -b * (c + 1j * w_cut)
-            base = -2.0 * np.imag(np.exp(1j * b * w_cut)
-                                  * _e1_scaled(np.where(zeta == 0, 1.0, zeta)))
-            with np.errstate(over="ignore", under="ignore"):
-                jump = np.where(b > 0, 2.0 * np.pi * np.exp(-c * np.maximum(b, 0.0)), 0.0)
-            return np.where(np.abs(b) < 1e-12, 2.0 * np.arctan(w_cut / c), base + jump)
-
-        si_y = special.sici(w_cut * y)[0]
-        si_ym = special.sici(w_cut * ym)[0]
-        s2_y = _sine_kernel(y, w_cut)
-        s2_ym = _sine_kernel(ym, w_cut)
-        p1 = 2.0 * (si_y - si_ym) - (1.0 / lambda_y) * (s2_y - s2_ym)
-        decay = np.exp(-c * k)
-        p2 = ((1.0 + c / lambda_y) * (decay * m_int(ym) - m_int(y))
-              - (1.0 / lambda_y) * (decay * s2_ym - s2_y))
-        out[lo:lo + block] = 1.0 - (p1 + p2).sum(axis=1) / (2.0 * np.pi * t)
+    rows = max(1, min(n, _BLOCK // max(t, 1)))
+    work = np.empty((deg + 7, rows, t))
+    powers, cols, (y, ym, tmp) = work[:deg + 1], work[deg + 1:deg + 4], work[deg + 4:]
+    cols[2] = 1.0
+    masks = np.empty((2, rows, t), dtype=bool)
+    moments = np.empty((rows, deg + 1, 3))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, n, rows):
+            hi = min(n, lo + rows)
+            m = hi - lo
+            y_b, ym_b, tmp_b, pw, cl = y[:m], ym[:m], tmp[:m], powers[:, :m], cols[:, :m]
+            mask_b, win_b = masks[0, :m], masks[1, :m]
+            np.add(z, ells[lo:hi, None], out=y_b)
+            np.subtract(y_b, k1s[lo:hi, None], out=ym_b)
+            total = np.zeros(m)
+            for kind, b in enumerate((y_b, ym_b)):
+                np.multiply(b, w_cut, out=tmp_b)
+                np.cos(tmp_b, out=cl[0])
+                np.sin(tmp_b, out=cl[1])
+                np.abs(tmp_b, out=tmp_b)
+                np.less(tmp_b, _FAR, out=mask_b)
+                near = np.flatnonzero(mask_b)
+                np.sign(b, out=pw[0])
+                np.divide(1.0, b, out=pw[1])
+                if near.size:
+                    # exact terms for the near points, which leave the moments
+                    np.copyto(pw[0], 0.0, where=mask_b)
+                    np.copyto(pw[1], 0.0, where=mask_b)
+                    lane = near // t
+                    g = lane + lo
+                    vals = _near_terms(b.reshape(-1)[near], kind, cs[g],
+                                       (w_y, w_ym)[kind][g], w_s2[g], w_cut)
+                    total += np.bincount(lane, weights=vals, minlength=m)
+                for j in range(2, deg + 1):
+                    np.multiply(pw[j - 1], pw[1], out=pw[j])
+                np.matmul(pw.transpose(1, 0, 2), cl.transpose(1, 2, 0), out=moments[:m])
+                total += np.einsum("ljk,ljk->l", moments[:m], weights[lo:hi, kind])
+            # the merged branch-cut jumps
+            np.greater_equal(y_b, 1e-12, out=win_b)
+            np.less(ym_b, 1e-12, out=mask_b)
+            np.logical_and(win_b, mask_b, out=win_b)
+            np.multiply(y_b, -cs[lo:hi, None], out=tmp_b)
+            np.exp(tmp_b, out=tmp_b, where=win_b)
+            total -= 2.0 * np.pi * w_y[lo:hi] * np.sum(tmp_b, axis=1, where=win_b)
+            out[lo:hi] = 1.0 - total / (2.0 * np.pi * t)
     return out
 
 

@@ -10,6 +10,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 
+MIN_PROBES = 30     # fewest probes either fit accepts
+
 
 @dataclasses.dataclass
 class GaussianFit:
@@ -29,8 +31,8 @@ def fit_gaussian(samples, lambda_y, var_floor=1e-6, zero_mean=False):
     negative.
     """
     z = np.asarray(samples, dtype=float)
-    if z.size < 30:
-        raise ConfigurationError("gaussian moment fit needs at least 30 probes")
+    if z.size < MIN_PROBES:
+        raise ConfigurationError(f"gaussian moment fit needs at least {MIN_PROBES} probes")
     mean_e = 0.0 if zero_mean else float(z.mean() - 1.0 / lambda_y)
     var_raw = float(z.var(ddof=1) - 1.0 / lambda_y ** 2)
     floored = var_raw < var_floor
@@ -55,8 +57,8 @@ def fit_hpr(samples, lambda_y, prob_req):
     set is at least the target.
     """
     z = np.asarray(samples, dtype=float)
-    if z.size < 30:
-        raise ConfigurationError("region fit needs at least 30 probes")
+    if z.size < MIN_PROBES:
+        raise ConfigurationError(f"region fit needs at least {MIN_PROBES} probes")
     proxies = z - 1.0 / lambda_y
     tail = 0.5 * (1.0 - prob_req)
     lo = float(np.quantile(proxies, tail, method="lower"))

@@ -242,7 +242,14 @@ def run(config, allocator="proposed", trials=1, threads=None):
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
     config.validate()
+    if allocator in ("gaussian", "hpr") and config.absorption_len < baselines.MIN_PROBES:
+        # each pair's model is fitted to its absorption_len probes
+        raise ConfigurationError(
+            f"the {allocator} allocator needs absorption_len >= {baselines.MIN_PROBES} "
+            f"probes per pair, got {config.absorption_len}")
     threads = default_threads() if threads is None else threads
+    if threads < 1:
+        raise ConfigurationError("threads must be >= 1")
 
     payloads = [(dataclasses.asdict(config), allocator, t) for t in range(trials)]
     if threads > 1 and trials > 1:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate, optimize
+from scipy import integrate, optimize, special
 
 from rv2x import adaptation
 from rv2x.absorption import DeconvEstimate, estimate_pdf
@@ -140,6 +140,139 @@ def test_beta_exact_path_matches_direct_integral():
     # at ell = -130 the upper cluster sits near x = 130, where no budget
     # helps: satisfaction is the lower cluster's half of the mass
     assert abs(beta(0.3, _ctx(est, 20.0, -130.0)) - 0.5) < 1e-3
+
+
+# The complex/sici form the kernel was written from: per probe, the sine
+# integrals, both S2 kernels, both exponential-integral terms with their
+# branch-cut jumps, and the probes summed exactly (math.fsum), so the
+# reference does not round away what its own +-S2(y)/lambda terms cancel.
+def _beta_exact_reference(cs, ells, z, lambda_y, k1, w_cut):
+    def e1_scaled(zeta):
+        out = np.empty(zeta.shape, dtype=complex)
+        big = np.abs(zeta) >= 60.0
+        inv = 1.0 / zeta[big]
+        s = np.full_like(inv, 40320.0)
+        for a in (-5040.0, 720.0, -120.0, 24.0, -6.0, 2.0, -1.0, 1.0):
+            s = s * inv + a
+        out[big] = inv * s
+        out[~big] = np.exp(zeta[~big]) * special.exp1(zeta[~big])
+        return out
+
+    def s2(b):
+        small = np.abs(b) < 1e-9
+        safe = np.where(small, 1.0, b)
+        return np.where(small, 2.0 * w_cut * np.cos(w_cut * b),
+                        2.0 * np.sin(w_cut * safe) / safe)
+
+    c = np.asarray(cs, dtype=float)[:, None]
+    k = np.broadcast_to(np.asarray(k1, dtype=float), c.shape[:1])[:, None]
+    y = z[None, :] + np.asarray(ells, dtype=float)[:, None]
+    ym = y - k
+
+    def m_int(b):
+        zeta = -b * (c + 1j * w_cut)
+        base = -2.0 * np.imag(np.exp(1j * b * w_cut)
+                              * e1_scaled(np.where(zeta == 0, 1.0, zeta)))
+        with np.errstate(over="ignore"):
+            jump = np.where(b > 0, 2.0 * np.pi * np.exp(-c * np.maximum(b, 0.0)), 0.0)
+        return np.where(np.abs(b) < 1e-12, 2.0 * np.arctan(w_cut / c), base + jump)
+
+    decay = np.exp(-c * k)
+    w = 1.0 + c / lambda_y
+    # p1 = 2 (Si(Wy) - Si(Wym)) - (S2(y) - S2(ym)) / lambda
+    # p2 = w (decay M(ym) - M(y)) - (decay S2(ym) - S2(y)) / lambda
+    terms = [2.0 * special.sici(w_cut * y)[0], -2.0 * special.sici(w_cut * ym)[0],
+             -s2(y) / lambda_y, s2(ym) / lambda_y,
+             w * decay * m_int(ym), -w * m_int(y),
+             -decay * s2(ym) / lambda_y, s2(y) / lambda_y]
+    terms = np.stack([np.broadcast_to(t, y.shape) for t in terms], axis=-1)
+    beta = np.array([1.0 - math.fsum(row.ravel()) / (2.0 * np.pi * z.size) for row in terms])
+    # the size float64 carries the rest of the terms to, without the
+    # +-S2(y)/lambda pair that cancels exactly
+    return beta, np.abs(terms[..., [0, 1, 3, 4, 5, 6]]).max(axis=(1, 2))
+
+
+_W10 = 10 * np.pi
+_EDGE = 60.0 / _W10     # |W b| = 60: the kernel's near/far boundary
+
+
+def _assert_kernel_matches_reference(cs, ells, z, lam, k1, w_cut, msg=""):
+    got = adaptation._beta_exact(cs, ells, z, lam, k1, w_cut)
+    want, scale = _beta_exact_reference(cs, ells, z, lam, k1, w_cut)
+    # float64 carries a per-probe term of size S to about 1e-16 S, in the
+    # reference as in the kernel: 1e-12 holds until S passes 1e5, which only
+    # lambda_y = 1e-5 lanes with probes near b = 0 reach
+    tol = np.maximum(1e-12, 1e-17 * scale)
+    bad = np.abs(got - want) > tol
+    assert not bad.any(), (f"{msg} lanes {np.flatnonzero(bad)}: {got[bad]} vs {want[bad]} "
+                           f"(tol {tol[bad]})")
+    return scale
+
+
+def test_beta_kernel_matches_complex_form_reference():
+    rng = np.random.default_rng(5)
+    e = rng.normal(0.0, 1.0, 60)
+    # probes on both sides of |W b| = 60, at b = 0 and |b| < 1e-12, and the
+    # largest spread the benchmark's estimates reach
+    extra = np.concatenate([_EDGE * np.array([1.0 + 1e-9, 1.0 - 1e-9, -1.0 - 1e-9,
+                                              -1.0 + 1e-9, 2.0, 0.5]),
+                            [-0.5, 0.0, 3e-13, -4e-13, 5e5, -5e5]])
+    ells = np.array([0.0, 7.0, -0.3, 0.5,  # ell = 0.5 puts a probe at y = 0 exactly
+                     0.0,                  # ym = y - 2 EDGE straddles -EDGE
+                     -5e5 + 2.0])          # top probe at y = 2 and ym in (0, 1e-12)
+    y_top, k_top = 5e5 + ells[-1], 2.0 - 5e-13
+    assert y_top == 2.0 and 0.0 < y_top - k_top < 1e-12
+    strict = 0
+    for lam in (1e-5, 1e-3, 0.1, 1.0, 50.0):
+        z = np.concatenate([e + rng.exponential(1.0 / lam, e.size), extra])
+        k1 = np.maximum(10.0, ells + z.max() + 5.0)
+        k1[-2:] = 2.0 * _EDGE, k_top
+        for c in (1e-3, 0.1, 10.0, 1e3):
+            scale = _assert_kernel_matches_reference(np.full(ells.size, c), ells, z, lam, k1,
+                                                     _W10, f"lambda_y={lam} c={c}")
+            strict += int(np.sum(scale <= 1e5))
+    assert strict >= 0.75 * 5 * 4 * ells.size
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(n_probes=st.integers(12, 300), mean_e=st.floats(-2.0, 1.0),
+       spread=st.floats(0.01, 2.0), log_lam=st.floats(-5.0, math.log10(50.0)),
+       log_c=st.floats(-3.0, 3.0), ell=st.floats(-2.0, 8.0),
+       k2=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_beta_kernel_matches_reference_on_random_lanes(n_probes, mean_e, spread, log_lam,
+                                                      log_c, ell, k2, seed):
+    rng = np.random.default_rng(seed)
+    lam = 10.0 ** log_lam
+    w_cut = k2 * np.pi
+    z = rng.normal(mean_e, spread, n_probes) + rng.exponential(1.0 / lam, n_probes)
+    # probes at y on both sides of this cutoff's near/far boundary
+    z[:4] = 60.0 / w_cut * np.array([1.0 + 1e-12, 1.0 - 1e-12, 1.5, 0.75]) - ell
+    cs = 10.0 ** (log_c + np.array([-0.5, 0.0, 0.5]))
+    ells = ell + np.array([0.0, 0.25, -0.25])
+    k1 = np.maximum(10.0, ells + z.max() + 5.0)
+    _assert_kernel_matches_reference(cs, ells, z, lam, k1, w_cut)
+
+
+def test_beta_kernel_lanes_do_not_depend_on_their_batch():
+    # lanes go through workspace blocks: a lane must not read what another
+    # lane or an earlier block left there, so 2 blocks + 1 lane evaluated
+    # together, one by one and reversed agree to the bit
+    rng = np.random.default_rng(11)
+    z = np.concatenate([rng.normal(0.3, 1.0, 200) + rng.exponential(0.5, 200),
+                        [0.0, _EDGE, -_EDGE, 4e5]])
+    rows = adaptation._BLOCK // z.size
+    n = 2 * rows + 1
+    cs = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    ells = rng.uniform(-1.0, 6.0, n)
+    k1 = np.maximum(10.0, ells + z.max() + 5.0)
+    batch = adaptation._beta_exact(cs, ells, z, 0.7, k1, _W10)
+    single = np.array([adaptation._beta_exact(cs[i:i + 1], ells[i:i + 1], z, 0.7,
+                                              k1[i:i + 1], _W10)[0] for i in range(n)])
+    rev = adaptation._beta_exact(cs[::-1].copy(), ells[::-1].copy(), z, 0.7,
+                                 k1[::-1].copy(), _W10)[::-1]
+    assert np.isfinite(batch).all()
+    assert np.array_equal(batch, single)
+    assert np.array_equal(batch, rev)
 
 
 def test_beta_window_keeps_the_interference_tail():

@@ -516,6 +516,31 @@ def test_cli_rejects_bad_flag_values(tmp_path, capsys):
     assert code == 2 and captured.err.startswith("ERROR ")
 
 
+@pytest.mark.parametrize("allocator", ["gaussian", "hpr"])
+def test_cli_rejects_too_few_probes_before_any_trial(tmp_path, capsys, allocator):
+    # both baselines fit at least 30 probes per pair; before, every trial
+    # aborted after probing and the run completed none
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("num_pairs = 2\nabsorption_len = 29\nmatching_horizon = 40\n"
+                   "adaptation_len = 2\n")
+    code = main(["--config", str(cfg), "--allocator", allocator, "--trials", "2",
+                 "--out", str(tmp_path / "x")])
+    captured = capsys.readouterr()
+    assert code == 2
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR ")
+    payload = json.loads(lines[0][len("ERROR "):])
+    assert payload["error"] == "configuration" and "absorption_len" in payload["message"]
+    assert not (tmp_path / "x").exists()
+
+
+def test_run_rejects_fewer_than_one_thread():
+    config = _tiny()
+    for threads in (0, -4):
+        with pytest.raises(ConfigurationError, match="threads"):
+            run(config, trials=2, threads=threads)
+
+
 # ------------------------------------------------------------------- threads env
 
 def test_threads_env_override(monkeypatch):
