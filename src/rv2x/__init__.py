@@ -23,11 +23,9 @@ from .absorption import (
 from .adaptation import (
     AdaptationContext,
     beta,
-    c_box,
     c_param,
     check_prop1_condition,
     ell,
-    feasible_interval,
     prop1_holds,
     solve_slots,
     u_value,
@@ -81,7 +79,6 @@ __all__ = [
     "beta",
     "build_large_scale",
     "build_topology",
-    "c_box",
     "c_param",
     "check_prop1_condition",
     "collect_sample",
@@ -94,7 +91,6 @@ __all__ = [
     "error_law",
     "estimate_pdf",
     "evolve_small_scale",
-    "feasible_interval",
     "fit_gaussian",
     "fit_hpr",
     "hazard_rate",

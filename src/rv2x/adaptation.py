@@ -59,11 +59,12 @@ _BLOCK = 2 ** 13        # lanes x probes per block of the beta workspace
 
 @dataclasses.dataclass
 class AdaptationContext:
-    """Inputs for one pair and slot.
+    """One V2V pair's error model, link gains and QoS targets.
 
     ``estimate`` is the error model the allocator runs on: the
     deconvolution estimate, a Gaussian moment fit, or a high-probability
-    region.
+    region.  Nothing in it is per slot: a slot's fading reports are passed
+    as arrays to ``solve_slots`` and ``beta``.
     """
 
     estimate: object
@@ -75,10 +76,6 @@ class AdaptationContext:
     l_cross: float           # matched cross-link gain (V2I TX -> V2V RX)
     l_i: float               # uplink direct gain
     l_v_rsu: float           # V2V TX -> RSU gain
-    g2_v_hat: float          # reported sidelink fading
-    g2_cross_hat: float      # reported cross fading
-    g2_i: float              # uplink direct fading (measured at the RSU)
-    g2_v_rsu: float          # V2V->RSU fading (measured at the RSU)
     rate_gamma: float        # uplink SINR floor from the rate requirement
     prob_req: float
     box: tuple               # (pi_min, pi_max, pv_min, pv_max) in mW
@@ -92,32 +89,23 @@ class AdaptationContext:
             raise ConfigurationError("unrecognised error-model object")
 
 
-def c_param(p_i, p_v, context):
+def c_param(p_i, p_v, pair):
     """Interference-budget parameter of a power pair."""
-    return (context.gamma_v * p_i * context.l_cross
-            / (p_v * context.l_v * (1.0 - context.delta2)))
+    return pair.gamma_v * pair.l_cross / (pair.l_v * (1.0 - pair.delta2)) * p_i / p_v
 
 
 def _c_range(pair):
     """(c_lo, c_mid, c_hi): budgets at the box corners (pi_min, pv_max),
     (pi_max, pv_max) and (pi_max, pv_min)."""
     pi_min, pi_max, pv_min, pv_max = pair.box
-    scale = pair.gamma_v * pair.l_cross / (pair.l_v * (1.0 - pair.delta2))
-    return scale * pi_min / pv_max, scale * pi_max / pv_max, scale * pi_max / pv_min
+    return (c_param(pi_min, pv_max, pair), c_param(pi_max, pv_max, pair),
+            c_param(pi_max, pv_min, pair))
 
 
-def c_box(context):
-    """The c-values reachable inside the power box (lo, hi)."""
-    c_lo, _, c_hi = _c_range(context)
-    return c_lo, c_hi
-
-
-def ell(c, context):
-    """Knee of the per-slot satisfaction profile (noise term dropped)."""
-    d2 = context.delta2
-    if d2 >= 1.0:
-        raise ConfigurationError("degenerate aging (delta = 1) leaves no innovation to average")
-    return context.g2_cross_hat - (context.g2_v_hat / c) * d2 / (1.0 - d2)
+def ell(c, pair, g2_v_hat, g2_cross_hat):
+    """Knee of the satisfaction profile at budget c for a slot's reported
+    fading (noise term dropped)."""
+    return g2_cross_hat - (g2_v_hat / c) * pair.delta2 / (1.0 - pair.delta2)
 
 
 # --------------------------------------------------------------------- u functional
@@ -401,7 +389,7 @@ def _p_i_of_c(cs, pair):
 def _beta_raw(pair, cs, g2_v_hat, g2_cross_hat):
     """Unclamped satisfaction at budgets ``cs`` for the matching reports."""
     est = pair.estimate
-    ells = g2_cross_hat - (g2_v_hat / cs) * pair.delta2 / (1.0 - pair.delta2)
+    ells = ell(cs, pair, g2_v_hat, g2_cross_hat)
     if isinstance(est, DeconvEstimate):
         return _beta_batch_deconv(cs, ells, est, pair.lambda_y, pair.trunc_k1, pair.trunc_k2)
     if isinstance(est, GaussianFit):
@@ -410,57 +398,31 @@ def _beta_raw(pair, cs, g2_v_hat, g2_cross_hat):
     raise ConfigurationError("high-probability regions define no satisfaction curve")
 
 
-def beta(c, context, return_raw=False):
-    """Delay-satisfaction estimate at budget c, clamped to [0, 1]."""
-    cs = np.atleast_1d(np.asarray(c, dtype=float))
-    raw = _beta_raw(context, cs, context.g2_v_hat, context.g2_cross_hat)
+def beta(c, pair, g2_v_hat, g2_cross_hat, return_raw=False):
+    """Delay-satisfaction estimate at budget c, clamped to [0, 1].
+
+    ``c`` broadcasts against a slot's reported sidelink and cross fading;
+    the result is a float only when all three are scalars.
+    """
+    cs, g2_v_hat, g2_cross_hat = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (c, g2_v_hat, g2_cross_hat)))
+    raw = _beta_raw(pair, cs.ravel(), g2_v_hat.ravel(), g2_cross_hat.ravel()).reshape(cs.shape)
     clamped = np.clip(raw, 0.0, 1.0)
-    if np.isscalar(c) or np.asarray(c).ndim == 0:
-        raw, clamped = float(raw[0]), float(clamped[0])
+    if not cs.ndim:
+        raw, clamped = float(raw), float(clamped)
     return (clamped, raw) if return_raw else clamped
 
 
 # --------------------------------------------------------------------- the solver
 
 
-def feasible_interval(context):
-    """(c_l, c_u): rate-driven floor and satisfaction ceiling on c for one slot.
-
-    The slot is read from the context's reported fading.  ``c_u`` is c_hi
-    where the u-target c_t and c_hi both meet the satisfaction target;
-    elsewhere it is the ceiling ``solve_slots`` verified (see there).
-    ``solve_slots`` does not query c_hi just to record it, so this function
-    makes that query itself.  Infeasible slots hold c_u = 0.
-    """
-    res = solve_slots(context, {name: np.array([getattr(context, name)]) for name in
-                                ("g2_v_hat", "g2_cross_hat", "g2_i", "g2_v_rsu")})
-    c_l, c_u = float(res["c_l"][0]), float(res["c_u"][0])
-    c_hi = _c_range(context)[2]
-    # a c_u below c_t is the searched ceiling: c_t missed the target
-    if (not isinstance(context.estimate, HprRegion) and res["feasible"][0] and c_u < c_hi
-            and c_u == _u_pick(np.array([c_l]), np.array([c_hi]), context)[0]):
-        b_hi = _beta_raw(context, np.array([c_hi]), context.g2_v_hat, context.g2_cross_hat)[0]
-        if b_hi >= context.prob_req:
-            c_u = c_hi
-    return c_l, c_u
-
-
-def floor_beta(pair, g2_v_hat, g2_cross_hat):
-    """Raw satisfaction at c_lo, the budget infeasible slots deploy.
-
-    ``solve_slots`` evaluates it only on slots whose floor is c_lo, where it
-    decides feasibility; the deviation trace asks for the other slots.
-    """
-    c_lo = _c_range(pair)[0]
-    return _beta_raw(pair, np.full(np.shape(g2_v_hat), c_lo), g2_v_hat, g2_cross_hat)
-
-
 def solve_slots(pair, slots):
     """Vectorised per-pair solver over a block of slots.
 
-    ``pair`` is an :class:`AdaptationContext` whose per-slot fading fields
-    are ignored; ``slots`` maps the four reported fading names to equal
-    length arrays.  Returns per-slot arrays with the decision record fields.
+    ``pair`` is an :class:`AdaptationContext`; ``slots`` maps the four
+    reported fading names (``g2_v_hat``, ``g2_cross_hat``, ``g2_i``,
+    ``g2_v_rsu``) to equal length arrays.  Returns per-slot arrays with the
+    decision record fields.
 
     A slot is feasible when its rate floor c_l lies in the box and meets the
     satisfaction target there; on feasible slots c_l <= c_star <= c_u and the
@@ -469,13 +431,13 @@ def solve_slots(pair, slots):
     [c_l, c_hi]) where c_t meets the target, else the satisfied end of the
     root search on [c_l, c_t], which is the satisfaction ceiling.  c_hi is
     not queried unless it is c_t, since a ceiling above c_t cannot change
-    the pick; ``feasible_interval`` queries it on request.  Infeasible
-    slots, decided before any search (floor above the box, or floor below
-    the target), hold c_u = 0 and deploy (pv_max, pi_min) at c_star = c_lo;
-    their ``beta_star`` is the satisfaction at c_lo where the floor is c_lo
-    and was evaluated to decide, and NaN elsewhere (``floor_beta`` computes
-    it).  For a high-probability region c_u is the closed-form worst-case
-    ceiling clipped to the box, and ``beta_star`` its worst-case bound.
+    the pick.  Infeasible slots, decided before any search (floor above the
+    box, or floor below the target), hold c_u = 0 and deploy (pv_max,
+    pi_min) at c_star = c_lo; their ``beta_star`` is the satisfaction at
+    c_lo where the floor is c_lo and was evaluated to decide, and NaN
+    elsewhere (``beta`` at ``c_star`` fills it in).  For a high-probability
+    region c_u is the closed-form worst-case ceiling clipped to the box, and
+    ``beta_star`` its worst-case bound.
     """
     est = pair.estimate
     d2 = pair.delta2

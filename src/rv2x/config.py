@@ -84,6 +84,12 @@ class SimConfig:
 
     def validate(self):
         c = self
+        for f in dataclasses.fields(c):
+            value = getattr(c, f.name)
+            if isinstance(f.default, float) and not math.isfinite(value):
+                raise ConfigurationError(f"{f.name} must be finite, got {value!r}")
+        if not all(math.isfinite(x) for x in (*c.custom_weights, *c.custom_means, *c.custom_vars)):
+            raise ConfigurationError("custom law weights, means and vars must be finite")
         checks = [
             (c.num_pairs >= 1, "num_pairs must be >= 1"),
             (c.area_side_m > 0, "area_side_m must be positive"),
@@ -121,8 +127,6 @@ class SimConfig:
             w, m, v = c.custom_weights, c.custom_means, c.custom_vars
             if not (len(w) and len(w) == len(m) == len(v)):
                 raise ConfigurationError("custom law needs equal-length non-empty weights/means/vars")
-            if not all(math.isfinite(x) for x in (*w, *m, *v)):
-                raise ConfigurationError("custom law weights, means and vars must be finite")
             if any(x <= 0 for x in w) or abs(sum(w) - 1.0) > 1e-9:
                 raise ConfigurationError("custom law weights must be positive and sum to 1")
             if any(x <= 0 for x in v):
@@ -148,12 +152,9 @@ def _parse_value(key, raw):
         if not raw:
             return ()
         try:
-            vals = tuple(float(tok) for tok in raw.split(","))
+            return tuple(float(tok) for tok in raw.split(","))
         except ValueError:
             raise ConfigurationError(f"{key!r} expects comma-separated numbers, got {raw!r}") from None
-        if not all(math.isfinite(x) for x in vals):
-            raise ConfigurationError(f"{key!r} must be finite, got {raw!r}")
-        return vals
     if isinstance(f.default, int) and not isinstance(f.default, bool):
         try:
             val = int(raw, 0)
@@ -166,12 +167,9 @@ def _parse_value(key, raw):
         return val
     if isinstance(f.default, float):
         try:
-            val = float(raw)
+            return float(raw)
         except ValueError:
             raise ConfigurationError(f"{key!r} expects a number, got {raw!r}") from None
-        if math.isnan(val) or math.isinf(val):
-            raise ConfigurationError(f"{key!r} must be finite, got {raw!r}")
-        return val
     return raw
 
 

@@ -165,7 +165,6 @@ def run_trial(config, allocator, trial):
                 delta2=large.delta ** 2, gamma_v=gamma_v, sigma2=sigma2,
                 l_v=float(large.l_v[i]), l_cross=float(large.l_cross[pairing[i], i]),
                 l_i=float(large.l_i[pairing[i]]), l_v_rsu=float(large.l_v_rsu[i]),
-                g2_v_hat=1.0, g2_cross_hat=1.0, g2_i=1.0, g2_v_rsu=1.0,
                 rate_gamma=rate_gamma, prob_req=config.prob_req, box=box,
                 trunc_k1=config.trunc_k1, trunc_k2=config.trunc_k2,
             )
@@ -179,8 +178,8 @@ def run_trial(config, allocator, trial):
                 # where the floor lies above it; the trace needs it
                 todo = np.flatnonzero(np.isnan(res["beta_star"]))
                 if todo.size:
-                    decisions["beta_star"][todo, i] = np.clip(adaptation.floor_beta(
-                        pair_ctx, g2_v_hat[todo, i], g2_cross_hat[todo, i]), 0.0, 1.0)
+                    decisions["beta_star"][todo, i] = adaptation.beta(
+                        res["c_star"][todo], pair_ctx, g2_v_hat[todo, i], g2_cross_hat[todo, i])
 
         if config.deviation_trace:
             rng_mc = _stream(seed, trial, "diagnostics")

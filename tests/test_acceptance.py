@@ -241,25 +241,24 @@ def test_criterion_06_monotonicity_guarantees():
         gvh = float(rng.uniform(0.2, 2.0))
         ctx = AdaptationContext(
             estimate=est, lambda_y=lam, delta2=d2, gamma_v=1.0, sigma2=0.0,
-            l_v=1.0, l_cross=1.0, l_i=1.0, l_v_rsu=1.0, g2_v_hat=gvh,
-            g2_cross_hat=gch, g2_i=1.0, g2_v_rsu=1.0, rate_gamma=0.0,
+            l_v=1.0, l_cross=1.0, l_i=1.0, l_v_rsu=1.0, rate_gamma=0.0,
             prob_req=0.95, box=(0.1, 10.0, 0.1, 10.0), trunc_k1=10, trunc_k2=10)
 
         cgrid = np.geomspace(1e-2, 80.0, 1000)
-        check_prop1_condition(lam, 10, cgrid)      # the startup check, K2 = 10
+        check_prop1_condition(lam, 10, cgrid)      # Prop. 1's condition on u, K2 = 10
         u_ok &= bool((np.diff(u_value(cgrid, lam, 10)) > 0).all())
 
         # the satisfaction curve is checked across its active transition;
         # outside it the curve is exactly flat (the shifted window holds no
         # estimate mass), where strictness is not meaningful
         scan = np.geomspace(1e-4, 1e3, 1200)
-        _, raw_scan = beta(scan, ctx, return_raw=True)
+        _, raw_scan = beta(scan, ctx, gvh, gch, return_raw=True)
         tail = max(0.03, raw_scan[-1] + 0.02)
         hi_idx = np.flatnonzero(raw_scan <= tail)
         lo_idx = np.flatnonzero(raw_scan >= 0.97)
         assert hi_idx.size and lo_idx.size, f"context {ctx_i}: no transition found"
         grid = np.geomspace(scan[lo_idx[-1]], scan[hi_idx[0]], 1000)
-        _, raw = beta(grid, ctx, return_raw=True)
+        _, raw = beta(grid, ctx, gvh, gch, return_raw=True)
         step = np.diff(raw)
         beta_ok &= bool((step < 0).all())
         min_step = min(min_step, float(np.abs(step).min()))

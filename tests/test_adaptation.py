@@ -10,9 +10,8 @@ from scipy import integrate, optimize, special
 
 from rv2x import adaptation
 from rv2x.absorption import DeconvEstimate, estimate_pdf
-from rv2x.adaptation import (AdaptationContext, beta, c_box, c_param,
-                             check_prop1_condition, ell, feasible_interval,
-                             prop1_holds, solve_slots, u_value,
+from rv2x.adaptation import (AdaptationContext, beta, c_param, check_prop1_condition,
+                             ell, prop1_holds, solve_slots, u_value,
                              _bracket_root, _c_range, _prop1_lhs, _u_pick)
 from rv2x.baselines import GaussianFit, HprRegion
 from rv2x.channel import error_law
@@ -25,21 +24,27 @@ def _estimate(samples=Z12, lam=20.0, k=10):
     return DeconvEstimate(samples=np.asarray(samples, dtype=float), lambda_y=lam, trunc_k=k)
 
 
-def _ctx(estimate, lam_y, gch, d2=0.0, **kw):
+def _ctx(estimate, lam_y, d2=0.0, **kw):
     base = dict(estimate=estimate, lambda_y=lam_y, delta2=d2, gamma_v=1.0,
                 sigma2=0.0, l_v=1.0, l_cross=1.0, l_i=1.0, l_v_rsu=1.0,
-                g2_v_hat=1.0, g2_cross_hat=gch, g2_i=1.0, g2_v_rsu=1.0,
                 rate_gamma=0.0, prob_req=0.95,
                 box=(0.1, 10.0, 0.1, 10.0), trunc_k1=10, trunc_k2=10)
     base.update(kw)
     return AdaptationContext(**base)
 
 
-def _powers(ctx):
-    """(p_v, p_i) that solve_slots deploys on the one slot the context reports."""
-    res = solve_slots(ctx, {name: np.array([getattr(ctx, name)])
-                            for name in ("g2_v_hat", "g2_cross_hat", "g2_i", "g2_v_rsu")})
-    return float(res["p_v"][0]), float(res["p_i"][0])
+def _solve_one(ctx, g2_cross_hat, g2_v_hat=1.0, g2_i=1.0, g2_v_rsu=1.0):
+    """solve_slots' decision on a single slot with these reports."""
+    res = solve_slots(ctx, {"g2_v_hat": np.array([g2_v_hat]),
+                            "g2_cross_hat": np.array([g2_cross_hat]),
+                            "g2_i": np.array([g2_i]), "g2_v_rsu": np.array([g2_v_rsu])})
+    return {key: val[0] for key, val in res.items()}
+
+
+def _powers(ctx, g2_cross_hat, **reports):
+    """(p_v, p_i) that solve_slots deploys on one slot."""
+    res = _solve_one(ctx, g2_cross_hat, **reports)
+    return float(res["p_v"]), float(res["p_i"])
 
 
 # ------------------------------------------------------------------ u functional
@@ -122,7 +127,7 @@ def test_beta_matches_direct_integral():
     est = _estimate()
     cases = [(c, l) for l in (-0.2, 0.1, 0.5) for c in (0.3, 2.0, 20.0)] + [(0.05, 0.0)]
     for c, l in cases:
-        _, raw = beta(c, _ctx(est, 20.0, l), return_raw=True)
+        _, raw = beta(c, _ctx(est, 20.0), 1.0, l, return_raw=True)
         np.testing.assert_allclose(raw, _beta_oracle(c, l, est), atol=2e-7,
                                    err_msg=f"ell={l} c={c}")
 
@@ -131,15 +136,15 @@ def test_beta_exact_path_matches_direct_integral():
     # probes spread two hundred apart: the window must reach the upper
     # cluster, where half the mass sits
     est = _estimate(np.concatenate([Z12, Z12 + 260.0]))
+    ctx = _ctx(est, 20.0)
     for l in (-130.0, 0.1):
-        ctx = _ctx(est, 20.0, l)
         for c in (0.3, 2.0, 20.0):
-            _, raw = beta(c, ctx, return_raw=True)
+            _, raw = beta(c, ctx, 1.0, l, return_raw=True)
             np.testing.assert_allclose(raw, _beta_oracle(c, l, est, _window(l, est)),
                                        atol=2e-7, err_msg=f"ell={l} c={c}")
     # at ell = -130 the upper cluster sits near x = 130, where no budget
     # helps: satisfaction is the lower cluster's half of the mass
-    assert abs(beta(0.3, _ctx(est, 20.0, -130.0)) - 0.5) < 1e-3
+    assert abs(beta(0.3, ctx, 1.0, -130.0) - 0.5) < 1e-3
 
 
 # The complex/sici form the kernel was written from: per probe, the sine
@@ -278,10 +283,8 @@ def test_beta_kernel_lanes_do_not_depend_on_their_batch():
 def test_beta_window_keeps_the_interference_tail():
     # a fixed window [0, k1] lost the probes once ell + z passed k1, and the
     # estimate climbed to 1 as interference grew
-    ctx = _ctx(_estimate(), 20.0, 0.0)
     ells = np.linspace(0.5, 12.0, 461)
-    raw = np.array([beta(2.0, dataclasses.replace(ctx, g2_cross_hat=l), return_raw=True)[1]
-                    for l in ells])
+    raw = beta(2.0, _ctx(_estimate(), 20.0), 1.0, ells, return_raw=True)[1]
     # no rise beyond the kernel's tail ripple
     assert np.max(raw - np.minimum.accumulate(raw)) <= 2e-3
     assert np.all(raw[ells >= 8.0] <= 0.01)
@@ -292,39 +295,39 @@ def test_beta_tracks_true_law():
     rng = np.random.default_rng(31)
     z = law.sample(rng, 2000) + rng.exponential(1.0 / 20.0, size=2000)
     est = _estimate(z)
-    ctx = _ctx(est, 20.0, 0.0)
+    ctx = _ctx(est, 20.0)
 
     def beta_true(c):
         f = lambda e: law.pdf(e) * np.exp(-c * max(e, 0.0))
         return integrate.quad(f, -6.0, 6.0, limit=400)[0]
 
     for c in (0.5, 2.0, 8.0):
-        assert abs(beta(c, ctx) - beta_true(c)) < 0.04
+        assert abs(beta(c, ctx, 1.0, 0.0) - beta_true(c)) < 0.04
 
 
 def test_beta_limits_and_clamp():
     est = _estimate()
-    ctx = _ctx(est, 20.0, 0.0)
-    assert abs(beta(1e-10, ctx) - 1.0) < 1e-6
-    assert beta(1e5, ctx) < 0.05
-    clamped, raw = beta(20.0, _ctx(est, 20.0, 0.5), return_raw=True)
+    ctx = _ctx(est, 20.0)
+    assert abs(beta(1e-10, ctx, 1.0, 0.0) - 1.0) < 1e-6
+    assert beta(1e5, ctx, 1.0, 0.0) < 0.05
+    clamped, raw = beta(20.0, ctx, 1.0, 0.5, return_raw=True)
     assert raw < 0.0 and clamped == 0.0
-    sweep = beta(np.geomspace(1e-3, 1e3, 50), ctx)
+    sweep = beta(np.geomspace(1e-3, 1e3, 50), ctx, 1.0, 0.0)
     assert np.all((sweep >= 0.0) & (sweep <= 1.0))
 
 
 def test_beta_quadrature_error_surfaces():
     bad = _estimate([0.5, np.nan])
     with pytest.raises(QuadratureError):
-        beta(1.0, _ctx(bad, 20.0, 0.0))
+        beta(1.0, _ctx(bad, 20.0), 1.0, 0.0)
 
 
 # ------------------------------------------------------------------ beta (gaussian)
 
 def test_beta_gaussian_closed_form():
     fit = GaussianFit(mean_e=0.5, var_e=0.01)
-    ctx = _ctx(fit, 20.0, -0.4)
-    np.testing.assert_allclose(beta(3.0, ctx, return_raw=True)[1],
+    ctx = _ctx(fit, 20.0)
+    np.testing.assert_allclose(beta(3.0, ctx, 1.0, -0.4, return_raw=True)[1],
                                0.7460701258779614, rtol=1e-12)
 
     def oracle(c, l, mu, s2):
@@ -334,50 +337,74 @@ def test_beta_gaussian_closed_form():
         return integrate.quad(f, mu - 12 * s, mu + 12 * s, points=[-l], limit=400)[0]
 
     for c in (0.5, 3.0, 25.0):
-        _, raw = beta(c, ctx, return_raw=True)
+        _, raw = beta(c, ctx, 1.0, -0.4, return_raw=True)
         np.testing.assert_allclose(raw, oracle(c, -0.4, 0.5, 0.01), rtol=1e-9)
 
 
 def test_beta_rejects_region_and_unknown_models():
     with pytest.raises(ConfigurationError):
-        beta(1.0, _ctx(HprRegion(lo=-0.1, hi=0.4, coverage=0.96), 20.0, 0.0))
+        beta(1.0, _ctx(HprRegion(lo=-0.1, hi=0.4, coverage=0.96), 20.0), 1.0, 0.0)
     with pytest.raises(ConfigurationError):
-        beta(1.0, _ctx(types.SimpleNamespace(), 20.0, 0.0))
+        beta(1.0, _ctx(types.SimpleNamespace(), 20.0), 1.0, 0.0)
+
+
+@pytest.mark.parametrize("model", [_estimate(), GaussianFit(mean_e=0.5, var_e=0.01)],
+                         ids=["deconv", "gaussian"])
+def test_beta_over_slot_arrays_matches_scalar_calls(model):
+    # the Gaussian knee carries the noise term, which depends on c
+    ctx = _ctx(model, 20.0, d2=0.4256, sigma2=0.05)
+    rng = np.random.default_rng(17)
+    cs = 10.0 ** rng.uniform(-2.0, 1.0, 9)
+    g2_v_hat, g2_cross_hat = rng.exponential(1.0, 9), rng.exponential(1.0, 9)
+    clamped, raw = beta(cs, ctx, g2_v_hat, g2_cross_hat, return_raw=True)
+    one = [beta(float(c), ctx, float(v), float(x), return_raw=True)
+           for c, v, x in zip(cs, g2_v_hat, g2_cross_hat)]
+    assert all(isinstance(b, float) and isinstance(r, float) for b, r in one)
+    assert isinstance(beta(float(cs[0]), ctx, 1.0, 0.5), float)
+    np.testing.assert_array_equal(clamped, [b for b, _ in one])
+    np.testing.assert_array_equal(raw, [r for _, r in one])
+    # a budget broadcasts against the reports, and reports against budgets
+    np.testing.assert_array_equal(beta(cs[4], ctx, g2_v_hat, g2_cross_hat),
+                                  beta(np.full(9, cs[4]), ctx, g2_v_hat, g2_cross_hat))
+    grid = beta(cs[:, None], ctx, g2_v_hat[:3], g2_cross_hat[:3])
+    assert grid.shape == (9, 3)
+    np.testing.assert_array_equal(grid[:, 1], beta(cs, ctx, g2_v_hat[1], g2_cross_hat[1]))
+    with pytest.raises(ConfigurationError):
+        beta(cs, dataclasses.replace(ctx, estimate=HprRegion(lo=-0.1, hi=0.4, coverage=0.96)),
+             g2_v_hat, g2_cross_hat)
 
 
 # ------------------------------------------------------------------ c mapping
 
 def test_c_param_scaling_and_ell():
-    ctx = _ctx(_estimate(), 20.0, 0.7, d2=0.4256,
-               gamma_v=0.0767, l_cross=3e-9, l_v=2e-7)
+    ctx = _ctx(_estimate(), 20.0, d2=0.4256, gamma_v=0.0767, l_cross=3e-9, l_v=2e-7)
     base = c_param(20.0, 100.0, ctx)
     np.testing.assert_allclose(c_param(40.0, 100.0, ctx), 2.0 * base, rtol=1e-12)
     np.testing.assert_allclose(c_param(20.0, 50.0, ctx), 2.0 * base, rtol=1e-12)
     want = 0.0767 * 20.0 * 3e-9 / (100.0 * 2e-7 * (1.0 - 0.4256))
     np.testing.assert_allclose(base, want, rtol=1e-12)
-    lo, hi = c_box(ctx)
+    lo, _, hi = _c_range(ctx)
     assert lo < hi
     np.testing.assert_allclose(lo, c_param(ctx.box[0], ctx.box[3], ctx), rtol=1e-12)
     np.testing.assert_allclose(hi, c_param(ctx.box[1], ctx.box[2], ctx), rtol=1e-12)
     # knee: reported cross fade minus the aged sidelink correction
-    np.testing.assert_allclose(ell(2.0, ctx),
+    np.testing.assert_allclose(ell(2.0, ctx, 1.0, 0.7),
                                0.7 - (1.0 / 2.0) * 0.4256 / (1.0 - 0.4256), rtol=1e-12)
-    assert ell(2.0, _ctx(_estimate(), 20.0, 0.7)) == 0.7
-    with pytest.raises(ConfigurationError):
-        ell(2.0, types.SimpleNamespace(delta2=1.0, g2_cross_hat=0.7, g2_v_hat=1.0))
+    assert ell(2.0, _ctx(_estimate(), 20.0), 1.0, 0.7) == 0.7
 
 
-def test_c_box_is_the_solvers_corners():
+def test_box_corners_come_from_c_param():
     # on this context another rounding of the corners puts c_hi one ulp off
-    ctx = _ctx(_estimate(), 20.0, 0.7, d2=0.4256, gamma_v=0.0767, l_cross=3e-9, l_v=2e-7)
-    c_lo, _, c_hi = _c_range(ctx)
-    assert c_box(ctx) == (c_lo, c_hi)
+    ctx = _ctx(_estimate(), 20.0, d2=0.4256, gamma_v=0.0767, l_cross=3e-9, l_v=2e-7)
+    pi_min, pi_max, pv_min, pv_max = ctx.box
+    assert _c_range(ctx) == (c_param(pi_min, pv_max, ctx), c_param(pi_max, pv_max, ctx),
+                             c_param(pi_max, pv_min, ctx))
 
 
 def test_context_validates_aging():
     for bad in (1.0, 1.2, -0.05):
         with pytest.raises(ConfigurationError):
-            _ctx(_estimate(), 20.0, 0.0, d2=bad)
+            _ctx(_estimate(), 20.0, d2=bad)
 
 
 # ------------------------------------------------------------------ the solver
@@ -412,43 +439,50 @@ def test_bracket_root_matches_brentq_lane_by_lane():
 
 def test_solver_rate_floor_and_ceiling_contract():
     est = _estimate()
-    ctx = _ctx(est, 20.0, 0.1)
-    c_l, c_u = feasible_interval(ctx)
+    ctx = _ctx(est, 20.0)
+    res = _solve_one(ctx, 0.1)
+    c_l, c_u = res["c_l"], res["c_u"]
     # no rate requirement: floor sits on the box bound exactly
-    assert c_l == c_box(ctx)[0]
-    lo, hi = c_box(ctx)
-    if c_u not in (lo, hi):
-        assert abs(beta(c_u, ctx) - ctx.prob_req) < 1e-4, "kept endpoint off target"
-        assert beta(c_u, ctx) >= ctx.prob_req
+    lo, _, hi = _c_range(ctx)
+    assert c_l == lo
+    # the u-target misses the satisfaction target here, so c_u is the
+    # searched ceiling
+    assert res["feasible"] and lo < c_u < hi
+    assert abs(beta(c_u, ctx, 1.0, 0.1) - ctx.prob_req) < 1e-4, "kept endpoint off target"
+    assert beta(c_u, ctx, 1.0, 0.1) >= ctx.prob_req
     # explicit floor inside the box
-    ctx2 = _ctx(est, 20.0, 0.1, rate_gamma=0.5, l_v_rsu=0.2, g2_v_rsu=0.3, g2_i=2.0)
+    ctx2 = _ctx(est, 20.0, rate_gamma=0.5, l_v_rsu=0.2)
     want = 0.5 * 1.0 * 1.0 * 0.2 * 0.3 / (1.0 * 1.0 * 1.0 * 2.0)
-    got_l = feasible_interval(ctx2)[0]
-    np.testing.assert_allclose(got_l, max(want, c_box(ctx2)[0]), rtol=1e-12)
+    got_l = _solve_one(ctx2, 0.1, g2_v_rsu=0.3, g2_i=2.0)["c_l"]
+    np.testing.assert_allclose(got_l, max(want, _c_range(ctx2)[0]), rtol=1e-12)
 
 
 def test_solver_picks_floor_when_u_exceeds_one():
-    ctx = _ctx(_neg_mass_estimate(34.85, np.random.default_rng(7)), 34.85, 0.5,
+    ctx = _ctx(_neg_mass_estimate(34.85, np.random.default_rng(7)), 34.85,
                box=(10.0, 50.0, 1.0, 1.0))
-    assert u_value(c_box(ctx)[0], 34.85, 10) > 1.0
-    assert feasible_interval(ctx) == (10.0, 50.0)
-    p_v, p_i = _powers(ctx)
+    assert u_value(_c_range(ctx)[0], 34.85, 10) > 1.0
+    res = _solve_one(ctx, 0.5)
+    assert res["c_l"] == res["c_star"] == 10.0
+    # the whole box meets the target: the floor is picked for u alone
+    assert beta(50.0, ctx, 1.0, 0.5) >= ctx.prob_req
+    p_v, p_i = _powers(ctx, 0.5)
     assert (p_v, p_i) == (1.0, 10.0)  # (pv_max, pi_min): lowest budget in the box
 
 
 def test_solver_picks_ceiling_when_u_below_one():
-    ctx = _ctx(_neg_mass_estimate(20.0, np.random.default_rng(8)), 20.0, 0.5,
+    ctx = _ctx(_neg_mass_estimate(20.0, np.random.default_rng(8)), 20.0,
                box=(1e-4, 0.04, 1.0, 1.0))
-    assert u_value(c_box(ctx)[1], 20.0, 10) < 1.0
-    p_v, p_i = _powers(ctx)
+    c_hi = _c_range(ctx)[2]
+    assert u_value(c_hi, 20.0, 10) < 1.0
+    p_v, p_i = _powers(ctx, 0.5)
     assert (p_v, p_i) == (1.0, 0.04)  # (pv_max, pi_max): highest budget in the box
-    np.testing.assert_allclose(c_param(p_i, p_v, ctx), c_box(ctx)[1], rtol=1e-12)
+    np.testing.assert_allclose(c_param(p_i, p_v, ctx), c_hi, rtol=1e-12)
 
 
 def test_solver_bisects_to_unit_u():
-    ctx = _ctx(_neg_mass_estimate(0.5, np.random.default_rng(9)), 0.5, 0.5,
+    ctx = _ctx(_neg_mass_estimate(0.5, np.random.default_rng(9)), 0.5,
                box=(0.01, 4.0, 1.0, 1.0))
-    p_v, p_i = _powers(ctx)
+    p_v, p_i = _powers(ctx, 0.5)
     c_star = c_param(p_i, p_v, ctx)
     np.testing.assert_allclose(c_star, 0.05685619649520945, rtol=1e-6)
     assert abs(u_value(c_star, 0.5, 10) - 1.0) < 1e-6
@@ -459,13 +493,13 @@ def test_solver_grid_optimality():
     rng = np.random.default_rng(42)
     for lam_y, d2, gch in [(0.5, 0.0, 0.5), (5.0, 0.4256, 0.9), (5.0, 0.2, 0.3),
                            (0.5, 0.4256, 1.4)]:
-        ctx = _ctx(_neg_mass_estimate(lam_y, rng), lam_y, gch, d2=d2,
-                   box=(0.01, 4.0, 1.0, 1.0))
-        c_l, c_u = feasible_interval(ctx)
-        p_v, p_i = _powers(ctx)
-        c_star = c_param(p_i, p_v, ctx)
+        ctx = _ctx(_neg_mass_estimate(lam_y, rng), lam_y, d2=d2, box=(0.01, 4.0, 1.0, 1.0))
+        res = _solve_one(ctx, gch)
+        c_l, c_u = res["c_l"], res["c_u"]
+        c_star = c_param(res["p_i"], res["p_v"], ctx)
         assert c_l * (1 - 1e-9) <= c_star <= c_u * (1 + 1e-9)
-        grid = np.geomspace(c_l, c_u, 4001)
+        # the u-pick is optimal over the whole budget range above the floor
+        grid = np.geomspace(c_l, _c_range(ctx)[2], 4001)
         u_min = np.abs(u_value(grid, lam_y, 10) - 1.0).min()
         assert abs(u_value(c_star, lam_y, 10) - 1.0) <= u_min + 1e-9
 
@@ -474,46 +508,44 @@ def test_solver_takes_dense_argmin_where_prop1_fails():
     # u peaks below one inside this box, so Prop. 1 fails and the pick is the
     # argmin of |u - 1| on a dense log grid, the peak, not an end of the box;
     # a Gaussian law far below the window satisfies every budget
-    ctx = _ctx(GaussianFit(mean_e=-5.0, var_e=0.01), 50.0, 0.5, box=(20.0, 300.0, 1.0, 1.0))
-    assert not prop1_holds(50.0, 10, *c_box(ctx))
+    ctx = _ctx(GaussianFit(mean_e=-5.0, var_e=0.01), 50.0, box=(20.0, 300.0, 1.0, 1.0))
+    c_lo, _, c_hi = _c_range(ctx)
+    assert not prop1_holds(50.0, 10, c_lo, c_hi)
     t = np.linspace(0.0, 1.0, 1024)
     grid = np.exp(np.log(20.0) * (1.0 - t) + np.log(300.0) * t)
     k = np.argmin(np.abs(u_value(grid, 50.0, 10) - 1.0))
     assert 0 < k < grid.size - 1
-    res = solve_slots(ctx, {name: np.array([getattr(ctx, name)])
-                            for name in ("g2_v_hat", "g2_cross_hat", "g2_i", "g2_v_rsu")})
-    assert res["feasible"][0]
-    assert res["c_star"][0] == grid[k]
+    res = _solve_one(ctx, 0.5)
+    assert res["feasible"]
+    assert res["c_star"] == grid[k]
 
 
 def test_solver_infeasible_fallback():
-    ctx = _ctx(_estimate(), 20.0, 0.1, rate_gamma=1e9)
-    c_l, c_u = feasible_interval(ctx)
-    assert c_l > c_u
-    assert _powers(ctx) == (ctx.box[3], ctx.box[0])  # (pv_max, pi_min)
+    ctx = _ctx(_estimate(), 20.0, rate_gamma=1e9)
+    res = _solve_one(ctx, 0.1)
+    assert res["c_l"] > res["c_u"]
+    assert _powers(ctx, 0.1) == (ctx.box[3], ctx.box[0])  # (pv_max, pi_min)
 
 
 def test_solver_region_model_rides_worst_case_budget():
     region = HprRegion(lo=-0.1, hi=0.4, coverage=0.96)
-    ctx = _ctx(region, 20.0, 0.5)
+    ctx = _ctx(region, 20.0)
     q0 = -math.log(ctx.prob_req)
-    want_cu = min(c_box(ctx)[1], q0 / (0.5 + 0.4))
-    c_l, c_u = feasible_interval(ctx)
-    np.testing.assert_allclose(c_u, want_cu, rtol=1e-12)
-    p_v, p_i = _powers(ctx)
+    want_cu = min(_c_range(ctx)[2], q0 / (0.5 + 0.4))
+    np.testing.assert_allclose(_solve_one(ctx, 0.5)["c_u"], want_cu, rtol=1e-12)
+    p_v, p_i = _powers(ctx, 0.5)
     np.testing.assert_allclose(c_param(p_i, p_v, ctx), want_cu, rtol=1e-12)
     # aged sidelink report shifts the worst-case knee
-    ctx2 = _ctx(region, 20.0, 0.5, d2=0.4256, g2_v_hat=0.8)
+    ctx2 = _ctx(region, 20.0, d2=0.4256)
     c0 = 0.4256 * 0.8 / (1.0 - 0.4256)
-    np.testing.assert_allclose(feasible_interval(ctx2)[1],
-                               min(c_box(ctx2)[1], (q0 + c0) / 0.9), rtol=1e-12)
+    np.testing.assert_allclose(_solve_one(ctx2, 0.5, g2_v_hat=0.8)["c_u"],
+                               min(_c_range(ctx2)[2], (q0 + c0) / 0.9), rtol=1e-12)
 
 
 def test_solve_slots_matches_single_slot_solves():
     rng = np.random.default_rng(3)
     est = _estimate()
-    base = _ctx(est, 20.0, 0.0, d2=0.4256, rate_gamma=0.02,
-                box=(0.05, 6.0, 0.5, 2.0))
+    base = _ctx(est, 20.0, d2=0.4256, rate_gamma=0.02, box=(0.05, 6.0, 0.5, 2.0))
     slots = {
         "g2_v_hat": rng.exponential(1.0, 6),
         "g2_cross_hat": rng.exponential(1.0, 6),
@@ -522,12 +554,7 @@ def test_solve_slots_matches_single_slot_solves():
     }
     block = solve_slots(base, slots)
     for s in range(6):
-        one = _ctx(est, 20.0, float(slots["g2_cross_hat"][s]), d2=0.4256,
-                   rate_gamma=0.02, box=(0.05, 6.0, 0.5, 2.0),
-                   g2_v_hat=float(slots["g2_v_hat"][s]),
-                   g2_i=float(slots["g2_i"][s]),
-                   g2_v_rsu=float(slots["g2_v_rsu"][s]))
-        single = solve_slots(one, {k: np.array([v[s]]) for k, v in slots.items()})
+        single = solve_slots(base, {k: np.array([v[s]]) for k, v in slots.items()})
         for key in ("c_l", "c_u", "c_star", "p_v", "p_i", "beta_star", "feasible"):
             np.testing.assert_allclose(block[key][s], single[key][0], rtol=1e-12,
                                        err_msg=f"slot {s} field {key}")
@@ -539,7 +566,7 @@ def _wide_spread_case():
     rng = np.random.default_rng(2024)
     lam_y = 0.03
     z = error_law("type1").sample(rng, 1000) + rng.exponential(1.0 / lam_y, size=1000)
-    base = _ctx(_estimate(z, lam=lam_y), lam_y, 0.0, d2=0.4256, rate_gamma=3.0,
+    base = _ctx(_estimate(z, lam=lam_y), lam_y, d2=0.4256, rate_gamma=3.0,
                 box=(0.1, 10.0, 0.1, 10.0))
     n = 120
     slots = {
@@ -555,7 +582,7 @@ def test_solver_contract_on_wide_spread_estimate():
     base, slots = _wide_spread_case()
     n = slots["g2_v_hat"].size
     res = solve_slots(base, slots)
-    lo, hi = c_box(base)
+    lo, _, hi = _c_range(base)
     ok = res["feasible"]
     assert 0 < ok.sum() < n
     c_l, c_u, c_star = res["c_l"][ok], res["c_u"][ok], res["c_star"][ok]
@@ -567,14 +594,11 @@ def test_solver_contract_on_wide_spread_estimate():
     # every infeasible slot has a floor above the box or one that misses the target
     above = res["c_l"] > hi
     assert above.any() and not ok[above].any()
-    misses = []
-    for k in np.flatnonzero(~above):
-        one = dataclasses.replace(base, g2_v_hat=float(slots["g2_v_hat"][k]),
-                                  g2_cross_hat=float(slots["g2_cross_hat"][k]))
-        b_floor = beta(float(res["c_l"][k]), one)
-        assert ok[k] == (b_floor >= base.prob_req), f"slot {k}"
-        misses.append(b_floor < base.prob_req)
-    assert any(misses)
+    inside = np.flatnonzero(~above)
+    b_floor = beta(res["c_l"][inside], base, slots["g2_v_hat"][inside],
+                   slots["g2_cross_hat"][inside])
+    np.testing.assert_array_equal(ok[inside], b_floor >= base.prob_req)
+    assert np.any(b_floor < base.prob_req)
     # infeasible slots fall back to the lowest budget
     assert np.all(res["c_star"][~ok] == lo)
     assert np.all(res["p_v"][~ok] == pv_max) and np.all(res["p_i"][~ok] == pi_min)
@@ -635,7 +659,7 @@ def test_solver_invariants_on_random_estimates(n_probes, mean_e, spread, lam_y, 
     rng = np.random.default_rng(seed)
     z = rng.normal(mean_e, spread, n_probes) + rng.exponential(1.0 / lam_y, n_probes)
     box = (pi_min, pi_min * pi_span, pv_min, pv_min * pv_span)
-    base = _ctx(_estimate(z, lam=lam_y), lam_y, 0.0, d2=d2, rate_gamma=rate_gamma, box=box)
+    base = _ctx(_estimate(z, lam=lam_y), lam_y, d2=d2, rate_gamma=rate_gamma, box=box)
     slots = {name: rng.exponential(1.0, 8)
              for name in ("g2_v_hat", "g2_cross_hat", "g2_i", "g2_v_rsu")}
     res = solve_slots(base, slots)
@@ -644,7 +668,6 @@ def test_solver_invariants_on_random_estimates(n_probes, mean_e, spread, lam_y, 
     for k in np.flatnonzero(res["feasible"]):
         c_l, c_u, c_star = res["c_l"][k], res["c_u"][k], res["c_star"][k]
         assert c_l <= c_star <= c_u, f"slot {k}"
-        one = dataclasses.replace(base, g2_v_hat=float(slots["g2_v_hat"][k]),
-                                  g2_cross_hat=float(slots["g2_cross_hat"][k]))
-        assert beta(float(c_u), one) >= base.prob_req, f"slot {k}: beta at c_u"
-        assert beta(float(c_star), one) >= base.prob_req, f"slot {k}: beta at c_star"
+        reports = slots["g2_v_hat"][k], slots["g2_cross_hat"][k]
+        assert beta(c_u, base, *reports) >= base.prob_req, f"slot {k}: beta at c_u"
+        assert beta(c_star, base, *reports) >= base.prob_req, f"slot {k}: beta at c_star"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rv2x.adaptation import AdaptationContext, c_box, feasible_interval, solve_slots
+from rv2x.adaptation import AdaptationContext, _c_range, solve_slots
 from rv2x.baselines import HprRegion, fit_gaussian, fit_hpr
 from rv2x.channel import error_law
 from rv2x.errors import ConfigurationError
@@ -10,18 +10,17 @@ from rv2x.errors import ConfigurationError
 def _ctx(estimate, **kw):
     base = dict(estimate=estimate, lambda_y=20.0, delta2=0.0, gamma_v=1.0,
                 sigma2=0.0, l_v=1.0, l_cross=1.0, l_i=1.0, l_v_rsu=1.0,
-                g2_v_hat=1.0, g2_cross_hat=0.5, g2_i=1.0, g2_v_rsu=1.0,
                 rate_gamma=0.0, prob_req=0.95,
                 box=(0.1, 10.0, 0.1, 10.0), trunc_k1=10, trunc_k2=10)
     base.update(kw)
     return AdaptationContext(**base)
 
 
-def _powers(ctx):
-    """(p_v, p_i) that solve_slots deploys on the one slot the context reports."""
-    res = solve_slots(ctx, {name: np.array([getattr(ctx, name)])
-                            for name in ("g2_v_hat", "g2_cross_hat", "g2_i", "g2_v_rsu")})
-    return float(res["p_v"][0]), float(res["p_i"][0])
+def _solve_one(ctx):
+    """solve_slots' decision on one slot reporting a cross fade of 0.5."""
+    res = solve_slots(ctx, {"g2_v_hat": np.ones(1), "g2_cross_hat": np.full(1, 0.5),
+                            "g2_i": np.ones(1), "g2_v_rsu": np.ones(1)})
+    return {key: val[0] for key, val in res.items()}
 
 
 # --------------------------------------------------------------- gaussian fit
@@ -112,10 +111,7 @@ def test_fit_hpr_needs_enough_probes():
 def test_hpr_widening_lowers_the_budget():
     narrow = _ctx(HprRegion(lo=-0.1, hi=0.4, coverage=0.96))
     wide = _ctx(HprRegion(lo=-0.5, hi=0.8, coverage=0.99))
-    cu_narrow = feasible_interval(narrow)[1]
-    cu_wide = feasible_interval(wide)[1]
-    assert cu_wide < cu_narrow <= c_box(narrow)[1]
+    res_n, res_w = _solve_one(narrow), _solve_one(wide)
+    assert res_w["c_u"] < res_n["c_u"] <= _c_range(narrow)[2]
     # deployed powers move the same way: wider region, more conservative c
-    pv_n, pi_n = _powers(narrow)
-    pv_w, pi_w = _powers(wide)
-    assert pi_w / pv_w < pi_n / pv_n
+    assert res_w["p_i"] / res_w["p_v"] < res_n["p_i"] / res_n["p_v"]

@@ -1,7 +1,12 @@
+import dataclasses
+
 import pytest
 
 from rv2x.config import SimConfig, load_config
 from rv2x.errors import ConfigurationError
+from rv2x.harness import run
+
+_FLOAT_FIELDS = [f.name for f in dataclasses.fields(SimConfig) if isinstance(f.default, float)]
 
 
 def test_defaults_validate():
@@ -137,6 +142,28 @@ def test_validate_rejects_non_finite_custom_law(field, value):
     params[field] = value
     with pytest.raises(ConfigurationError, match="finite"):
         SimConfig(error_law="custom", **params).validate()
+
+
+@pytest.mark.parametrize("field", ["custom_weights", "custom_means", "custom_vars"])
+def test_validate_rejects_non_finite_custom_entries_under_any_law(field):
+    # the entries are parsed whatever the law, so a bad one is an error too
+    with pytest.raises(ConfigurationError, match="finite"):
+        SimConfig(error_law="type1", **{field: (float("nan"),)}).validate()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", _FLOAT_FIELDS)
+def test_validate_rejects_non_finite_numbers(field, value):
+    with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+        SimConfig(**{field: value}).validate()
+
+
+def test_run_rejects_non_finite_numbers_before_any_trial():
+    # a NaN noise density used to abort every trial inside beta instead
+    config = SimConfig(num_pairs=3, absorption_len=100, matching_horizon=100,
+                       adaptation_len=5, noise_psd_dbm_hz=float("nan"))
+    with pytest.raises(ConfigurationError, match="finite"):
+        run(config, "proposed", trials=1, threads=1)
 
 
 @pytest.mark.parametrize("line", [

@@ -10,7 +10,7 @@ import pytest
 import rv2x
 from rv2x import adaptation
 from rv2x.absorption import DeconvEstimate, run_absorption
-from rv2x.adaptation import beta, c_box
+from rv2x.adaptation import _c_range, beta
 from rv2x.channel import build_large_scale, error_law, evolve_small_scale
 from rv2x.config import SimConfig
 from rv2x.errors import ConfigurationError
@@ -174,9 +174,7 @@ def test_deviation_trace_fills_beta_at_the_fallback_budget(monkeypatch, allocato
                                   dec_off["beta_star"][~floor_above])
     for i, (pair, slots) in enumerate(solved[:m]):
         for s in np.flatnonzero(infeasible[:, i]):
-            one = dataclasses.replace(pair, g2_v_hat=float(slots["g2_v_hat"][s]),
-                                      g2_cross_hat=float(slots["g2_cross_hat"][s]))
-            want = np.clip(beta(c_box(one)[0], one, return_raw=True)[1], 0.0, 1.0)
+            want = beta(_c_range(pair)[0], pair, slots["g2_v_hat"][s], slots["g2_cross_hat"][s])
             np.testing.assert_allclose(dec["beta_star"][s, i], want, rtol=1e-12, atol=1e-14,
                                        err_msg=f"slot {s} pair {i}")
 
