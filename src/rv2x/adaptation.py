@@ -24,16 +24,20 @@ probes (``_beta_window``).  It is evaluated per probe in closed form, from
 sine and exponential integrals (``_beta_exact``), so its cost and accuracy do
 not depend on how far the probes spread.
 
-That kernel splits each probe's two points y = z + ell and y - K at
-|W b| = 60.  The far points, nearly all of them, take the asymptotic series
-of E1 and of Si's auxiliary functions f and g in 1/b, which turn a lane's
-sum into real moments of cos(W b), sin(W b) and 1 against powers of 1/b
-with per-lane weights; the near points keep the exact sici/E1 path.  The
-S2(y) kernels of the flat and decaying pieces cancel exactly and are never
-formed, and the two branch-cut jumps merge into one exponential on the
-probes inside the window.  sin and cos are taken directly of the phases
-W y and W (y - K), not by angle addition, whose extra phase rounding the
-large S2 weight at small lambda would amplify.
+That kernel splits each probe's two points y = z + ell and the window edge
+ym = y - K at |W b| = 60.  The far points, nearly all of them, take the
+asymptotic series of E1 and of Si's auxiliary functions f and g in 1/b,
+which turn a lane's sum into real moments of cos(W b), sin(W b) and 1
+against powers of 1/b with per-lane weights; the near points keep the exact
+sici/E1 path.  The S2(y) kernels of the flat and decaying pieces cancel
+exactly and are never formed, and the two branch-cut jumps merge into one
+exponential on the probes inside the window.  Where the window takes its
+clearance, K = ell + max z + k1/2, the edge points z - (max z + k1/2) do
+not depend on the lane: they are formed once per call, rounded once, and
+their moments taken once, so such a lane pays per probe only for its points
+y.  sin and cos are taken directly of the phases W y and W ym, not by angle
+addition, whose extra phase rounding the large S2 weight at small lambda
+would amplify.
 """
 
 import dataclasses
@@ -236,7 +240,7 @@ def _near_terms(b, kind, c, w, w_s2, w_cut):
     return w * m - 2.0 * si + w_s2 * _sine_kernel(b, w_cut)
 
 
-def _beta_exact(cs, ells, z, lambda_y, k1, w_cut):
+def _beta_exact(cs, ells, z, lambda_y, k1, w_cut, shared=None, edge=None):
     """Per-sample closed form of the satisfaction integral.
 
     For probe offset y = z + ell and ym = y - K the flat-window piece
@@ -261,6 +265,16 @@ def _beta_exact(cs, ells, z, lambda_y, k1, w_cut):
     matrix product per block.  The near points (under 1% of them at the
     default scale) keep the exact sici/E1 path (``_near_terms``).
 
+    The lanes marked in ``shared`` have the window K = ell + ``edge``, so
+    their edge points ym = z - edge do not depend on the lane.  Their far
+    moments are taken once per call, and each such lane only contracts its
+    weights with them; their near edge points, if any, still take the exact
+    path lane by lane.  Their ym all lie below -k1/2, so only y >= 1e-12
+    decides their jump.  The edge points are rounded once, as z - edge, not
+    as (z + ell) - K: the two differ by an ulp of K, to which beta at small
+    lambda is sensitive, not by accuracy.  The other lanes form ym = y - K
+    themselves.
+
     sin and cos are taken directly of the rounded phases W y and W ym, the
     same numbers sici and the S2 kernel were given before.  An angle
     addition from W z and W ell would round the phase again, by up to
@@ -268,7 +282,7 @@ def _beta_exact(cs, ells, z, lambda_y, k1, w_cut):
     reaches 1e5 and more, which amplifies that rounding into beta.
 
     Vectorised over lanes: each row is one (c, ell) query against all
-    probes; ``k1`` is the window length K, one per lane or shared.  Lanes
+    probes; ``k1`` is the window length K, per lane or one for all.  Lanes
     go through blocks of about ``_BLOCK`` elements in one workspace
     allocated per call, which every temporary of the block is written into,
     and each lane's value does not depend on the other lanes of its call.
@@ -276,6 +290,7 @@ def _beta_exact(cs, ells, z, lambda_y, k1, w_cut):
     n, t = cs.size, z.size
     out = np.empty(n)
     k1s = np.broadcast_to(np.asarray(k1, dtype=float), cs.shape)
+    shared = np.zeros(n, dtype=bool) if shared is None else np.asarray(shared, dtype=bool)
     decay = np.exp(-cs * k1s)
     w_y = 1.0 + cs / lambda_y
     w_ym = w_y * decay
@@ -289,45 +304,74 @@ def _beta_exact(cs, ells, z, lambda_y, k1, w_cut):
     cols[2] = 1.0
     masks = np.empty((2, rows, t), dtype=bool)
     moments = np.empty((rows, deg + 1, 3))
+
+    def far_moments(b):
+        """Moments of the far points ``b``, the first rows of a workspace
+        array, and the flat indices of the near points, which they skip."""
+        m = b.shape[0]
+        pw, cl, tmp_b, mask_b = powers[:, :m], cols[:, :m], tmp[:m], masks[0, :m]
+        np.multiply(b, w_cut, out=tmp_b)
+        np.cos(tmp_b, out=cl[0])
+        np.sin(tmp_b, out=cl[1])
+        np.abs(tmp_b, out=tmp_b)
+        np.less(tmp_b, _FAR, out=mask_b)
+        near = np.flatnonzero(mask_b)
+        np.sign(b, out=pw[0])
+        np.divide(1.0, b, out=pw[1])
+        if near.size:
+            # the near points take the exact path and leave the moments
+            np.copyto(pw[0], 0.0, where=mask_b)
+            np.copyto(pw[1], 0.0, where=mask_b)
+        for j in range(2, deg + 1):
+            np.multiply(pw[j - 1], pw[1], out=pw[j])
+        np.matmul(pw.transpose(1, 0, 2), cl.transpose(1, 2, 0), out=moments[:m])
+        return moments[:m], near
+
+    def near_sum(b_near, lane, kind, g):
+        """Exact terms of near points ``b_near`` summed onto their lanes
+        ``lane``, indices into the block's lanes ``g``."""
+        h = g[lane]
+        vals = _near_terms(b_near, kind, cs[h], (w_y, w_ym)[kind][h], w_s2[h], w_cut)
+        return np.bincount(lane, weights=vals, minlength=g.size)
+
+    def half(b, kind, g):
+        """One point of every probe, y or ym, summed over each lane of ``g``."""
+        mom, near = far_moments(b)
+        total = np.zeros(g.size)
+        if near.size:
+            total += near_sum(b.reshape(-1)[near], near // t, kind, g)
+        total += np.einsum("ljk,ljk->l", mom, weights[g, kind])
+        return total
+
     with np.errstate(divide="ignore", invalid="ignore"):
-        for lo in range(0, n, rows):
-            hi = min(n, lo + rows)
-            m = hi - lo
-            y_b, ym_b, tmp_b, pw, cl = y[:m], ym[:m], tmp[:m], powers[:, :m], cols[:, :m]
-            mask_b, win_b = masks[0, :m], masks[1, :m]
-            np.add(z, ells[lo:hi, None], out=y_b)
-            np.subtract(y_b, k1s[lo:hi, None], out=ym_b)
-            total = np.zeros(m)
-            for kind, b in enumerate((y_b, ym_b)):
-                np.multiply(b, w_cut, out=tmp_b)
-                np.cos(tmp_b, out=cl[0])
-                np.sin(tmp_b, out=cl[1])
-                np.abs(tmp_b, out=tmp_b)
-                np.less(tmp_b, _FAR, out=mask_b)
-                near = np.flatnonzero(mask_b)
-                np.sign(b, out=pw[0])
-                np.divide(1.0, b, out=pw[1])
-                if near.size:
-                    # exact terms for the near points, which leave the moments
-                    np.copyto(pw[0], 0.0, where=mask_b)
-                    np.copyto(pw[1], 0.0, where=mask_b)
-                    lane = near // t
-                    g = lane + lo
-                    vals = _near_terms(b.reshape(-1)[near], kind, cs[g],
-                                       (w_y, w_ym)[kind][g], w_s2[g], w_cut)
-                    total += np.bincount(lane, weights=vals, minlength=m)
-                for j in range(2, deg + 1):
-                    np.multiply(pw[j - 1], pw[1], out=pw[j])
-                np.matmul(pw.transpose(1, 0, 2), cl.transpose(1, 2, 0), out=moments[:m])
-                total += np.einsum("ljk,ljk->l", moments[:m], weights[lo:hi, kind])
-            # the merged branch-cut jumps
-            np.greater_equal(y_b, 1e-12, out=win_b)
-            np.less(ym_b, 1e-12, out=mask_b)
-            np.logical_and(win_b, mask_b, out=win_b)
-            np.multiply(y_b, -cs[lo:hi, None], out=tmp_b)
-            np.exp(tmp_b, out=tmp_b, where=win_b)
-            total -= 2.0 * np.pi * w_y[lo:hi] * np.sum(tmp_b, axis=1, where=win_b)
-            out[lo:hi] = 1.0 - total / (2.0 * np.pi * t)
+        if shared.any():
+            np.subtract(z, edge, out=ym[0])
+            mom, near = far_moments(ym[:1])
+            edge_moments, edge_near = mom[0].copy(), ym[0, near].copy()
+        for own_edge, lanes in ((True, np.flatnonzero(~shared)), (False, np.flatnonzero(shared))):
+            for lo in range(0, lanes.size, rows):
+                g = lanes[lo:lo + rows]
+                m = g.size
+                y_b, ym_b, tmp_b = y[:m], ym[:m], tmp[:m]
+                mask_b, win_b = masks[0, :m], masks[1, :m]
+                np.add(z, ells[g, None], out=y_b)
+                total = half(y_b, 0, g)
+                np.greater_equal(y_b, 1e-12, out=win_b)
+                if own_edge:
+                    np.subtract(y_b, k1s[g, None], out=ym_b)
+                    total += half(ym_b, 1, g)
+                    np.less(ym_b, 1e-12, out=mask_b)
+                    np.logical_and(win_b, mask_b, out=win_b)
+                else:
+                    if edge_near.size:
+                        total += near_sum(np.tile(edge_near, m),
+                                          np.repeat(np.arange(m), edge_near.size), 1, g)
+                    total += np.einsum("jk,ljk->l", edge_moments, weights[g, 1])
+                # the merged branch-cut jumps
+                np.multiply(y_b, -cs[g, None], out=tmp_b)
+                np.exp(tmp_b, out=tmp_b, where=win_b)
+                total -= 2.0 * np.pi * w_y[g] * np.sum(tmp_b, axis=1, where=win_b)
+                out[g] = 1.0 - total / (2.0 * np.pi * t)
     return out
 
 
@@ -349,8 +393,11 @@ def _beta_batch_deconv(cs, ells, estimate, lambda_y, k1, k2):
     cs = np.asarray(cs, dtype=float)
     ells = np.asarray(ells, dtype=float)
     z = np.asarray(estimate.samples, dtype=float)
-    k1 = _beta_window(ells, float(z.max()), k1)
-    out = _beta_exact(cs, ells, z, lambda_y, k1, k2 * np.pi)
+    z_hi = float(z.max())
+    window = _beta_window(ells, z_hi, k1)
+    # lanes whose window takes the clearance share the edge z - (z_hi + k1/2)
+    out = _beta_exact(cs, ells, z, lambda_y, window, k2 * np.pi,
+                      shared=window > k1, edge=z_hi + 0.5 * k1)
     if not np.isfinite(out).all():
         raise QuadratureError(
             "satisfaction integral did not evaluate to finite values",

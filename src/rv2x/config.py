@@ -157,14 +157,17 @@ def _parse_value(key, raw):
             raise ConfigurationError(f"{key!r} expects comma-separated numbers, got {raw!r}") from None
     if isinstance(f.default, int) and not isinstance(f.default, bool):
         try:
-            val = int(raw, 0)
+            return int(raw, 0)
         except ValueError:
-            # allow things like 1e3 for slot counts
+            pass
+        # allow things like 1e3 for slot counts
+        try:
             val = float(raw)
-            if not val.is_integer():
-                raise ConfigurationError(f"{key!r} expects an integer, got {raw!r}") from None
-            val = int(val)
-        return val
+        except ValueError:
+            val = math.nan
+        if not val.is_integer():
+            raise ConfigurationError(f"{key!r} expects an integer, got {raw!r}")
+        return int(val)
     if isinstance(f.default, float):
         try:
             return float(raw)

@@ -151,7 +151,8 @@ def test_beta_exact_path_matches_direct_integral():
 # integrals, both S2 kernels, both exponential-integral terms with their
 # branch-cut jumps, and the probes summed exactly (math.fsum), so the
 # reference does not round away what its own +-S2(y)/lambda terms cancel.
-def _beta_exact_reference(cs, ells, z, lambda_y, k1, w_cut):
+# ``edge``, if given, replaces every lane's ym = y - K by the points z - edge.
+def _beta_exact_reference(cs, ells, z, lambda_y, k1, w_cut, edge=None):
     def e1_scaled(zeta):
         out = np.empty(zeta.shape, dtype=complex)
         big = np.abs(zeta) >= 60.0
@@ -172,7 +173,7 @@ def _beta_exact_reference(cs, ells, z, lambda_y, k1, w_cut):
     c = np.asarray(cs, dtype=float)[:, None]
     k = np.broadcast_to(np.asarray(k1, dtype=float), c.shape[:1])[:, None]
     y = z[None, :] + np.asarray(ells, dtype=float)[:, None]
-    ym = y - k
+    ym = y - k if edge is None else np.broadcast_to(z - edge, y.shape)
 
     def m_int(b):
         zeta = -b * (c + 1j * w_cut)
@@ -201,9 +202,7 @@ _W10 = 10 * np.pi
 _EDGE = 60.0 / _W10     # |W b| = 60: the kernel's near/far boundary
 
 
-def _assert_kernel_matches_reference(cs, ells, z, lam, k1, w_cut, msg=""):
-    got = adaptation._beta_exact(cs, ells, z, lam, k1, w_cut)
-    want, scale = _beta_exact_reference(cs, ells, z, lam, k1, w_cut)
+def _assert_within_reference_tolerance(got, want, scale, msg=""):
     # float64 carries a per-probe term of size S to about 1e-16 S, in the
     # reference as in the kernel: 1e-12 holds until S passes 1e5, which only
     # lambda_y = 1e-5 lanes with probes near b = 0 reach
@@ -211,7 +210,34 @@ def _assert_kernel_matches_reference(cs, ells, z, lam, k1, w_cut, msg=""):
     bad = np.abs(got - want) > tol
     assert not bad.any(), (f"{msg} lanes {np.flatnonzero(bad)}: {got[bad]} vs {want[bad]} "
                            f"(tol {tol[bad]})")
+
+
+def _assert_kernel_matches_reference(cs, ells, z, lam, k1, w_cut, msg=""):
+    got = adaptation._beta_exact(cs, ells, z, lam, k1, w_cut)
+    want, scale = _beta_exact_reference(cs, ells, z, lam, k1, w_cut)
+    _assert_within_reference_tolerance(got, want, scale, msg)
     return scale
+
+
+def _assert_window_lanes_match_reference(cs, ells, z, lam, k2, msg="", k1=10):
+    # a lane whose window is ell + z_hi + k1/2 gets from _beta_batch_deconv
+    # the shared edge points z - (z_hi + k1/2), rounded once, and the
+    # reference gets the same points; a lane at the minimum window K = k1
+    # keeps ym = y - K in both.  Fed (z + ell) - K on every lane, rounded
+    # twice, one lambda_y = 1e-5 lane of the random case below differs by
+    # 1.9e-12, about twice the tolerance, while the kernel of the two-rounding
+    # points matches that reference there: the gap is beta's sensitivity to
+    # an ulp of K through the large S2(ym) weight, not a loss of accuracy.
+    z_hi = float(z.max())
+    window = adaptation._beta_window(ells, z_hi, k1)
+    clear = window > k1
+    got = adaptation._beta_batch_deconv(cs, ells, types.SimpleNamespace(samples=z), lam, k1, k2)
+    own, own_scale = _beta_exact_reference(cs, ells, z, lam, window, k2 * np.pi)
+    edge, edge_scale = _beta_exact_reference(cs, ells, z, lam, window, k2 * np.pi,
+                                             edge=z_hi + 0.5 * k1)
+    scale = np.where(clear, edge_scale, own_scale)
+    _assert_within_reference_tolerance(got, np.where(clear, edge, own), scale, msg)
+    return clear, scale
 
 
 def test_beta_kernel_matches_complex_form_reference():
@@ -275,6 +301,76 @@ def test_beta_kernel_lanes_do_not_depend_on_their_batch():
                                               k1[i:i + 1], _W10)[0] for i in range(n)])
     rev = adaptation._beta_exact(cs[::-1].copy(), ells[::-1].copy(), z, 0.7,
                                  k1[::-1].copy(), _W10)[::-1]
+    assert np.isfinite(batch).all()
+    assert np.array_equal(batch, single)
+    assert np.array_equal(batch, rev)
+
+
+def test_beta_shared_edge_matches_complex_form_reference():
+    rng = np.random.default_rng(7)
+    e = rng.normal(0.0, 1.0, 60)
+    # probes on both sides of |W b| = 60 around y = 0
+    extra = _EDGE * np.array([1.0 + 1e-9, 1.0 - 1e-9, -1.0 - 1e-9, -1.0 + 1e-9, 0.5])
+    strict = lanes = 0
+    for lam in (1e-5, 1e-3, 0.1, 1.0, 50.0):
+        z = e + rng.exponential(1.0 / lam, e.size)
+        # a dyadic top probe, so its edge point z_hi - (z_hi + 5) is -5 exactly
+        z_hi = math.ceil(z.max()) + 0.5
+        z = np.concatenate([z, extra, [z_hi - 6.0, z_hi]])
+        assert z_hi - (z_hi + 5.0) == -5.0
+        # two lanes at the minimum window, then clearance from just above it
+        # to far beyond it; the fourth lane puts the probe z_hi - 6 at y = 0
+        ells = np.array([0.0, 4.0, 5.25, 6.0, 12.0, 40.0]) - z_hi
+        for k2 in (1, 2, 10):      # edge points near |W b| < 60 at k2 = 1 and 2
+            for c in (1e-3, 0.1, 10.0, 1e3):
+                clear, scale = _assert_window_lanes_match_reference(
+                    np.full(ells.size, c), ells, z, lam, k2, f"lambda_y={lam} k2={k2} c={c}")
+                assert clear.sum() == 4
+                strict += int(np.sum(scale <= 1e5))
+                lanes += ells.size
+    assert strict >= 0.75 * lanes
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(n_probes=st.integers(12, 300), mean_e=st.floats(-2.0, 1.0),
+       spread=st.floats(0.01, 2.0), log_lam=st.floats(-5.0, math.log10(50.0)),
+       log_c=st.floats(-3.0, 3.0), clearance=st.floats(-8.0, 8.0),
+       k2=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_beta_shared_edge_matches_reference_on_random_lanes(n_probes, mean_e, spread,
+                                                           log_lam, log_c, clearance, k2,
+                                                           seed):
+    rng = np.random.default_rng(seed)
+    lam = 10.0 ** log_lam
+    z = rng.normal(mean_e, spread, n_probes) + rng.exponential(1.0 / lam, n_probes)
+    cs = 10.0 ** (log_c + np.array([-0.5, 0.0, 0.5]))
+    # windows ell + z_hi + 5 that pass the minimum (or fall short of it) by
+    # the clearance and more
+    ells = 5.0 - float(z.max()) + clearance * np.array([1.0, 2.0, 4.0])
+    _assert_window_lanes_match_reference(cs, ells, z, lam, k2)
+
+
+def test_beta_batch_lanes_do_not_depend_on_their_batch():
+    # shared-edge and own-edge lanes go through workspace blocks of their
+    # own: with more than one block of each, and edge points near enough for
+    # the exact path at k2 = 2, every lane agrees to the bit evaluated
+    # together, one by one and reversed
+    rng = np.random.default_rng(13)
+    z = np.concatenate([rng.normal(0.3, 1.0, 200) + rng.exponential(0.5, 200),
+                        [0.0, _EDGE, -_EDGE]])
+    est = types.SimpleNamespace(samples=z)
+    rows = adaptation._BLOCK // z.size
+    n = 4 * rows + 3
+    cs = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    ells = rng.uniform(-3.0, 3.0, n) + 5.0 - z.max()
+    clear = adaptation._beta_window(ells, z.max(), 10) > 10
+    assert clear.sum() > rows + 1 and (~clear).sum() > rows + 1
+
+    def run(idx):
+        return adaptation._beta_batch_deconv(cs[idx], ells[idx], est, 0.7, 10, 2)
+
+    batch = run(np.arange(n))
+    single = np.array([run([i])[0] for i in range(n)])
+    rev = run(np.arange(n)[::-1])[::-1]
     assert np.isfinite(batch).all()
     assert np.array_equal(batch, single)
     assert np.array_equal(batch, rev)

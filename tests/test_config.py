@@ -4,7 +4,7 @@ import pytest
 
 from rv2x.config import SimConfig, load_config
 from rv2x.errors import ConfigurationError
-from rv2x.harness import run
+from rv2x.harness import main, run
 
 _FLOAT_FIELDS = [f.name for f in dataclasses.fields(SimConfig) if isinstance(f.default, float)]
 
@@ -78,6 +78,18 @@ def test_load_rejects_fractional_int(tmp_path):
     path.write_text("absorption_len = 10.5\n", encoding="utf-8")
     with pytest.raises(ConfigurationError, match="integer"):
         load_config(str(path))
+
+
+@pytest.mark.parametrize("line", ["absorption_len = abc", "trunc_k1 = 1.5e"])
+def test_load_rejects_non_numeric_int(tmp_path, line):
+    # the float fallback for values like 1e3 used to let its own ValueError
+    # escape, and the CLI exited 1 with a bare ValueError
+    path = tmp_path / "text.cfg"
+    path.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(ConfigurationError, match="integer"):
+        load_config(str(path))
+    code = main(["--config", str(path), "--out", str(tmp_path / "x")])
+    assert code == 2
 
 
 def test_load_bool_variants(tmp_path):
