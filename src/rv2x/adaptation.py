@@ -539,8 +539,7 @@ def solve_slots(pair, slots):
     return {
         "c_l": c_l, "c_u": c_u, "c_star": c_star,
         "p_v": p_v, "p_i": p_i,
-        "beta_star": np.clip(b_raw, 0.0, 1.0), "beta_raw": b_raw,
-        "feasible": feasible,
+        "beta_star": np.clip(b_raw, 0.0, 1.0), "feasible": feasible,
     }
 
 

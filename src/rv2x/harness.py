@@ -48,7 +48,7 @@ class RunReport:
     trials: int
     completed: int
     trial_ids: list                # trial number of each entry in the lists below
-    rows: list                     # per trial: dict of per-(slot,pair) column arrays
+    rows: list                     # per trial: slot-major (slot, pair) columns, probing first
     decisions: list                # per trial: dict of adaptation decision arrays
     j_trace: list                  # per trial: (adaptation_len,) deviation trace
     v2v_ok_rate: float             # adaptation-phase delay satisfaction
@@ -63,21 +63,17 @@ class RunReport:
     partial_errors: list           # (trial, repr) for aborted trials
 
 
+_ROW_COLS = ("p_v_mw", "p_i_mw", "delay_ms", "throughput_mbps", "satisfied", "infeasible")
+
+
 def _trial_rows(n_slots, n_pairs):
-    return {
-        "slot": np.empty(n_slots * n_pairs, dtype=np.int64),
-        "phase": np.empty(n_slots * n_pairs, dtype="U10"),
-        "pair": np.empty(n_slots * n_pairs, dtype=np.int64),
-        "p_v_mw": np.empty(n_slots * n_pairs),
-        "p_i_mw": np.empty(n_slots * n_pairs),
-        "delay_ms": np.empty(n_slots * n_pairs),
-        "throughput_mbps": np.empty(n_slots * n_pairs),
-        "satisfied": np.empty(n_slots * n_pairs, dtype=np.int64),
-        "infeasible": np.empty(n_slots * n_pairs, dtype=np.int64),
-    }
+    """A trial's columns; row r is slot r // n_pairs and pair r % n_pairs, probing first."""
+    n = n_slots * n_pairs
+    return {name: np.empty(n, dtype=bool if name in ("satisfied", "infeasible") else float)
+            for name in _ROW_COLS}
 
 
-def _fill_phase(rows, first_slot, phase, fading, large, alloc, infeasible, config, flags):
+def _fill_phase(rows, first_slot, fading, large, alloc, infeasible, config, flags):
     """One phase's realised QoS into the row columns, slot-major.
 
     ``fading`` holds the phase's S slots and the powers of ``alloc`` are per
@@ -92,13 +88,10 @@ def _fill_phase(rows, first_slot, phase, fading, large, alloc, infeasible, confi
     n_slots, m = dly.shape
     finite = np.isfinite(dly)
     cols = {
-        "slot": np.arange(first_slot, first_slot + n_slots)[:, None],
-        "phase": phase,
-        "pair": np.arange(m),
         "p_v_mw": alloc.p_v_mw,
-        "p_i_mw": alloc.p_i_mw[..., alloc.pairing],
+        "p_i_mw": alloc.p_i_mw,
         "delay_ms": np.where(finite, dly * 1e3, -1.0),
-        "throughput_mbps": thr[:, alloc.pairing] / 1e6,
+        "throughput_mbps": thr / 1e6,
         "satisfied": (dly <= config.delay_req_s) & finite,
         "infeasible": infeasible,
     }
@@ -111,7 +104,7 @@ def run_trial(config, allocator, trial):
     """One independent trial; returns per-trial arrays and tallies."""
     law = chan.error_law(config.error_law, config.custom_weights,
                          config.custom_means, config.custom_vars)
-    gamma_v, d_v = qos_constants(config)
+    gamma_v, _ = qos_constants(config)
     sigma2 = noise_power(config)
     rate_gamma = 2.0 ** (config.rate_req_bps / config.bandwidth_hz) - 1.0
     m = config.num_pairs
@@ -139,15 +132,13 @@ def run_trial(config, allocator, trial):
     rows = _trial_rows(n_slots, m)
     flags = {}
     pairing = plan.pairing
-    p_i_probe = np.empty(m)
-    p_i_probe[pairing] = plan.p_i_mw
-    _fill_phase(rows, 0, "absorption", probing, large,
+    _fill_phase(rows, 0, probing, large,
                 qosmodel.AllocationDecision(pairing=pairing, p_v_mw=plan.p_v_mw,
-                                            p_i_mw=p_i_probe),
+                                            p_i_mw=plan.p_i_mw),
                 False, config, flags)
 
-    decisions = {k: np.empty((adapt_len, m)) for k in
-                 ("c_l", "c_u", "c_star", "p_v", "p_i", "beta_star", "feasible")}
+    decisions = {k: np.empty((adapt_len, m), dtype=bool if k == "feasible" else float)
+                 for k in ("c_l", "c_u", "c_star", "p_v", "p_i", "beta_star", "feasible")}
     j_trace = np.zeros(adapt_len)
 
     if adapt_len:
@@ -194,12 +185,10 @@ def run_trial(config, allocator, trial):
                     config.true_mc_draws, rng_mc)
                 j_trace[s] = float(np.sum((decisions["beta_star"][s] - p_true) ** 2))
 
-        p_i_full = np.empty((adapt_len, m))
-        p_i_full[:, pairing] = decisions["p_i"]
-        _fill_phase(rows, config.absorption_len, "adaptation", fading, large,
+        _fill_phase(rows, config.absorption_len, fading, large,
                     qosmodel.AllocationDecision(pairing=pairing, p_v_mw=decisions["p_v"],
-                                                p_i_mw=p_i_full),
-                    decisions["feasible"] < 0.5, config, flags)
+                                                p_i_mw=decisions["p_i"]),
+                    ~decisions["feasible"], config, flags)
 
     return {
         "trial": trial,
@@ -273,23 +262,23 @@ def run(config, allocator="proposed", trials=1, threads=None):
     viol_cnt = 0
     infeas = 0
     clamped = degenerate = 0
+    first = config.absorption_len * config.num_pairs   # rows before it are probing
     for r in ok:
-        rows = r["rows"]
-        ad = rows["phase"] == "adaptation"
-        v2v_all += int(ad.sum())
-        v2v_ok += int(rows["satisfied"][ad].sum())
-        thr = rows["throughput_mbps"][ad]
+        rows = {name: col[first:] for name, col in r["rows"].items()}
+        v2v_all += rows["satisfied"].size
+        v2v_ok += int(rows["satisfied"].sum())
+        thr = rows["throughput_mbps"]
         thr_sum += float(thr.sum())
         thr_cnt += thr.size
         v2i_ok += int((thr >= config.rate_req_bps / 1e6).sum())
-        d = rows["delay_ms"][ad]
+        d = rows["delay_ms"]
         finite = d >= 0.0
         delay_sum += float(d[finite].sum())
         delay_cnt += int(finite.sum())
         viol = d[d > config.delay_req_s * 1e3]   # infinite delays (-1) excluded
         viol_sum += float(viol.sum())
         viol_cnt += viol.size
-        infeas += int(rows["infeasible"][ad].sum())
+        infeas += int(rows["infeasible"].sum())
         clamped += r["flags"].get("cross_clamped", 0)
         degenerate += r["flags"].get("degenerate", 0)
 
@@ -317,9 +306,7 @@ def run(config, allocator="proposed", trials=1, threads=None):
 # --------------------------------------------------------------------------- emission
 
 
-_ROW_FMT = "%d,%s,%d,%.10g,%.10g,%.10g,%.10g,%d,%d\n"
-_ROW_COLS = ("slot", "phase", "pair", "p_v_mw", "p_i_mw", "delay_ms",
-             "throughput_mbps", "satisfied", "infeasible")
+_ROW_FMT = "%d,{},%d,%.10g,%.10g,%.10g,%.10g,%d,%d\n"   # slot, phase, pair, then _ROW_COLS
 _CHUNK_ROWS = 4096
 
 
@@ -332,13 +319,17 @@ def _lines(fmt, cols):
     return (fmt * k) % tuple(flat)
 
 
-def _write_rows(fh, rows, base):
-    """One trial's rows as CSV lines, formatted one chunk per ``%`` call."""
-    for lo in range(0, rows["slot"].shape[0], _CHUNK_ROWS):
-        hi = lo + _CHUNK_ROWS
-        cols = [rows[name][lo:hi] for name in _ROW_COLS]
-        cols[0] = cols[0] + base
-        fh.write(_lines(_ROW_FMT, cols))
+def _write_rows(fh, rows, base, first, m):
+    """One trial's rows as CSV lines, formatted one chunk per ``%`` call: row r is
+    global slot ``base + r // m`` and pair ``r % m``, and probing if r < ``first``."""
+    n = rows["p_v_mw"].shape[0]
+    for phase, start, stop in (("absorption", 0, first), ("adaptation", first, n)):
+        fmt = _ROW_FMT.format(phase)
+        for lo in range(start, stop, _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, stop)
+            r = np.arange(lo, hi)
+            cols = [base + r // m, r % m] + [rows[name][lo:hi] for name in _ROW_COLS]
+            fh.write(_lines(fmt, cols))
 
 
 def emit(report, out_dir):
@@ -348,12 +339,13 @@ def emit(report, out_dir):
     os.makedirs(tables, exist_ok=True)
     config = report.config
     n_slots = config.absorption_len + config.adaptation_len
+    first = config.absorption_len * config.num_pairs
 
     csv_path = os.path.join(out_dir, "slots.csv")
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("slot,phase,pair,p_v_mw,p_i_mw,delay_ms,throughput_mbps,satisfied,infeasible\n")
         for t, rows in zip(report.trial_ids, report.rows):
-            _write_rows(fh, rows, t * n_slots)
+            _write_rows(fh, rows, t * n_slots, first, config.num_pairs)
 
     def _num(x):
         # empty aggregates surface as null, not NaN (NaN is not valid JSON)
@@ -430,13 +422,11 @@ def _emit_tables(report, tables_dir):
               "throughput_mbps,cdf", np.linspace(0.0, t_hi, 513))
 
     n_slots = config.absorption_len + config.adaptation_len
+    m = config.num_pairs
     hits = np.zeros(n_slots)
-    counts = np.zeros(n_slots)
     for rows in report.rows:
-        sl = rows["slot"].astype(int)
-        hits += np.bincount(sl, weights=rows["satisfied"], minlength=n_slots)
-        counts += np.bincount(sl, minlength=n_slots)
-    rate = np.divide(hits, counts, out=np.zeros(n_slots), where=counts > 0)
+        hits += rows["satisfied"].reshape(n_slots, m).sum(1)
+    rate = hits / max(len(report.rows) * m, 1)
     _write_table(os.path.join(tables_dir, "satisfaction_trace.csv"), "slot,satisfied_rate",
                  "%d,%.10g\n", [np.arange(n_slots), rate] if report.rows else [])
 

@@ -17,30 +17,29 @@ SINR_CAP = 1.0e30
 
 @dataclasses.dataclass
 class AllocationDecision:
-    """Matching plus transmit powers for one slot (or a whole phase)."""
+    """Matching plus transmit powers, in pair order, for one slot (or a whole phase)."""
 
     pairing: np.ndarray   # (M,) V2I index matched to each V2V pair
     p_v_mw: np.ndarray    # (M,) or per slot (S, M)
-    p_i_mw: np.ndarray    # (N,) or per slot (S, N)
+    p_i_mw: np.ndarray    # (M,) or per slot (S, M): uplink power of pairing[i]
 
 
 def sinr(link_kind, channel, large, alloc, sigma2, flags=None):
-    """Matched-pair SINR for every link of one class.
+    """Matched-pair SINR for every link of one class, in pair order.
 
-    ``channel`` holds one slot or a block of slots (a leading slot axis), and
-    the powers of ``alloc`` broadcast against it, so one call covers a whole
-    phase.  Actual cross gains can dip below zero under the additive error
-    model; they are clamped at zero here (a count is recorded in ``flags``).
-    A zero denominator is replaced by a large finite cap, also counted.
+    Entry i of the result is V2V pair i's sidelink ("v2v") or its matched
+    uplink ``pairing[i]`` ("v2i").  ``channel`` holds one slot or a block of
+    slots (a leading slot axis), and the powers of ``alloc`` broadcast against
+    it, so one call covers a whole phase.  Actual cross gains can dip below
+    zero under the additive error model; they are clamped at zero here (a
+    count is recorded in ``flags``).  A zero denominator is replaced by a large finite cap, also counted.
     """
     if link_kind not in ("v2i", "v2v"):
         raise ConfigurationError(f"unknown link kind {link_kind!r}")
     pairing = np.asarray(alloc.pairing)
     if link_kind == "v2i":
-        num = alloc.p_i_mw * large.l_i * channel.g2_i
-        interf = np.zeros_like(num)
-        interf[..., pairing] = alloc.p_v_mw * large.l_v_rsu * channel.g2_v_rsu
-        den = interf + sigma2
+        num = alloc.p_i_mw * large.l_i[pairing] * channel.g2_i[..., pairing]
+        den = alloc.p_v_mw * large.l_v_rsu * channel.g2_v_rsu + sigma2
     elif link_kind == "v2v":
         m = np.arange(pairing.shape[0])
         cross = channel.g2_cross[..., pairing, m]
@@ -48,7 +47,7 @@ def sinr(link_kind, channel, large, alloc, sigma2, flags=None):
         if flags is not None and clamped.any():
             flags["cross_clamped"] = flags.get("cross_clamped", 0) + int(clamped.sum())
         num = alloc.p_v_mw * large.l_v * channel.g2_v
-        den = alloc.p_i_mw[..., pairing] * large.l_cross[pairing, m] * np.maximum(cross, 0.0) + sigma2
+        den = alloc.p_i_mw * large.l_cross[pairing, m] * np.maximum(cross, 0.0) + sigma2
 
     degenerate = den <= 0.0
     if degenerate.any():

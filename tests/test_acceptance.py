@@ -319,10 +319,9 @@ def test_criterion_09_absorption_tradeoff():
                         deviation_trace=False)
         rep = run(cfg, "proposed", trials=20, threads=1)
         assert rep.completed == 20
-        sat = np.mean([r["satisfied"][r["phase"] == "absorption"].mean()
-                       for r in rep.rows])
-        thr = np.mean([r["throughput_mbps"][r["phase"] == "absorption"].mean()
-                       for r in rep.rows])
+        probing = slice(0, cfg.absorption_len * cfg.num_pairs)   # the first rows
+        sat = np.mean([r["satisfied"][probing].mean() for r in rep.rows])
+        thr = np.mean([r["throughput_mbps"][probing].mean() for r in rep.rows])
         stats[weight] = (float(sat), float(thr))
     dt = time.perf_counter() - t0
     sat_up = stats[0.5][0] > stats[0.3][0]

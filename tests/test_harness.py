@@ -51,22 +51,35 @@ def test_run_report_structure_and_row_semantics():
     report = run(config, "proposed", trials=2, threads=1)
     assert report.completed == 2 and report.trial_ids == [0, 1]
     n_slots, m = config.absorption_len + config.adaptation_len, config.num_pairs
-    n = n_slots * m
-    for rows in report.rows:
-        assert rows["slot"].shape == (n,)
-        # slot-major: every slot lists its pairs in order
-        np.testing.assert_array_equal(rows["slot"], np.repeat(np.arange(n_slots), m))
-        np.testing.assert_array_equal(rows["pair"], np.tile(np.arange(m), n_slots))
-        probing = rows["delay_ms"][:config.absorption_len * m]
+    n, first = n_slots * m, config.absorption_len * m
+    law = error_law(config.error_law)
+    for trial, rows, dec in zip(report.trial_ids, report.rows, report.decisions):
+        # row position alone says slot, pair and phase
+        assert list(rows) == ["p_v_mw", "p_i_mw", "delay_ms", "throughput_mbps",
+                              "satisfied", "infeasible"]
+        for name, col in rows.items():
+            assert col.shape == (n,), name
+            assert col.dtype == (bool if name in ("satisfied", "infeasible") else float), name
+        probing = rows["delay_ms"][:first]
         assert np.all((probing > 0.0) | (probing == -1.0))
         # satisfied column is recomputable from the delay column alone
         d = rows["delay_ms"]
-        want_sat = ((d >= 0.0) & (d <= config.delay_req_s * 1e3)).astype(int)
-        np.testing.assert_array_equal(rows["satisfied"], want_sat)
-        assert set(np.unique(rows["infeasible"])) <= {0, 1}
-        phases = rows["phase"].reshape(-1, config.num_pairs)[:, 0]
-        assert list(np.unique(phases[:config.absorption_len])) == ["absorption"]
-        assert list(np.unique(phases[config.absorption_len:])) == ["adaptation"]
+        np.testing.assert_array_equal(rows["satisfied"],
+                                      (d >= 0.0) & (d <= config.delay_req_s * 1e3))
+        # adaptation rows, slot-major in pair order, are the trial's decisions
+        for name, want in (("p_v_mw", dec["p_v"]), ("p_i_mw", dec["p_i"]),
+                           ("infeasible", ~dec["feasible"])):
+            assert rows[name][first:].tobytes() == want.tobytes(), name
+        # probing rows carry the probing plan's powers and are never infeasible
+        large = build_large_scale(
+            build_topology(config, _stream(config.rng_seed, trial, "topology")),
+            config, _stream(config.rng_seed, trial, "shadowing"))
+        plan, _, _ = run_absorption(large, config, law,
+                                    _stream(config.rng_seed, trial, "absorption"))
+        for name, want in (("p_v_mw", plan.p_v_mw), ("p_i_mw", plan.p_i_mw)):
+            np.testing.assert_array_equal(rows[name][:first].reshape(-1, m),
+                                          np.broadcast_to(want, (config.absorption_len, m)))
+        assert not rows["infeasible"][:first].any()
     assert 0.0 <= report.v2v_ok_rate <= 1.0
     assert 0.0 <= report.v2i_ok_rate <= 1.0
     assert report.mean_throughput_mbps > 0.0
@@ -84,7 +97,7 @@ def test_forty_pairs_run_end_to_end():
     for allocator in ("proposed", "gaussian", "hpr"):
         report = run(config, allocator, trials=1, threads=1)
         assert report.completed == 1, allocator
-        assert report.rows[0]["slot"].shape == (33 * 40,)
+        assert report.rows[0]["delay_ms"].shape == (33 * 40,)
         assert 0.0 <= report.v2v_ok_rate <= 1.0
 
 
@@ -162,7 +175,7 @@ def test_deviation_trace_fills_beta_at_the_fallback_budget(monkeypatch, allocato
     off = run_trial(SimConfig(adaptation_len=50, rng_seed=0, deviation_trace=False),
                     allocator, 0)
     dec, dec_off = on["decisions"], off["decisions"]
-    infeasible = dec["feasible"] < 0.5
+    infeasible = ~dec["feasible"]
     floor_above = infeasible & (dec["c_l"] > dec["c_star"])   # c_star is c_lo there
     assert floor_above.any()
     assert np.all(np.isfinite(dec["beta_star"]))
@@ -275,15 +288,12 @@ def test_emit_conditional_delay_and_infinite_sentinel(tmp_path):
     config = SimConfig(num_pairs=1, absorption_len=0, matching_horizon=1,
                        adaptation_len=2)
     rows = {
-        "slot": np.array([0, 1]),
-        "phase": np.array(["adaptation", "adaptation"], dtype="U10"),
-        "pair": np.array([0, 0]),
         "p_v_mw": np.array([10.0, 10.0]),
         "p_i_mw": np.array([20.0, 20.0]),
         "delay_ms": np.array([-1.0, 20.0]),
         "throughput_mbps": np.array([1.0, 2.0]),
-        "satisfied": np.array([0, 0]),
-        "infeasible": np.array([0, 0]),
+        "satisfied": np.array([False, False]),
+        "infeasible": np.array([False, False]),
     }
     report = RunReport(
         allocator="proposed", config=config, trials=1, completed=1,
@@ -305,9 +315,10 @@ def test_emit_conditional_delay_and_infinite_sentinel(tmp_path):
 
 
 def test_emit_slots_csv_matches_row_by_row_reference(tmp_path):
-    # two trials (ids 0 and 3) of 4,500 rows each: the chunks cross a boundary
-    config = SimConfig(num_pairs=3, absorption_len=500, matching_horizon=500,
-                       adaptation_len=1000)
+    # two trials (ids 0 and 3) of 8,700 rows each: each phase spans two chunks,
+    # and chunks start mid-slot
+    config = SimConfig(num_pairs=3, absorption_len=1400, matching_horizon=1400,
+                       adaptation_len=1500)
     n = (config.absorption_len + config.adaptation_len) * config.num_pairs
     rng = np.random.default_rng(5)
     special = np.array([-1.0, 0.0, 1e-300, 1e20, 0.1, 123456789.0123, 2.5e-7, 1.0])
@@ -316,14 +327,10 @@ def test_emit_slots_csv_matches_row_by_row_reference(tmp_path):
         return np.where(rng.random(n) < 0.2, rng.choice(special, n), rng.lognormal(0.0, 4.0, n))
 
     def trial_rows():
-        slot = np.repeat(np.arange(n // config.num_pairs), config.num_pairs)
         return {
-            "slot": slot,
-            "phase": np.where(slot < config.absorption_len, "absorption", "adaptation"),
-            "pair": np.tile(np.arange(config.num_pairs), n // config.num_pairs),
             "p_v_mw": vals(), "p_i_mw": vals(), "delay_ms": vals(),
             "throughput_mbps": vals(),
-            "satisfied": rng.integers(0, 2, n), "infeasible": rng.integers(0, 2, n),
+            "satisfied": rng.random(n) < 0.5, "infeasible": rng.random(n) < 0.5,
         }
 
     rows = [trial_rows(), trial_rows()]
@@ -335,11 +342,13 @@ def test_emit_slots_csv_matches_row_by_row_reference(tmp_path):
         infeasible_rate=0.0, cross_clamped=0, degenerate_sinr=0,
         estimates=[], partial_errors=[])
     want = ["slot,phase,pair,p_v_mw,p_i_mw,delay_ms,throughput_mbps,satisfied,infeasible"]
-    n_slots = config.absorption_len + config.adaptation_len
+    n_slots, m = config.absorption_len + config.adaptation_len, config.num_pairs
     for t, r in zip(report.trial_ids, rows):
         for i in range(n):
+            slot, pair = divmod(i, m)
+            phase = "absorption" if slot < config.absorption_len else "adaptation"
             want.append(",".join((
-                str(t * n_slots + int(r["slot"][i])), str(r["phase"][i]), str(int(r["pair"][i])),
+                str(t * n_slots + slot), phase, str(pair),
                 *(f"{r[k][i]:.10g}" for k in ("p_v_mw", "p_i_mw", "delay_ms",
                                               "throughput_mbps")),
                 str(int(r["satisfied"][i])), str(int(r["infeasible"][i])))))
@@ -363,7 +372,9 @@ def _reference_tables(report):
     pdf = ["x,true_pdf,estimated_pdf"] + [
         f"{x[i]:.10g},{true_pdf[i]:.10g},{est[i]:.10g}" for i in range(x.size)]
 
-    ad = [r["phase"] == "adaptation" for r in report.rows]
+    n_pairs = config.num_pairs
+    ad = [np.arange(r["delay_ms"].size) // n_pairs >= config.absorption_len
+          for r in report.rows]
     delays = np.concatenate([r["delay_ms"][m] for r, m in zip(report.rows, ad)] or [np.empty(0)])
     thrs = np.concatenate([r["throughput_mbps"][m] for r, m in zip(report.rows, ad)]
                           or [np.empty(0)])
@@ -384,9 +395,10 @@ def _reference_tables(report):
     trace = ["slot,satisfied_rate"]
     if report.rows:
         n_slots = config.absorption_len + config.adaptation_len
+        slot = [np.arange(r["satisfied"].size) // n_pairs for r in report.rows]
         for s in range(n_slots):
-            hit = sum(float(r["satisfied"][r["slot"] == s].sum()) for r in report.rows)
-            cnt = sum(int((r["slot"] == s).sum()) for r in report.rows)
+            hit = sum(float(r["satisfied"][sl == s].sum()) for r, sl in zip(report.rows, slot))
+            cnt = sum(int((sl == s).sum()) for sl in slot)
             trace.append(f"{s},{(hit / cnt if cnt else 0.0):.10g}")
     return {"error_pdf.csv": pdf, "delay_cdf.csv": delay,
             "throughput_cdf.csv": thr, "satisfaction_trace.csv": trace}
@@ -404,14 +416,10 @@ def test_emit_tables_match_row_by_row_reference(tmp_path):
         return np.where(rng.random(n) < 0.3, rng.choice(special, n), rng.lognormal(1.0, 2.0, n))
 
     def trial_rows():
-        slot = np.repeat(np.arange(n // config.num_pairs), config.num_pairs)
         return {
-            "slot": slot,
-            "phase": np.where(slot < config.absorption_len, "absorption", "adaptation"),
-            "pair": np.tile(np.arange(config.num_pairs), n // config.num_pairs),
             "p_v_mw": vals(), "p_i_mw": vals(), "delay_ms": vals(),
             "throughput_mbps": np.abs(vals()),
-            "satisfied": rng.integers(0, 2, n), "infeasible": rng.integers(0, 2, n),
+            "satisfied": rng.random(n) < 0.5, "infeasible": rng.random(n) < 0.5,
         }
 
     estimates = [DeconvEstimate(samples=rng.normal(0.5, 0.3, 60), lambda_y=lam, trunc_k=10)
@@ -442,9 +450,9 @@ def test_conditional_delay_counts_finite_violations_only(monkeypatch):
     def with_dead_link(config, allocator, trial):
         out = real(config, allocator, trial)
         rows = out["rows"]
-        ad = np.flatnonzero(rows["phase"] == "adaptation")
-        rows["delay_ms"][ad] = np.resize([-1.0, 20.0, 30.0, 5.0], ad.size)
-        rows["satisfied"][ad] = (rows["delay_ms"][ad] == 5.0).astype(np.int64)
+        ad = slice(config.absorption_len * config.num_pairs, None)   # adaptation rows
+        rows["delay_ms"][ad] = np.resize([-1.0, 20.0, 30.0, 5.0], rows["delay_ms"][ad].size)
+        rows["satisfied"][ad] = rows["delay_ms"][ad] == 5.0
         return out
 
     monkeypatch.setattr(harness, "run_trial", with_dead_link)

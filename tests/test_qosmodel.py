@@ -41,16 +41,18 @@ def test_sinr_hand_evaluation():
     large = _large([2e-9, 3e-9], [5e-8, 6e-8], [1e-10, 2e-10],
                    [[4e-11, 5e-11], [6e-11, 7e-11]])
     state = _state([0.9, 1.1], [0.4, 0.6], [1.2, 0.8], [[0.5, 1.5], [2.0, 0.3]])
+    # uplink 1 is reused by pair 0, uplink 0 by pair 1; powers are in pair
+    # order, so uplink 1 sends 40 mW and uplink 0 sends 30 mW
     alloc = AllocationDecision(pairing=np.array([1, 0]),
                                p_v_mw=np.array([10.0, 20.0]),
-                               p_i_mw=np.array([30.0, 40.0]))
+                               p_i_mw=np.array([40.0, 30.0]))
     sigma2 = 1e-11
 
     got_i = sinr("v2i", state, large, alloc, sigma2)
-    # uplink 1 is reused by pair 0, uplink 0 by pair 1
+    # in pair order: entry 0 is uplink 1 (pair 0's), entry 1 is uplink 0
     want_i0 = 30.0 * 2e-9 * 0.9 / (20.0 * 2e-10 * 0.6 + sigma2)
     want_i1 = 40.0 * 3e-9 * 1.1 / (10.0 * 1e-10 * 0.4 + sigma2)
-    np.testing.assert_allclose(got_i, [want_i0, want_i1], rtol=1e-12)
+    np.testing.assert_allclose(got_i, [want_i1, want_i0], rtol=1e-12)
 
     got_v = sinr("v2v", state, large, alloc, sigma2)
     want_v0 = 10.0 * 5e-8 * 1.2 / (40.0 * 6e-11 * 2.0 + sigma2)
