@@ -28,8 +28,12 @@ That kernel splits each probe's two points y = z + ell and the window edge
 ym = y - K at |W b| = 60.  The far points, nearly all of them, take the
 asymptotic series of E1 and of Si's auxiliary functions f and g in 1/b,
 which turn a lane's sum into real moments of cos(W b), sin(W b) and 1
-against powers of 1/b with per-lane weights; the near points keep the exact
-sici/E1 path.  The S2(y) kernels of the flat and decaying pieces cancel
+against powers of 1/b with per-lane weights.  The near points take E1 at
+zeta = -b (c + iW) and Si(x) = pi/2 + Im E1(ix) from one evaluator,
+``_e1_scaled``: E1's power series (DLMF 6.6.2) where |zeta| + Re zeta <= 3,
+that is at small |zeta| or near the negative real axis, its continued
+fraction (DLMF 6.9.1) elsewhere below |zeta| = 60, and the asymptotic
+series beyond.  The S2(y) kernels of the flat and decaying pieces cancel
 exactly and are never formed, and the two branch-cut jumps merge into one
 exponential on the probes inside the window.  Where the window takes its
 clearance, K = ell + max z + k1/2, the edge points z - (max z + k1/2) do
@@ -44,7 +48,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy import special
 
 from .absorption import DeconvEstimate
 from .baselines import GaussianFit, HprRegion
@@ -56,8 +59,13 @@ _ROOT_MAX_ITER = 100
 
 _FAR = 60.0             # |W b| from which a probe point takes the asymptotic series
 _E1_TERMS = 9           # terms of the asymptotic E1 series, as in _e1_scaled
-_SI_TERMS = 7           # terms of each of Si's auxiliary series f and g; within
-                        # 5e-16 of scipy's sici from |W b| = 60 on
+_E1_SERIES = 3.0        # |zeta| + Re zeta up to which a near zeta takes E1's power series
+# (-1)^k / (k k!) for k = 1..174, the most terms _e1_series takes below |zeta| = 60
+_E1_SERIES_COEF = np.array([0.0] + [(-1) ** k / (k * math.factorial(k)) for k in range(1, 175)])
+_EULER = 0.57721566490153286061     # Euler's constant gamma
+_SI_TERMS = 7           # terms of each of Si's auxiliary series f and g in
+                        # Si(x) = sgn(x) pi/2 - f cos x - g sin x (DLMF 6.12);
+                        # within 3e-16 of 30-digit Si from |W b| = 60 on
 _BLOCK = 2 ** 13        # lanes x probes per block of the beta workspace
 
 
@@ -159,22 +167,94 @@ def prop1_holds(lambda_y, k2, c_lo, c_hi, n_grid=256):
 # --------------------------------------------------------------------- beta: exact form
 
 
+def _descending(terms):
+    """Order of points by falling term count, the sorted counts, and for
+    each level k the number of points with at least k terms: level k of a
+    backward recurrence runs on that prefix of the sorted points."""
+    ks = terms.astype(np.int16)         # a stable sort of int16 is a radix sort
+    order = np.argsort(-ks, kind="stable")
+    ks = ks[order]
+    return order, ks, np.searchsorted(-ks, -np.arange(ks[0] + 1), side="right")
+
+
+def _e1_series(z):
+    """exp(z) E1(z) from E1(z) = -gamma - ln z - sum_{k>=1} (-z)^k / (k k!)
+    (DLMF 6.6.2), by Horner in ceil(24 + 2.5 |z|) terms per point."""
+    order, ks, counts = _descending(np.ceil(24.0 + 2.5 * np.abs(z)).astype(int))
+    zs = z[order]
+    s = np.zeros_like(zs)
+    # never a complex multiply in place: on a one-element array NumPy then
+    # rounds without the fused multiply-add it uses on longer ones, and a
+    # point's value would depend on how many points share its level
+    tmp = np.empty_like(zs)
+    for k in range(ks[0], 0, -1):
+        n = counts[k]
+        np.multiply(s[:n], zs[:n], out=tmp[:n])
+        np.add(tmp[:n], _E1_SERIES_COEF[k], out=s[:n])
+    out = np.empty_like(z)
+    out[order] = np.exp(zs) * (-_EULER - np.log(zs) - s * zs)
+    return out
+
+
+def _e1_fraction(z, reach):
+    """exp(z) E1(z) = 1/(z+1- 1/(z+3- 4/(z+5- 9/(z+7- ...)))), the even part
+    of DLMF 6.9.1, evaluated backward from level N = ceil(10 + 150 / reach).
+
+    The tail below level N starts at its large-k form
+    t_k = k + sqrt(k z) + z/2 - 1, which saves about a fifth of the levels.
+    """
+    order, ks, counts = _descending(np.ceil(10.0 + 150.0 / reach).astype(int))
+    zs = z[order]
+    k1 = ks + 1.0
+    t = k1 + np.sqrt(k1 * zs) + 0.5 * zs - 1.0
+    for k in range(ks[0], 0, -1):
+        part = t[:counts[k]]
+        np.divide(float(k * k), part, out=part)
+        np.subtract(zs[:counts[k]], part, out=part)
+        part += 2.0 * k - 1.0
+    out = np.empty_like(z)
+    out[order] = 1.0 / t
+    return out
+
+
 def _e1_scaled(zeta):
-    """exp(zeta) * E1(zeta): asymptotic series far out, scipy otherwise."""
+    """exp(zeta) E1(zeta) for nonzero zeta in the closed first quadrant or
+    the third quadrant below the negative real axis.
+
+    Each point takes one of three forms, chosen by itself alone, so its value
+    does not depend on the other points of the call:
+
+    - |zeta| >= 60: the asymptotic series sum_k (-1)^k k! / zeta^(k+1)
+      (DLMF 6.12.1) in 9 terms;
+    - otherwise, where L = |zeta| + Re zeta = 2 (Re sqrt zeta)^2 is at most
+      3, which holds for |zeta| <= 1.5 and close to the negative real axis:
+      the power series (``_e1_series``), whose cancellation grows like e^L;
+    - elsewhere the continued fraction (``_e1_fraction``), whose error
+      falls like exp(-2 sqrt(2 N L)) in N levels.
+
+    Below |zeta| = 60 the relative error is under 3e-15 against 40-digit
+    values on a log-radius by angle grid that straddles both switches.
+    """
     out = np.empty(zeta.shape, dtype=complex)
     big = np.abs(zeta) >= 60.0
     zb = zeta[big]
     if zb.size:
         inv = 1.0 / zb
-        # sum_{k<=8} (-1)^k k! / zeta^k by Horner, in place
+        # sum_{k<=8} (-1)^k k! / zeta^k by Horner, not in place (_e1_series)
         s = np.full_like(zb, 40320.0)
         for a in (-5040.0, 720.0, -120.0, 24.0, -6.0, 2.0, -1.0, 1.0):
-            s *= inv
-            s += a
+            s = s * inv + a
         out[big] = inv * s
     zs = zeta[~big]
     if zs.size:
-        out[~big] = np.exp(zs) * special.exp1(zs)
+        reach = np.abs(zs) + zs.real
+        series = reach <= _E1_SERIES
+        near = np.empty_like(zs)
+        if series.any():
+            near[series] = _e1_series(zs[series])
+        if not series.all():
+            near[~series] = _e1_fraction(zs[~series], reach[~series])
+        out[~big] = near
     return out
 
 
@@ -228,13 +308,20 @@ def _near_terms(b, kind, c, w, w_s2, w_cut):
     """Exact per-point terms of the probes with |W b| < 60, one per entry.
 
     ``kind`` 0 is the point y (weight ``w`` = 1 + c/lambda), 1 the point
-    ym (weight ``w`` = (1 + c/lambda) e^{-cK}); the sine and exponential
-    integrals are scipy's, or the E1 series where |zeta| >= 60 all the same.
+    ym (weight ``w`` = (1 + c/lambda) e^{-cK}).  Both integrals come from
+    one ``_e1_scaled`` call: E1(zeta) at zeta = -b (c + iW), and Si from
+    Si(x) = pi/2 + Im E1(ix) at x = W |b| (DLMF 6.5), odd in x.  Si so
+    formed is within about 4e-16 absolute, which at |x| < 1e-3 is more
+    than its relative precision: the terms it enters are absolute.
     """
+    n = b.size
+    x = w_cut * b
     zeta = -b * (c + 1j * w_cut)
-    m = np.where(np.abs(b) < 1e-12, 2.0 * np.arctan(w_cut / c), -2.0 * np.imag(
-        np.exp(1j * b * w_cut) * _e1_scaled(np.where(zeta == 0, 1.0, zeta))))
-    si = special.sici(w_cut * b)[0]
+    e1 = _e1_scaled(np.concatenate([np.where(zeta == 0, 1.0, zeta),
+                                    1j * np.where(x == 0, 1.0, np.abs(x))]))
+    m = np.where(np.abs(b) < 1e-12, 2.0 * np.arctan(w_cut / c),
+                 -2.0 * np.imag(np.exp(1j * x) * e1[:n]))
+    si = np.sign(x) * (0.5 * np.pi + np.imag(np.exp(-1j * np.abs(x)) * e1[n:]))
     if kind == 0:
         return 2.0 * si - w * m
     return w * m - 2.0 * si + w_s2 * _sine_kernel(b, w_cut)
@@ -263,7 +350,8 @@ def _beta_exact(cs, ells, z, lambda_y, k1, w_cut, shared=None, edge=None):
     (``_far_weights``).  Summed over the lane's probes that is a weighted
     sum of moments of cos, sin and 1 against the powers of 1/b, one batched
     matrix product per block.  The near points (under 1% of them at the
-    default scale) keep the exact sici/E1 path (``_near_terms``).
+    default scale) take E1 and Si from E1's power series or continued
+    fraction (``_near_terms``).
 
     The lanes marked in ``shared`` have the window K = ell + ``edge``, so
     their edge points ym = z - edge do not depend on the lane.  Their far
@@ -276,7 +364,7 @@ def _beta_exact(cs, ells, z, lambda_y, k1, w_cut, shared=None, edge=None):
     themselves.
 
     sin and cos are taken directly of the rounded phases W y and W ym, the
-    same numbers sici and the S2 kernel were given before.  An angle
+    same numbers Si and the S2 kernel are given.  An angle
     addition from W z and W ell would round the phase again, by up to
     W |y| ulp, and at small lambda the S2(ym) weight (1 - e^{-cK}) / lambda
     reaches 1e5 and more, which amplifies that rounding into beta.
@@ -407,6 +495,44 @@ def _beta_batch_deconv(cs, ells, estimate, lambda_y, k1, k2):
     return out
 
 
+_LOG_NDTR_TAIL = -37.0  # erfc(-x/sqrt 2) leaves the normal floats below about -37.5
+# (-1)^m (2m - 1)!! for m = 1..8: log Phi's asymptotic series in 1/x^2
+_LOG_NDTR_SERIES = tuple((-1) ** m * math.prod(range(1, 2 * m, 2)) for m in range(1, 9))
+
+
+def _erfc(x):
+    """math.erfc over an array."""
+    return np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _ndtr(x):
+    """Standard normal CDF, Phi(x) = erfc(-x/sqrt 2) / 2."""
+    return 0.5 * _erfc(-np.sqrt(0.5) * np.asarray(x, dtype=float))
+
+
+def _log_ndtr(x):
+    """log Phi(x): log1p(-erfc(x/sqrt 2) / 2) for x > -1, log(erfc(-x/sqrt 2) / 2)
+    down to -37, and below it -x^2/2 - ln(-x) - ln(2 pi)/2 + ln(1 + sum_m
+    (-1)^m (2m-1)!! / x^(2m)), the erfc asymptotic series (DLMF 7.12.1) in
+    8 terms, where erfc underflows."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape)
+    upper = x > -1.0
+    tail = x < _LOG_NDTR_TAIL
+    mid = ~upper & ~tail
+    out[upper] = np.log1p(-0.5 * _erfc(np.sqrt(0.5) * x[upper]))
+    out[mid] = np.log(0.5 * _erfc(-np.sqrt(0.5) * x[mid]))
+    xt = x[tail]
+    inv2 = 1.0 / (xt * xt)
+    series = np.zeros_like(xt)
+    for a in reversed(_LOG_NDTR_SERIES):
+        series += a
+        series *= inv2
+    out[tail] = (-0.5 * xt * xt - np.log(-xt) - 0.5 * math.log(2.0 * math.pi)
+                 + np.log1p(series))
+    return out
+
+
 def _beta_batch_gaussian(cs, ells_full, fit):
     """Closed-form satisfaction under a Gaussian error law.
 
@@ -419,9 +545,9 @@ def _beta_batch_gaussian(cs, ells_full, fit):
     mu, s2 = fit.mean_e, fit.var_e
     s = math.sqrt(s2)
     e0 = -ells_full
-    term1 = special.ndtr((e0 - mu) / s)
+    term1 = _ndtr((e0 - mu) / s)
     expo = (-cs * (ells_full + mu) + 0.5 * cs * cs * s2
-            + special.log_ndtr(-(e0 - mu + cs * s2) / s))
+            + _log_ndtr(-(e0 - mu + cs * s2) / s))
     return term1 + np.exp(np.minimum(expo, 0.0))
 
 

@@ -10,9 +10,9 @@ whose law is hidden from the allocator.
 """
 
 import dataclasses
+import math
 
 import numpy as np
-from scipy import special
 
 from .errors import ConfigurationError
 
@@ -63,10 +63,66 @@ def pathloss_winner_b1_db(d_m, los, f_c_hz):
     return np.asarray(_b1_nlos_db(leg, leg, fc_ghz), dtype=float)
 
 
+# Cephes j0 (S. L. Moshier, Methods and Programs for Mathematical Functions,
+# 1989): a rational function of x^2 times the factors of the first two zeros
+# on x <= 5, and beyond it the Hankel form with rational amplitude and phase.
+_J0_DR1 = 5.78318596294678452118E0     # first zero squared
+_J0_DR2 = 3.04712623436620863991E1     # second zero squared
+_J0_RP = (-4.79443220978201773821E9, 1.95617491946556577543E12,
+          -2.49248344360967716204E14, 9.70862251047306323952E15)
+_J0_RQ = (1.0, 4.99563147152651017219E2, 1.73785401676374683123E5,
+          4.84409658339962045305E7, 1.11855537045356834862E10,
+          2.11277520115489217587E12, 3.10518229857422583814E14,
+          3.18121955943204943306E16, 1.71086294081043136091E18)
+_J0_PP = (7.96936729297347051624E-4, 8.28352392107440799803E-2,
+          1.23953371646414299388E0, 5.44725003058768775090E0,
+          8.74716500199817011941E0, 5.30324038235394892183E0,
+          9.99999999999999997821E-1)
+_J0_PQ = (9.24408810558863637013E-4, 8.56288474354474431428E-2,
+          1.25352743901058953537E0, 5.47097740330417105182E0,
+          8.76190883237069594232E0, 5.30605288235394617618E0,
+          1.00000000000000000218E0)
+_J0_QP = (-1.13663838898469149931E-2, -1.28252718670509318512E0,
+          -1.95539544257735972385E1, -9.32060152123768231369E1,
+          -1.77681167980488050595E2, -1.47077505154951170175E2,
+          -5.14105326766599330220E1, -6.05014350600728481186E0)
+_J0_QQ = (1.0, 6.43178256118178023184E1, 8.56430025976980587198E2,
+          3.88240183605401609683E3, 7.24046774195652478189E3,
+          5.93072701187316984827E3, 2.06209331660327847417E3,
+          2.42005740240291393179E2)
+
+
+def _polevl(x, coef):
+    out = coef[0]
+    for c in coef[1:]:
+        out = out * x + c
+    return out
+
+
+def _j0(x):
+    """Bessel J0 of a float, operation for operation as Cephes j0."""
+    x = abs(x)
+    if x <= 5.0:
+        z = x * x
+        if x < 1.0e-5:
+            return 1.0 - z / 4.0
+        p = (z - _J0_DR1) * (z - _J0_DR2)
+        return p * _polevl(z, _J0_RP) / _polevl(z, _J0_RQ)
+    w = 5.0 / x
+    q = 25.0 / (x * x)
+    p = _polevl(q, _J0_PP) / _polevl(q, _J0_PQ)
+    q = _polevl(q, _J0_QP) / _polevl(q, _J0_QQ)
+    xn = x - math.pi / 4.0
+    p = p * math.cos(xn) - w * q * math.sin(xn)
+    return p * math.sqrt(2.0 / math.pi) / math.sqrt(x)
+
+
 def doppler_coefficient(speed_mps, f_c_hz, delta_t_s):
-    """Temporal fading correlation: zeroth-order Bessel of 2*pi*f_D*dt."""
+    """Temporal fading correlation J0(2 pi f_D dt) (Jakes), with J0 from
+    Cephes (``_j0``): its rational branch up to 2 pi f_D dt = 5, its
+    asymptotic branch beyond."""
     f_d = speed_mps * f_c_hz / _LIGHT_SPEED
-    return float(special.j0(2.0 * np.pi * f_d * delta_t_s))
+    return _j0(float(2.0 * np.pi * f_d * delta_t_s))
 
 
 # --------------------------------------------------------------------------- error laws

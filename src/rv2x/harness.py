@@ -22,6 +22,9 @@ import traceback
 import types
 
 import numpy as np
+# imported with the package, not on first use, so that forked pool workers
+# inherit it instead of each importing it again (about 20 ms per worker)
+from numpy.random import SeedSequence, default_rng
 
 from . import absorption, adaptation, baselines, qosmodel
 from . import channel as chan
@@ -36,7 +39,7 @@ _STREAMS = {"topology": 0, "shadowing": 1, "absorption": 2, "adaptation": 3, "di
 
 
 def _stream(seed, trial, purpose):
-    return np.random.default_rng(np.random.SeedSequence((seed, trial, _STREAMS[purpose])))
+    return default_rng(SeedSequence((seed, trial, _STREAMS[purpose])))
 
 
 @dataclasses.dataclass

@@ -418,6 +418,103 @@ def test_beta_quadrature_error_surfaces():
         beta(1.0, _ctx(bad, 20.0), 1.0, 0.0)
 
 
+# ------------------------------------------------------------------ E1 and Si
+
+_EPS = np.finfo(float).eps
+
+
+def _e1_grid():
+    """Log-radius by angle grid on |zeta| < 60 over the closed first quadrant
+    and the third quadrant approached from below the negative real axis, as
+    zeta = -b (c + iW) reaches them, plus points on both sides of the
+    series/continued-fraction switch |zeta| + Re zeta = 3 and just below
+    the near/far switch |zeta| = 60."""
+    r = np.geomspace(1e-6, 59.99, 90)
+    th = np.concatenate([np.linspace(0.0, 0.5 * np.pi, 31),
+                         -np.pi + np.geomspace(1e-12, 0.3, 12),
+                         np.linspace(-np.pi + 0.35, -0.5 * np.pi, 20)])
+    zeta = (r[:, None] * np.exp(1j * th[None, :])).ravel()
+    # exact axes: the positive real and imaginary axes and the negative imaginary one
+    zeta = np.concatenate([zeta, r + 0j, 1j * r, -1j * r])
+    switch = []
+    for a in np.geomspace(1.5001, 59.9, 40):
+        for reach in (3.0 * (1.0 - 1e-12), 3.0 * (1.0 + 1e-12)):
+            re = reach - a
+            im = math.sqrt(a * a - re * re)
+            switch += [complex(re, im)] if re >= 0.0 else [complex(re, im), complex(re, -im)]
+    edge = 59.999999 * np.exp(1j * np.array([0.0, 0.3, 1.2, 0.5 * np.pi, -np.pi + 1e-9,
+                                             -2.5, -0.5 * np.pi]))
+    return np.concatenate([zeta, switch, edge])
+
+
+def test_e1_scaled_matches_scipy_on_both_quadrants():
+    zeta = _e1_grid()
+    assert np.abs(zeta).max() < 60.0
+    reach = np.abs(zeta) + zeta.real
+    assert (reach <= 3.0).sum() > 500 and (reach > 3.0).sum() > 500
+    got = adaptation._e1_scaled(zeta)
+    want = np.exp(zeta) * special.exp1(zeta)
+    # scipy's exp1 sums its power series where |zeta| <= 5, or Re zeta <
+    # -2 |Im zeta| and |zeta| < 40; there it cancels like e^(|zeta| + Re
+    # zeta), up to 1e-12 on this grid against 40-digit values, while this
+    # kernel stays under 3e-15.  Elsewhere it takes its continued fraction.
+    scipy_series = (np.abs(zeta) <= 5.0) | ((zeta.real < -2.0 * np.abs(zeta.imag))
+                                            & (np.abs(zeta) < 40.0))
+    tol = 1e-14 + np.where(scipy_series, 4.0 * _EPS * np.exp(reach), 0.0)
+    err = np.abs(got - want) / np.abs(want)
+    bad = err > tol
+    assert not bad.any(), f"{zeta[bad][:5]}: rel err {err[bad][:5]} (tol {tol[bad][:5]})"
+    assert err[~scipy_series].max() < 1e-14
+
+
+def test_e1_term_counts_reach_long_references():
+    # where scipy's exp1 is too coarse to tell, the truncations are checked
+    # against themselves: the continued fraction at its level count against
+    # 400 levels, the power series at its term count against 250 terms
+    zeta = _e1_grid()
+    reach = np.abs(zeta) + zeta.real
+    frac = reach > 3.0
+    z = zeta[frac]
+    t = z + 801.0
+    for k in range(400, 0, -1):
+        t = z + (2.0 * k - 1.0) - k * k / t
+    np.testing.assert_allclose(adaptation._e1_fraction(z, reach[frac]), 1.0 / t, rtol=1e-15)
+    z = zeta[~frac]
+    s = np.zeros_like(z)
+    for k in range(250, 0, -1):
+        s = s * z + (-1) ** k / (k * math.factorial(k))
+    np.testing.assert_allclose(adaptation._e1_series(z),
+                               np.exp(z) * (-np.euler_gamma - np.log(z) - s * z), rtol=1e-15)
+
+
+def test_e1_scaled_points_do_not_depend_on_their_call():
+    # each point's term count is its own, and levels shared by fewer points
+    # run on shorter prefixes: together, one by one and in chunks of 7 the
+    # values agree to the bit, far points included
+    zeta = np.concatenate([_e1_grid()[::7], [60.0 + 1j, -70.0 - 1e-3j, 65j]])
+    together = adaptation._e1_scaled(zeta)
+    single = np.array([adaptation._e1_scaled(zeta[i:i + 1])[0] for i in range(zeta.size)])
+    chunks = np.concatenate([adaptation._e1_scaled(zeta[i:i + 7])
+                             for i in range(0, zeta.size, 7)])
+    assert np.array_equal(together, single)
+    assert np.array_equal(together, chunks)
+
+
+def test_near_si_matches_scipy_sici():
+    # with weight 0 the y term of a near point is 2 Si(W b) alone
+    w_cut = _W10
+    x = np.concatenate([np.geomspace(1e-300, 59.99, 600), [1e-13, 5e-13, 1.5, 3.0, 3.0001]])
+    b = np.concatenate([x, -x, [0.0]]) / w_cut
+    si = 0.5 * adaptation._near_terms(b, 0, np.full(b.size, 0.3), 0.0, 0.0, w_cut)
+    want = special.sici(w_cut * b)[0]
+    # Si = pi/2 + Im E1(ix) is good to a few ulp of pi/2, absolute; below
+    # |x| = 1e-12 that is all of Si(x) ~ x
+    np.testing.assert_allclose(si, want, rtol=1e-15, atol=1e-15)
+    assert si[-1] == 0.0
+    n = x.size
+    assert np.array_equal(si[n:2 * n], -si[:n])
+
+
 # ------------------------------------------------------------------ beta (gaussian)
 
 def test_beta_gaussian_closed_form():
@@ -435,6 +532,54 @@ def test_beta_gaussian_closed_form():
     for c in (0.5, 3.0, 25.0):
         _, raw = beta(c, ctx, 1.0, -0.4, return_raw=True)
         np.testing.assert_allclose(raw, oracle(c, -0.4, 0.5, 0.01), rtol=1e-9)
+
+
+def _erfc_tail(z):
+    """erfc(z) for z >= 0 from scipy's erfcx, with exp(-z^2) of an exactly
+    split z^2 = zh^2 + (2 zh zl + zl^2): scipy's own erfc forms exp(-z^2)
+    from a rounded z^2 and is off by up to z^2 eps relative, 5.6e-14 at
+    z = 26 against 50-digit values."""
+    big = z * 134217729.0
+    zh = big - (big - z)
+    zl = z - zh
+    with np.errstate(under="ignore"):
+        return special.erfcx(z) * np.exp(-zh * zh) * np.exp(-(2.0 * zh * zl + zl * zl))
+
+
+def test_ndtr_and_log_ndtr_match_scipy():
+    x = np.concatenate([-np.geomspace(1e4, 1e-300, 700), [0.0], np.geomspace(1e-300, 40.0, 700)])
+    # each branch switch, its neighbours, and the infinities
+    switch = [-1.0, -37.0, -37.5]
+    x = np.concatenate([x, switch, np.nextafter(switch, -np.inf), np.nextafter(switch, np.inf),
+                        [-np.inf, np.inf]])
+    z = -np.sqrt(0.5) * x
+    with np.errstate(invalid="ignore"):
+        ndtr_ref = np.where(x < -1.0, 0.5 * _erfc_tail(z), special.ndtr(x))
+        q = 0.5 * _erfc_tail(np.sqrt(0.5) * x)
+        log_ref = np.where(x < 5.0, special.log_ndtr(x), np.log1p(-q))
+    ndtr_ref[x == -np.inf], log_ref[x == np.inf] = 0.0, 0.0
+    # below x = -37.5 Phi is subnormal or zero and carries no relative precision
+    tiny = np.finfo(float).tiny
+    np.testing.assert_allclose(adaptation._ndtr(x), ndtr_ref, rtol=1e-14, atol=tiny)
+    np.testing.assert_allclose(adaptation._log_ndtr(x), log_ref, rtol=1e-14, atol=tiny)
+    assert adaptation._ndtr([-np.inf, np.inf]).tolist() == [0.0, 1.0]
+    assert adaptation._log_ndtr([-np.inf, np.inf]).tolist() == [-np.inf, 0.0]
+
+
+def test_beta_gaussian_deep_tail():
+    # at c = 500..5000 the log_ndtr argument lies far below -40, where erfc
+    # underflows: log Phi's asymptotic series there cancels against c^2 s2/2
+    fit = GaussianFit(mean_e=0.5, var_e=0.01)
+    cs = np.array([500.0, 2000.0, 5000.0])
+    ells = np.full(cs.size, -0.4)
+    mu, s2 = fit.mean_e, fit.var_e
+    s = math.sqrt(s2)
+    arg = -(-ells - mu + cs * s2) / s
+    assert np.all(arg < -40.0)
+    expo = -cs * (ells + mu) + 0.5 * cs * cs * s2 + special.log_ndtr(arg)
+    want = special.ndtr((-ells - mu) / s) + np.exp(np.minimum(expo, 0.0))
+    np.testing.assert_allclose(adaptation._beta_batch_gaussian(cs, ells, fit), want,
+                               rtol=1e-12)
 
 
 def test_beta_rejects_region_and_unknown_models():

@@ -3,9 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
-from rv2x.channel import (ChannelState, ErrorDistribution, LargeScaleState,
+from rv2x.channel import (ChannelState, ErrorDistribution, LargeScaleState, _j0,
                           build_large_scale, doppler_coefficient, error_law,
                           evolve_small_scale, pathloss_v2i_db,
                           pathloss_winner_b1_db)
@@ -97,6 +97,30 @@ def test_doppler_matches_power_series():
         term *= -(x * x / 4.0) / (k * k)
         total += term
     np.testing.assert_allclose(doppler_coefficient(10.0, FC, 1e-3), total, rtol=1e-13)
+
+
+def test_j0_matches_scipy_j0():
+    # both Cephes branches, the x < 1e-5 shortcut, x = 5 where they meet,
+    # the first three zeros and their neighbours, and the default argument
+    cfg = SimConfig()
+    f_d = cfg.speed_mps * cfg.carrier_freq_hz / 299792458.0
+    x_default = 2.0 * np.pi * f_d * cfg.feedback_delay_s
+    zeros = np.array([2.404825557695773, 5.520078110286311, 8.653727912911013])
+    x = np.concatenate([np.linspace(0.0, 5.0, 4001), np.linspace(5.0, 60.0, 4001)[1:],
+                        np.geomspace(60.0, 1e8, 200), [1e-300, 9.99e-6, 1e-5, x_default],
+                        zeros, np.nextafter(zeros, 0.0), np.nextafter(zeros, 10.0),
+                        np.nextafter(5.0, [0.0, 10.0])])
+    got = np.array([_j0(v) for v in x.tolist()])
+    want = special.j0(x)
+    ulps = np.abs(got - want) / np.spacing(np.abs(want))
+    # the rational branch is arithmetic only: bit for bit; the asymptotic one
+    # goes through libm's cos and sin, within one ulp
+    rational = x <= 5.0
+    assert np.array_equal(got[rational], want[rational])
+    assert ulps.max() <= 1.0, f"{np.sum(got != want)} of {x.size} differ, up to {ulps.max()} ulp"
+    assert _j0(-3.0) == _j0(3.0) and _j0(0.0) == 1.0
+    assert doppler_coefficient(cfg.speed_mps, cfg.carrier_freq_hz,
+                               cfg.feedback_delay_s) == special.j0(x_default)
 
 
 def test_doppler_bounded():
