@@ -52,7 +52,7 @@ from .qosmodel import (
     hazard_rate,
     sinr,
     throughput,
-    true_satisfaction_prob_mc,
+    true_satisfaction_prob,
 )
 from .scenario import Topology, build_topology, noise_power, qos_constants
 
@@ -107,6 +107,6 @@ __all__ = [
     "sinr",
     "solve_slots",
     "throughput",
-    "true_satisfaction_prob_mc",
+    "true_satisfaction_prob",
     "u_value",
 ]

@@ -49,6 +49,7 @@ import math
 
 import numpy as np
 
+from . import qosmodel
 from .absorption import DeconvEstimate
 from .baselines import GaussianFit, HprRegion
 from .errors import ConfigurationError, QuadratureError
@@ -495,60 +496,14 @@ def _beta_batch_deconv(cs, ells, estimate, lambda_y, k1, k2):
     return out
 
 
-_LOG_NDTR_TAIL = -37.0  # erfc(-x/sqrt 2) leaves the normal floats below about -37.5
-# (-1)^m (2m - 1)!! for m = 1..8: log Phi's asymptotic series in 1/x^2
-_LOG_NDTR_SERIES = tuple((-1) ** m * math.prod(range(1, 2 * m, 2)) for m in range(1, 9))
-
-
-def _erfc(x):
-    """math.erfc over an array."""
-    return np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size).reshape(x.shape)
-
-
-def _ndtr(x):
-    """Standard normal CDF, Phi(x) = erfc(-x/sqrt 2) / 2."""
-    return 0.5 * _erfc(-np.sqrt(0.5) * np.asarray(x, dtype=float))
-
-
-def _log_ndtr(x):
-    """log Phi(x): log1p(-erfc(x/sqrt 2) / 2) for x > -1, log(erfc(-x/sqrt 2) / 2)
-    down to -37, and below it -x^2/2 - ln(-x) - ln(2 pi)/2 + ln(1 + sum_m
-    (-1)^m (2m-1)!! / x^(2m)), the erfc asymptotic series (DLMF 7.12.1) in
-    8 terms, where erfc underflows."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape)
-    upper = x > -1.0
-    tail = x < _LOG_NDTR_TAIL
-    mid = ~upper & ~tail
-    out[upper] = np.log1p(-0.5 * _erfc(np.sqrt(0.5) * x[upper]))
-    out[mid] = np.log(0.5 * _erfc(-np.sqrt(0.5) * x[mid]))
-    xt = x[tail]
-    inv2 = 1.0 / (xt * xt)
-    series = np.zeros_like(xt)
-    for a in reversed(_LOG_NDTR_SERIES):
-        series += a
-        series *= inv2
-    out[tail] = (-0.5 * xt * xt - np.log(-xt) - 0.5 * math.log(2.0 * math.pi)
-                 + np.log1p(series))
-    return out
-
-
 def _beta_batch_gaussian(cs, ells_full, fit):
     """Closed-form satisfaction under a Gaussian error law.
 
-    ``ells_full`` is the knee including the noise term.  With E ~ Exp(1) and
-    e ~ N(mu, s2): Phi((e0-mu)/s) + exp(-c(ell+mu) + c^2 s2/2) * Q((e0-mu+c*s2)/s),
-    where e0 = -ell.
+    ``ells_full`` is the knee including the noise term; the satisfaction is
+    P{E >= c (e + ell)} with E ~ Exp(1) and e ~ N(mean_e, var_e)
+    (:func:`qosmodel.gaussian_satisfaction`).
     """
-    cs = np.asarray(cs, dtype=float)
-    ells_full = np.asarray(ells_full, dtype=float)
-    mu, s2 = fit.mean_e, fit.var_e
-    s = math.sqrt(s2)
-    e0 = -ells_full
-    term1 = _ndtr((e0 - mu) / s)
-    expo = (-cs * (ells_full + mu) + 0.5 * cs * cs * s2
-            + _log_ndtr(-(e0 - mu + cs * s2) / s))
-    return term1 + np.exp(np.minimum(expo, 0.0))
+    return qosmodel.gaussian_satisfaction(cs, ells_full, fit.mean_e, fit.var_e)
 
 
 def _p_i_of_c(cs, pair):

@@ -77,7 +77,6 @@ class SimConfig:
     custom_vars: tuple = ()
 
     # diagnostics
-    true_mc_draws: int = 1000   # per-slot Monte Carlo draws for the deviation trace
     deviation_trace: bool = True
 
     rng_seed: int = 0
@@ -118,7 +117,6 @@ class SimConfig:
             (0 < c.pi_min_mw <= c.pi_max_mw, "V2I power box is empty or non-positive"),
             (0.0 <= c.hr_weight <= 1.0, "hr_weight must lie in [0, 1]"),
             (c.error_law in _ERROR_LAWS, f"error_law must be one of {_ERROR_LAWS}"),
-            (c.true_mc_draws >= 1000, "true_mc_draws must be >= 1000"),
         ]
         for ok, msg in checks:
             if not ok:

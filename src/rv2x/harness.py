@@ -35,7 +35,7 @@ from .scenario import build_topology, noise_power, qos_constants
 _ALLOCATORS = ("proposed", "gaussian", "hpr")
 
 # purpose tags for named per-trial random substreams
-_STREAMS = {"topology": 0, "shadowing": 1, "absorption": 2, "adaptation": 3, "diagnostics": 4}
+_STREAMS = {"topology": 0, "shadowing": 1, "absorption": 2, "adaptation": 3}
 
 
 def _stream(seed, trial, purpose):
@@ -176,17 +176,13 @@ def run_trial(config, allocator, trial):
                         res["c_star"][todo], pair_ctx, g2_v_hat[todo, i], g2_cross_hat[todo, i])
 
         if config.deviation_trace:
-            rng_mc = _stream(seed, trial, "diagnostics")
-            slot = types.SimpleNamespace(delta2=large.delta ** 2, gamma_v=gamma_v,
-                                         sigma2=sigma2, l_v=large.l_v,
-                                         l_cross=large.l_cross[pairing, idx])
-            for s in range(adapt_len):
-                slot.g2_v_hat = g2_v_hat[s]
-                slot.g2_cross_hat = g2_cross_hat[s]
-                p_true = qosmodel.true_satisfaction_prob_mc(
-                    slot, (decisions["p_v"][s], decisions["p_i"][s]), law,
-                    config.true_mc_draws, rng_mc)
-                j_trace[s] = float(np.sum((decisions["beta_star"][s] - p_true) ** 2))
+            block = types.SimpleNamespace(delta2=large.delta ** 2, gamma_v=gamma_v,
+                                          sigma2=sigma2, l_v=large.l_v,
+                                          l_cross=large.l_cross[pairing, idx],
+                                          g2_v_hat=g2_v_hat, g2_cross_hat=g2_cross_hat)
+            p_true = qosmodel.true_satisfaction_prob(
+                block, (decisions["p_v"], decisions["p_i"]), law)
+            j_trace = ((decisions["beta_star"] - p_true) ** 2).sum(axis=1)
 
         _fill_phase(rows, config.absorption_len, fading, large,
                     qosmodel.AllocationDecision(pairing=pairing, p_v_mw=decisions["p_v"],
@@ -432,6 +428,15 @@ def _emit_tables(report, tables_dir):
     rate = hits / max(len(report.rows) * m, 1)
     _write_table(os.path.join(tables_dir, "satisfaction_trace.csv"), "slot,satisfied_rate",
                  "%d,%.10g\n", [np.arange(n_slots), rate] if report.rows else [])
+
+    if config.deviation_trace:
+        # J(t) averaged over the completed trials, slots numbered as above
+        cols = []
+        if report.j_trace:
+            dev = np.mean(report.j_trace, axis=0)
+            cols = [config.absorption_len + np.arange(dev.size), dev]
+        _write_table(os.path.join(tables_dir, "deviation_trace.csv"), "slot,deviation",
+                     "%d,%.10g\n", cols)
 
 
 # --------------------------------------------------------------------------- CLI

@@ -7,6 +7,7 @@ exponential on both the direct and the interfering squared gains.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -95,42 +96,93 @@ def hazard_rate(p_v, l_v, p_i, l_i, sigma2, constants):
     return d_v * dens / (1.0 - surv)
 
 
-def true_satisfaction_prob_mc(context, alloc, law, n_draws, rng):
-    """Monte Carlo estimate of the true delay-satisfaction probability.
+_LOG_NDTR_TAIL = -37.0  # erfc(-x/sqrt 2) leaves the normal floats below about -37.5
+# (-1)^m (2m - 1)!! for m = 1..8: log Phi's asymptotic series in 1/x^2
+_LOG_NDTR_SERIES = tuple((-1) ** m * math.prod(range(1, 2 * m, 2)) for m in range(1, 9))
+
+
+def _erfc(x):
+    """math.erfc over an array."""
+    return np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _ndtr(x):
+    """Standard normal CDF, Phi(x) = erfc(-x/sqrt 2) / 2."""
+    return 0.5 * _erfc(-np.sqrt(0.5) * np.asarray(x, dtype=float))
+
+
+def _log_ndtr(x):
+    """log Phi(x): log1p(-erfc(x/sqrt 2) / 2) for x > -1, log(erfc(-x/sqrt 2) / 2)
+    down to -37, and below it -x^2/2 - ln(-x) - ln(2 pi)/2 + ln(1 + sum_m
+    (-1)^m (2m-1)!! / x^(2m)), the erfc asymptotic series (DLMF 7.12.1) in
+    8 terms, where erfc underflows."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape)
+    upper = x > -1.0
+    tail = x < _LOG_NDTR_TAIL
+    mid = ~upper & ~tail
+    out[upper] = np.log1p(-0.5 * _erfc(np.sqrt(0.5) * x[upper]))
+    out[mid] = np.log(0.5 * _erfc(-np.sqrt(0.5) * x[mid]))
+    xt = x[tail]
+    inv2 = 1.0 / (xt * xt)
+    series = np.zeros_like(xt)
+    for a in reversed(_LOG_NDTR_SERIES):
+        series += a
+        series *= inv2
+    out[tail] = (-0.5 * xt * xt - np.log(-xt) - 0.5 * math.log(2.0 * math.pi)
+                 + np.log1p(series))
+    return out
+
+
+def gaussian_satisfaction(cs, ells, mu, s2):
+    """P{E >= c (e + ell)} for E ~ Exp(1) independent of e ~ N(mu, s2).
+
+    The event holds outright where e <= e0 = -ell, and with probability
+    exp(-c (e + ell)) above it, so the probability is
+    Phi((e0 - mu)/s) + exp(-c (ell + mu) + c^2 s2/2) Q((e0 - mu + c s2)/s).
+    The second term is taken through log Q, so that it stays finite where
+    Q underflows and the exponential overflows.  ``cs`` and ``ells``
+    broadcast; c must be nonnegative.
+    """
+    cs = np.asarray(cs, dtype=float)
+    ells = np.asarray(ells, dtype=float)
+    s = math.sqrt(s2)
+    e0 = -ells
+    term1 = _ndtr((e0 - mu) / s)
+    expo = (-cs * (ells + mu) + 0.5 * cs * cs * s2
+            + _log_ndtr(-(e0 - mu + cs * s2) / s))
+    return term1 + np.exp(np.minimum(expo, 0.0))
+
+
+def true_satisfaction_prob(context, alloc, law):
+    """True delay-satisfaction probability of a slot under the hidden law.
 
     ``context`` carries the constants ``delta2``, ``gamma_v`` and ``sigma2``
     and the per-pair large-scale gains ``l_v`` and ``l_cross`` and reported
-    gains ``g2_v_hat`` and ``g2_cross_hat`` of one slot; ``alloc`` is the
-    (p_v, p_i) pair in milliwatt.  The per-pair values are scalars for one
-    pair, which returns a float, or (M,) arrays, which return an (M,) array.
-    Draws the hidden cross errors from ``law`` as one (M, n_draws) block,
-    then the sidelink innovations from Exp(1) as another, and uses the
-    additive error model without clamping.  A one-pair call therefore takes
-    the same draws as ``law.sample(rng, n_draws)`` then
-    ``rng.exponential(1.0, n_draws)``.
+    gains ``g2_v_hat`` and ``g2_cross_hat``; ``alloc`` is the (p_v, p_i) pair
+    in milliwatt.  The per-pair values broadcast: scalars for one pair return
+    a float, and arrays, such as (M,) for one slot or (S, M) for a block of
+    slots, return an array of their shape.
+
+    Under the additive error model, without clamping, the sidelink meets
+    the SINR threshold when p_v l_v (delta2 g2_v_hat + (1 - delta2) E) >=
+    gamma_v (p_i l_cross (g2_cross_hat + e) + sigma2), with the innovation
+    E ~ Exp(1) and the cross error e drawn from ``law``.  That is
+    E >= c (e + ell) at the budget c = gamma_v l_cross p_i / (l_v (1 - delta2)
+    p_v) and the knee ell = g2_cross_hat - g2_v_hat delta2 p_v l_v /
+    (gamma_v p_i l_cross) + sigma2 / (p_i l_cross), so the probability is the
+    mixture's weighted sum of :func:`gaussian_satisfaction`.  At delta2 = 1
+    there is no innovation and it is sum_k w_k Phi((-ell - mu_k)/s_k).
     """
-    if n_draws < 1000:
-        raise ConfigurationError("true_satisfaction_prob_mc needs n_draws >= 1000")
     p_v, p_i = alloc
     c = context
-    per_pair = np.broadcast_arrays(
-        p_v * c.l_v, p_i * c.l_cross, c.delta2 * c.g2_v_hat, c.g2_cross_hat)
-    shape = per_pair[0].shape
-    direct, cross, hat_v, hat_cross = (x.reshape(-1, 1) for x in per_pair)
-    m = direct.shape[0]
-
-    # rhs = gamma_v * (p_i * l_cross * (g2_cross_hat + e_cross) + sigma2) and
-    # lhs = p_v * l_v * (delta2 * g2_v_hat + (1 - delta2) * e_direct), each
-    # computed in place on its fresh draws one operation at a time in this
-    # order, so every value equals the formula's bit for bit
-    rhs = law.sample(rng, (m, n_draws))
-    rhs += hat_cross
-    rhs *= cross
-    rhs += c.sigma2
-    rhs *= c.gamma_v
-    lhs = rng.standard_exponential((m, n_draws))
-    lhs *= 1.0 - c.delta2
-    lhs += hat_v
-    lhs *= direct
-    p = (lhs >= rhs).mean(axis=1)
-    return p.reshape(shape) if shape else float(p[0])
+    direct, cross = p_v * c.l_v, p_i * c.l_cross
+    ells = c.g2_cross_hat - c.g2_v_hat * c.delta2 * direct / (c.gamma_v * cross) + c.sigma2 / cross
+    components = zip(law.means, law.variances)
+    if c.delta2 < 1.0:
+        cs = c.gamma_v * cross / ((1.0 - c.delta2) * direct)
+        probs = (gaussian_satisfaction(cs, ells, mu, s2) for mu, s2 in components)
+    else:
+        probs = (_ndtr((-ells - mu) / math.sqrt(s2)) for mu, s2 in components)
+    p = sum(w * q for w, q in zip(law.weights, probs))
+    return p if np.ndim(p) else float(p)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize, special
 
-from rv2x import adaptation
+from rv2x import adaptation, qosmodel
 from rv2x.absorption import DeconvEstimate, estimate_pdf
 from rv2x.adaptation import (AdaptationContext, beta, c_param, check_prop1_condition,
                              ell, prop1_holds, solve_slots, u_value,
@@ -560,10 +560,10 @@ def test_ndtr_and_log_ndtr_match_scipy():
     ndtr_ref[x == -np.inf], log_ref[x == np.inf] = 0.0, 0.0
     # below x = -37.5 Phi is subnormal or zero and carries no relative precision
     tiny = np.finfo(float).tiny
-    np.testing.assert_allclose(adaptation._ndtr(x), ndtr_ref, rtol=1e-14, atol=tiny)
-    np.testing.assert_allclose(adaptation._log_ndtr(x), log_ref, rtol=1e-14, atol=tiny)
-    assert adaptation._ndtr([-np.inf, np.inf]).tolist() == [0.0, 1.0]
-    assert adaptation._log_ndtr([-np.inf, np.inf]).tolist() == [-np.inf, 0.0]
+    np.testing.assert_allclose(qosmodel._ndtr(x), ndtr_ref, rtol=1e-14, atol=tiny)
+    np.testing.assert_allclose(qosmodel._log_ndtr(x), log_ref, rtol=1e-14, atol=tiny)
+    assert qosmodel._ndtr([-np.inf, np.inf]).tolist() == [0.0, 1.0]
+    assert qosmodel._log_ndtr([-np.inf, np.inf]).tolist() == [-np.inf, 0.0]
 
 
 def test_beta_gaussian_deep_tail():

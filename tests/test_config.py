@@ -112,7 +112,7 @@ def test_load_bool_variants(tmp_path):
     (dict(v2v_dist_lo_m=0.0), "distance"),
     (dict(v2v_dist_hi_m=500.0), "area"),
     (dict(error_law="gauss"), "error_law"),
-    (dict(true_mc_draws=10), "true_mc_draws"),
+    (dict(adaptation_len=-1), "adaptation_len"),
     (dict(v2i_placement="ring"), "v2i_placement"),
     (dict(trunc_k2=0), "truncation"),
 ])

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from rv2x.adaptation import _c_range, beta
 from rv2x.channel import build_large_scale, error_law, evolve_small_scale
 from rv2x.config import SimConfig
 from rv2x.errors import ConfigurationError
+from rv2x.qosmodel import true_satisfaction_prob
 from rv2x.harness import (RunReport, default_threads, emit, main, run,
                           run_trial, _stream)
 from rv2x.scenario import build_topology, noise_power, qos_constants
@@ -42,6 +44,8 @@ def test_named_substreams():
     assert not np.allclose(a, _stream(1, 3, "absorption").random(4))
     with pytest.raises(KeyError):
         _stream(0, 0, "nope")
+    with pytest.raises(KeyError):   # the deviation trace draws nothing
+        _stream(0, 0, "diagnostics")
 
 
 # ------------------------------------------------------------------- trials
@@ -113,7 +117,7 @@ def test_all_allocators_complete():
 
 
 def test_deviation_trace_lengths():
-    config = _tiny(adaptation_len=3, deviation_trace=True, true_mc_draws=1000)
+    config = _tiny(adaptation_len=3, deviation_trace=True)
     report = run(config, "proposed", trials=1, threads=1)
     (trace,) = report.j_trace
     assert trace.shape == (3,)
@@ -124,8 +128,8 @@ def test_deviation_trace_lengths():
 
 @pytest.mark.parametrize("allocator", ["gaussian", "proposed"])
 def test_deviation_trace_matches_per_slot_reference_loop(allocator):
-    # the trace is pinned to this loop: per slot, one choice and one normal
-    # for the (M, draws) mixture block, then one exponential block
+    # the trace equals a loop over slots and pairs of scalar calls to the
+    # true satisfaction probability, summed per slot
     config = _tiny(num_pairs=3, adaptation_len=6, deviation_trace=True)
     seed, trial, m = config.rng_seed, 1, config.num_pairs
     got = run_trial(config, allocator, trial)
@@ -133,27 +137,22 @@ def test_deviation_trace_matches_per_slot_reference_loop(allocator):
     large = build_large_scale(build_topology(config, _stream(seed, trial, "topology")),
                               config, _stream(seed, trial, "shadowing"))
     plan, _, _ = run_absorption(large, config, law, _stream(seed, trial, "absorption"))
-    pairing, idx = plan.pairing, np.arange(m)
+    pairing = plan.pairing
     fading = evolve_small_scale(large, law, _stream(seed, trial, "adaptation"),
                                 m, m, config.adaptation_len)
     gamma_v, _ = qos_constants(config)
-    sigma2 = noise_power(config)
     dec = got["decisions"]
-    rng_mc = _stream(seed, trial, "diagnostics")
-    d2 = large.delta ** 2
-    l_cross_pair = large.l_cross[pairing, idx]
-    draws = config.true_mc_draws
     want = np.zeros(config.adaptation_len)
     for s in range(config.adaptation_len):
-        comp = rng_mc.choice(len(law.weights), size=(m, draws), p=law.weights)
-        e_cross = rng_mc.normal(law.means[comp], np.sqrt(law.variances[comp]))
-        e_direct = rng_mc.exponential(1.0, (m, draws))
-        lhs = (dec["p_v"][s][:, None] * large.l_v[:, None]
-               * (d2 * fading.g2_v_hat[s][:, None] + (1.0 - d2) * e_direct))
-        rhs = gamma_v * (dec["p_i"][s][:, None] * l_cross_pair[:, None]
-                         * (fading.g2_cross_hat[s, pairing, idx][:, None] + e_cross) + sigma2)
-        p_true = (lhs >= rhs).mean(axis=1)
-        want[s] = float(np.sum((dec["beta_star"][s] - p_true) ** 2))
+        dev = np.zeros(m)
+        for i in range(m):
+            pair = types.SimpleNamespace(
+                delta2=large.delta ** 2, gamma_v=gamma_v, sigma2=noise_power(config),
+                l_v=large.l_v[i], l_cross=large.l_cross[pairing[i], i],
+                g2_v_hat=fading.g2_v_hat[s, i], g2_cross_hat=fading.g2_cross_hat[s, pairing[i], i])
+            p_true = true_satisfaction_prob(pair, (dec["p_v"][s, i], dec["p_i"][s, i]), law)
+            dev[i] = (dec["beta_star"][s, i] - p_true) ** 2
+        want[s] = float(np.sum(dev))
     assert np.count_nonzero(want) >= 2
     assert got["j_trace"].tobytes() == want.tobytes()
 
@@ -203,6 +202,29 @@ def test_worker_count_does_not_change_bytes(tmp_path):
                 "tables/delay_cdf.csv", "tables/throughput_cdf.csv",
                 "tables/satisfaction_trace.csv"):
         assert _read(d1 / rel) == _read(d2 / rel), f"{rel} differs across workers"
+
+
+def test_deviation_trace_table(tmp_path):
+    config = _tiny(num_pairs=3, adaptation_len=5, deviation_trace=True)
+    reports = [run(config, "gaussian", trials=3, threads=1),
+               run(config, "gaussian", trials=3, threads=1),
+               run(config, "gaussian", trials=3, threads=2)]
+    tables = [emit(rep, str(tmp_path / str(k)))[2] for k, rep in enumerate(reports)]
+    text = [_read(os.path.join(t, "deviation_trace.csv")) for t in tables]
+    assert text[0] == text[1] == text[2], "rerun or worker count changed the table"
+    # one line per adaptation slot, numbered as in the satisfaction trace,
+    # holding J(t) averaged over the trials
+    lines = text[0].decode().splitlines()
+    assert lines[0] == "slot,deviation" and len(lines) == 1 + config.adaptation_len
+    want = np.mean(reports[0].j_trace, axis=0)
+    assert np.count_nonzero(want) >= 2
+    for s, line in enumerate(lines[1:]):
+        slot, dev = line.split(",")
+        assert int(slot) == config.absorption_len + s
+        assert dev == "%.10g" % want[s]
+    # no table when the trace is off
+    off = emit(run(_tiny(), "gaussian", trials=1, threads=1), str(tmp_path / "off"))[2]
+    assert not os.path.exists(os.path.join(off, "deviation_trace.csv"))
 
 
 def test_failed_trials_are_recorded_not_fatal(monkeypatch, tmp_path, capsys):

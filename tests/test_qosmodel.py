@@ -13,7 +13,7 @@ from rv2x.config import SimConfig
 from rv2x.errors import ConfigurationError
 from rv2x.qosmodel import (SINR_CAP, AllocationDecision, delay,
                            delay_outage_closed_form, hazard_rate, sinr, throughput,
-                           true_satisfaction_prob_mc)
+                           true_satisfaction_prob)
 from rv2x.scenario import qos_constants
 
 CONSTANTS = qos_constants(SimConfig())
@@ -220,57 +220,95 @@ def _mc_context(**kw):
     return types.SimpleNamespace(**base)
 
 
-def test_true_satisfaction_prob_rejects_small_draws():
-    ctx = _mc_context()
-    with pytest.raises(ConfigurationError):
-        true_satisfaction_prob_mc(ctx, (10.0, 10.0), error_law("type1"), 500,
-                                  np.random.default_rng(0))
+def _at_budget(delta2, c, ell, p_v=50.0):
+    """A context and power pair whose budget is c and whose knee is ell: the
+    uplink power sets c, and the reported cross gain then sets ell."""
+    ctx = _mc_context(delta2=delta2)
+    p_i = c * ctx.l_v * (1.0 - delta2) * p_v / (ctx.gamma_v * ctx.l_cross)
+    ctx.g2_cross_hat = (ell + ctx.g2_v_hat * delta2 * p_v * ctx.l_v / (ctx.gamma_v * p_i * ctx.l_cross)
+                        - ctx.sigma2 / (p_i * ctx.l_cross))
+    return ctx, p_v, p_i
+
+
+def _quad_reference(ctx, p_v, p_i, law):
+    # the per-draw event integrated over each component's density: the
+    # innovation clears the threshold with probability exp(-max(x, 0))
+    denom = p_v * ctx.l_v * (1.0 - ctx.delta2)
+    total = 0.0
+    for w, mu, s2 in zip(law.weights, law.means, law.variances):
+        s = math.sqrt(s2)
+
+        def integrand(e):
+            x = (ctx.gamma_v * (p_i * ctx.l_cross * (ctx.g2_cross_hat + e) + ctx.sigma2)
+                 - p_v * ctx.l_v * ctx.delta2 * ctx.g2_v_hat) / denom
+            return math.exp(-0.5 * (e - mu) ** 2 / s2 - max(x, 0.0)) / math.sqrt(2.0 * math.pi * s2)
+
+        # the kink where x crosses zero, inside the component's +-40 s span
+        kink = (p_v * ctx.l_v * ctx.delta2 * ctx.g2_v_hat - ctx.gamma_v * ctx.sigma2) / (
+            ctx.gamma_v * p_i * ctx.l_cross) - ctx.g2_cross_hat
+        lo, hi = mu - 40.0 * s, mu + 40.0 * s
+        kink = min(max(kink, lo), hi)
+        for a, b in ((lo, kink), (kink, hi)):
+            if b > a:
+                total += w * integrate.quad(integrand, a, b, epsabs=0.0, epsrel=1e-13,
+                                            limit=500)[0]
+    return total
 
 
 def test_true_satisfaction_prob_deterministic_limit():
     # no fading innovation and a (numerically) zero error law: indicator only
     law = error_law("custom", weights=(1.0,), means=(0.0,), variances=(1e-30,))
     ctx = _mc_context(delta2=1.0)
-    rng = np.random.default_rng(1)
-    p = true_satisfaction_prob_mc(ctx, (100.0, 1.0), law, 2000, rng)
+    p = true_satisfaction_prob(ctx, (100.0, 1.0), law)
     lhs = 100.0 * ctx.l_v * ctx.g2_v_hat
     rhs = ctx.gamma_v * (1.0 * ctx.l_cross * ctx.g2_cross_hat + ctx.sigma2)
     assert p == float(lhs >= rhs) == 1.0
-    p2 = true_satisfaction_prob_mc(ctx, (1e-6, 1000.0), law, 2000, rng)
+    p2 = true_satisfaction_prob(ctx, (1e-6, 1000.0), law)
     assert p2 == 0.0
+
+
+def test_true_satisfaction_prob_no_innovation_is_the_mixture_cdf():
+    # at delta2 = 1 the event is e <= e*, with e* the knee's negative
+    law = error_law("type2")
+    ctx = _mc_context(delta2=1.0, l_cross=3e-7)
+    for p_v, p_i in ((30.0, 80.0), (25.0, 90.0), (40.0, 80.0)):
+        e_star = ((p_v * ctx.l_v * ctx.g2_v_hat - ctx.gamma_v * ctx.sigma2)
+                  / (ctx.gamma_v * p_i * ctx.l_cross) - ctx.g2_cross_hat)
+        want = sum(w * 0.5 * math.erfc(-(e_star - mu) / math.sqrt(2.0 * s2))
+                   for w, mu, s2 in zip(law.weights, law.means, law.variances))
+        got = true_satisfaction_prob(ctx, (p_v, p_i), law)
+        assert 1e-6 < got < 1.0 - 1e-6
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def test_true_satisfaction_prob_dominance():
     ctx = _mc_context()
-    p = true_satisfaction_prob_mc(ctx, (1e4, 1e-6), error_law("type1"), 5000,
-                                  np.random.default_rng(2))
+    p = true_satisfaction_prob(ctx, (1e4, 1e-6), error_law("type1"))
     assert p > 0.99
 
 
+_THREE_COMPONENTS = error_law("custom", weights=(0.2, 0.5, 0.3), means=(-0.3, 0.4, 1.5),
+                              variances=(0.01, 0.09, 0.25))
+
+
 def test_true_satisfaction_prob_vs_quadrature():
-    # single-component Gaussian law admits a semi-analytic reference
-    law = error_law("custom", weights=(1.0,), means=(0.3,), variances=(0.05,))
-    ctx = _mc_context()
-    p_v, p_i = 50.0, 80.0
-    d2 = ctx.delta2
-    denom = p_v * ctx.l_v * (1.0 - d2)
-
-    def integrand(e):
-        x = (ctx.gamma_v * (p_i * ctx.l_cross * (ctx.g2_cross_hat + e) + ctx.sigma2)
-             - p_v * ctx.l_v * d2 * ctx.g2_v_hat) / denom
-        return float(law.pdf(e)) * math.exp(-max(x, 0.0))
-
-    want, _ = integrate.quad(integrand, 0.3 - 8 * math.sqrt(0.05),
-                             0.3 + 8 * math.sqrt(0.05), limit=200)
-    n = 200_000
-    got = true_satisfaction_prob_mc(ctx, (p_v, p_i), law, n, np.random.default_rng(3))
-    se = math.sqrt(want * (1.0 - want) / n)
-    assert abs(got - want) < 4.0 * se + 1e-12
+    for law in (error_law("type1"), error_law("type2"), _THREE_COMPONENTS):
+        got, want = [], []
+        for delta2 in (1e-9, 0.4260865731671351, 0.9):
+            for c in (0.05, 1.0, 8.0, 30.0):
+                for ell in (-8.0, -2.0, -0.6, 0.0, 0.7, 3.0):
+                    ctx, p_v, p_i = _at_budget(delta2, c, ell)
+                    got.append(true_satisfaction_prob(ctx, (p_v, p_i), law))
+                    want.append(_quad_reference(ctx, p_v, p_i, law))
+        got, want = np.array(got), np.array(want)
+        # the grid reaches both tails
+        assert want.min() < 1e-10 and want.max() > 1.0 - 1e-10
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
 
 
 def _reference_mc(ctx, p_v, p_i, law, n_draws, rng):
-    # the per-slot trace formula that the Monte Carlo is pinned to, draw for
-    # draw: one choice and one normal for the mixture, then the exponential
+    # the per-draw event sampled directly: one choice and one normal for the
+    # mixture, then the exponential innovation
     comp = rng.choice(len(law.weights), size=n_draws, p=law.weights)
     e_cross = rng.normal(law.means[comp], np.sqrt(law.variances[comp]))
     e_direct = rng.exponential(1.0, n_draws)
@@ -280,38 +318,63 @@ def _reference_mc(ctx, p_v, p_i, law, n_draws, rng):
     return (lhs >= rhs).mean(axis=-1)
 
 
-def test_true_satisfaction_prob_one_pair_matches_reference():
-    law = error_law("type2")
+@pytest.mark.parametrize("law", [error_law("type1"), error_law("type2"), _THREE_COMPONENTS],
+                         ids=["type1", "type2", "custom3"])
+def test_true_satisfaction_prob_vs_reference_mc(law):
+    n = 1_000_000
+    rng = np.random.default_rng(4)
     ctx = _mc_context(l_cross=3e-7, g2_v_hat=0.7, g2_cross_hat=1.3)
-    rng, ref = np.random.default_rng(4), np.random.default_rng(4)
     for p_v, p_i in ((50.0, 80.0), (80.0, 60.0), (30.0, 90.0)):
-        got = true_satisfaction_prob_mc(ctx, (p_v, p_i), law, 2000, rng)
-        want = float(_reference_mc(ctx, p_v, p_i, law, 2000, ref))
-        assert isinstance(got, float) and got == want
-        assert 0.0 < got < 1.0
-    assert rng.bit_generator.state == ref.bit_generator.state
+        want = true_satisfaction_prob(ctx, (p_v, p_i), law)
+        assert 0.01 < want < 0.99
+        got = float(_reference_mc(ctx, p_v, p_i, law, n, rng))
+        assert abs(got - want) < 4.0 * math.sqrt(want * (1.0 - want) / n)
 
 
-def test_true_satisfaction_prob_per_pair_arrays_match_reference():
-    # one (M, n_draws) block: row i equals the reference on pair i's values
-    # with the mixture block drawn before the exponential block
-    law = error_law("type1")
-    m, n = 4, 1000
+def test_true_satisfaction_prob_arrays_match_scalar_calls():
+    # entry (s, i) of an array call is the scalar call on that entry's values
+    law = _THREE_COMPONENTS
+    s_len, m = 3, 5
     g = np.random.default_rng(5)
-    ctx = _mc_context(l_v=10.0 ** g.uniform(-7.5, -6.5, m),
-                      l_cross=10.0 ** g.uniform(-8.5, -7.5, m),
-                      g2_v_hat=g.exponential(1.0, m), g2_cross_hat=g.exponential(1.0, m))
-    p_v, p_i = g.uniform(10.0, 200.0, m), g.uniform(10.0, 200.0, m)
-    rng, ref = np.random.default_rng(6), np.random.default_rng(6)
-    got = true_satisfaction_prob_mc(ctx, (p_v, p_i), law, n, rng)
-    comp = ref.choice(2, size=(m, n), p=law.weights)
-    e_cross = ref.normal(law.means[comp], np.sqrt(law.variances[comp]))
-    e_direct = ref.exponential(1.0, (m, n))
-    d2 = ctx.delta2
-    lhs = (p_v[:, None] * ctx.l_v[:, None]
-           * (d2 * ctx.g2_v_hat[:, None] + (1.0 - d2) * e_direct))
-    rhs = ctx.gamma_v * (p_i[:, None] * ctx.l_cross[:, None]
-                         * (ctx.g2_cross_hat[:, None] + e_cross) + ctx.sigma2)
-    want = (lhs >= rhs).mean(axis=1)
-    assert got.shape == (m,) and got.tobytes() == want.tobytes()
-    assert rng.bit_generator.state == ref.bit_generator.state
+    l_v = 10.0 ** g.uniform(-7.5, -6.5, m)
+    l_cross = l_v * 10.0 ** g.uniform(0.3, 1.0, m)
+    g2_v_hat, g2_cross_hat = g.exponential(1.0, (s_len, m)), g.exponential(1.0, (s_len, m))
+    p_v, p_i = g.uniform(10.0, 200.0, (s_len, m)), g.uniform(10.0, 200.0, (s_len, m))
+    for delta2 in (0.4260865731671351, 1.0):
+        block = _mc_context(delta2=delta2, l_v=l_v, l_cross=l_cross,
+                            g2_v_hat=g2_v_hat, g2_cross_hat=g2_cross_hat)
+        got = true_satisfaction_prob(block, (p_v, p_i), law)
+        assert got.shape == (s_len, m)
+        assert np.count_nonzero((got > 1e-3) & (got < 1.0 - 1e-3)) >= 3
+        for s in range(s_len):
+            row = _mc_context(delta2=delta2, l_v=l_v, l_cross=l_cross,
+                              g2_v_hat=g2_v_hat[s], g2_cross_hat=g2_cross_hat[s])
+            got_row = true_satisfaction_prob(row, (p_v[s], p_i[s]), law)
+            assert got_row.shape == (m,) and got_row.tobytes() == got[s].tobytes()
+            for i in range(m):
+                one = _mc_context(delta2=delta2, l_v=l_v[i], l_cross=l_cross[i],
+                                  g2_v_hat=g2_v_hat[s, i], g2_cross_hat=g2_cross_hat[s, i])
+                want = true_satisfaction_prob(one, (p_v[s, i], p_i[s, i]), law)
+                assert isinstance(want, float) and want == got[s, i]
+
+
+@settings(max_examples=150, deadline=None)
+@given(law=st.sampled_from(["type1", "type2"]),
+       delta2=st.floats(0.05, 0.95), l_v=st.floats(-8.0, -6.0), l_cross=st.floats(-10.0, -6.0),
+       g2_v_hat=st.floats(0.01, 5.0), g2_cross_hat=st.floats(0.0, 5.0),
+       p_v=st.floats(1.0, 200.0), p_i=st.floats(1.0, 200.0),
+       up=st.floats(1.0, 4.0))
+def test_true_satisfaction_prob_bounded_and_monotone(law, delta2, l_v, l_cross, g2_v_hat,
+                                                     g2_cross_hat, p_v, p_i, up):
+    # here the reported direct signal alone clears the noise threshold
+    # (gamma_v sigma2 <= p_v l_v delta2 g2_v_hat), so a draw whose actual
+    # cross gain is negative always satisfies and a higher uplink power can
+    # only hurt; a higher sidelink power always helps
+    law = error_law(law)
+    ctx = _mc_context(delta2=delta2, l_v=10.0 ** l_v, l_cross=10.0 ** l_cross,
+                      g2_v_hat=g2_v_hat, g2_cross_hat=g2_cross_hat)
+    p = true_satisfaction_prob(ctx, (p_v, p_i), law)
+    assert 0.0 <= p <= 1.0
+    # up to the rounding of the probability's two terms
+    assert true_satisfaction_prob(ctx, (p_v * up, p_i), law) >= p - 1e-13
+    assert true_satisfaction_prob(ctx, (p_v, p_i * up), law) <= p + 1e-13
