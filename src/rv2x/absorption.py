@@ -42,20 +42,40 @@ def _kernel(a, w_cut, lambda_y):
     return out
 
 
+_FAR_RADIUS = 16.0     # probes beyond this many half-spans of a call's points take the series
+_TERMS = 16            # series terms: relative truncation (_TERMS + 1) 16^-_TERMS 16/15 ~ 1e-18
+_BLOCK = 2 ** 15       # entries per row block of the per-entry sums
+
+
 def estimate_pdf(estimate, e):
     """Raw deconvolution density estimate at points ``e`` (may be negative).
 
-    The sum over probes of ``_kernel(z_k - e)`` is split by ``|W a|``, with
-    ``a = z_k - e``.  Far entries (``|W a| >= 1``) expand ``sin W(z - e)``
-    and ``cos W(z - e)`` by angle addition, so a block reduces to four row
-    sums of ``sin Wz_k`` and ``cos Wz_k`` weighted by ``1/(Wa)`` and
-    ``1/(Wa)^2``, combined with ``sin We`` and ``cos We`` per point: n + G
-    sines and cosines instead of n * G.  Near entries, a few percent of a
-    block or less, go through ``_kernel`` itself.  The split exists because
+    The probes are split about the call's points: with c the midpoint of
+    ``e`` and h its half-span (at least 1/W), a probe with
+    ``|z - c| > _FAR_RADIUS * h`` is far from every point.  Its ``1/a`` and
+    ``1/a^2`` (``a = z - e``) are Taylor series in ``(e - c)/(z - c)``, the
+    far-field expansion of fast multipole methods (Greengard and Rokhlin
+    1987), cut after ``_TERMS`` terms, where the truncation is below 1e-18
+    relative.  So the far probes enter through the moments
+    ``sum sin(Wz) t^q`` and ``sum cos(Wz) t^q`` with ``t = h/(z - c)``,
+    taken in one matrix product, and a polynomial in ``(e - c)/h`` per
+    point.  A call of at most ``_TERMS`` points takes no series: all its
+    probes are close.
+
+    The close probes are summed entry by entry, in row blocks of at most
+    ``_BLOCK`` entries, split by ``|W a|``.  Far entries (``|W a| >= 1``)
+    expand ``sin W(z - e)`` and ``cos W(z - e)`` by angle addition, so a
+    block reduces to four row sums of ``sin Wz_k`` and ``cos Wz_k``
+    weighted by ``1/(Wa)`` and ``1/(Wa)^2``, which the far moments join
+    before the angle addition with ``sin We`` and ``cos We`` per point.
+    Near entries go through ``_kernel`` itself.  The split exists because
     angle addition forms ``sin Wa`` as a difference of O(1) products: near
     ``a = 0`` that rounding is divided by ``a^2`` and scaled by
     ``2/lambda_y`` (lambda_y reaches 1e-6 on default trials), which would
     move the density visibly.
+
+    Which probes are far depends on the call's span, so a point's value can
+    move by rounding with the other points of its call.
     """
     z = estimate.samples
     if z.size == 0:
@@ -63,42 +83,51 @@ def estimate_pdf(estimate, e):
     e = np.atleast_1d(np.asarray(e, dtype=float))
     w_cut = estimate.trunc_k * np.pi
     lam = estimate.lambda_y
-    wz = w_cut * z
-    sin_wz, cos_wz = np.sin(wz), np.cos(wz)
-    out = np.empty(e.shape, dtype=float)
-    step = max(1, int(2e7) // max(z.size, 1))
-    rows = max(1, 2 ** 15 // z.size)
-    buf = np.empty((min(rows, e.size), z.size))
-    for lo in range(0, e.size, step):
-        block = e[lo:lo + step]
-        wa = z[None, :] - block[:, None]
-        wa *= w_cut
-        idx = np.flatnonzero((wa < 1.0) & (wa > -1.0))     # near entries, row-major
-        g, k = np.divmod(idx, z.size)
-        near = np.bincount(g, weights=_kernel(z[k] - block[g], w_cut, lam),
-                           minlength=block.size)
-        wa.reshape(-1)[idx] = np.inf
-        inv = np.divide(1.0, wa, out=wa)                     # 1 / (W a), 0 on near entries
-        # the row sums go through one small buffer, a row chunk at a time:
-        # a second full-size array freed beside ``wa`` lets glibc trim the
-        # heap after every call, and the next trial faults it back in
-        sums = np.empty((4, block.size))
-        for r in range(0, block.size, rows):
-            part = inv[r:r + rows]
-            tmp = buf[:part.shape[0]]
-            sums[0, r:r + rows] = np.multiply(part, sin_wz, out=tmp).sum(axis=1)
-            sums[1, r:r + rows] = np.multiply(part, cos_wz, out=tmp).sum(axis=1)
-            part *= part
-            sums[2, r:r + rows] = np.multiply(part, sin_wz, out=tmp).sum(axis=1)
-            sums[3, r:r + rows] = np.multiply(part, cos_wz, out=tmp).sum(axis=1)
-        we = w_cut * block
-        sin_we, cos_we = np.sin(we), np.cos(we)
-        # sin W(z - e) = sin Wz cos We - cos Wz sin We, cos alike
-        sin_1 = cos_we * sums[0] - sin_we * sums[1]          # W^-1 sum sin(Wa) / a
-        cos_1 = cos_we * sums[1] + sin_we * sums[0]          # W^-1 sum cos(Wa) / a
-        sin_2 = cos_we * sums[2] - sin_we * sums[3]          # W^-2 sum sin(Wa) / a^2
-        far = (2.0 / lam) * w_cut ** 2 * (sin_2 - cos_1) + 2.0 * w_cut * sin_1
-        out[lo:lo + step] = far + near
+    sums = np.zeros((4, e.size))      # W^-j sum sin Wz / a^j and cos alike, j = 1, 2
+    near = np.zeros(e.size)
+    close = z
+    if e.size > _TERMS:
+        e_lo, e_hi = float(e.min()), float(e.max())
+        c = 0.5 * (e_lo + e_hi)
+        h = max(0.5 * (e_hi - e_lo), 1.0 / w_cut)
+        far = np.abs(z - c) > _FAR_RADIUS * h
+        close = z[~far]
+        zf = z[far]
+        # moments of sin Wz and cos Wz against t^q, q = 1 .. _TERMS + 1
+        powers = np.vander(h / (zf - c), _TERMS + 2, increasing=True)[:, 1:]
+        mom = np.stack([np.sin(w_cut * zf), np.cos(w_cut * zf)]) @ powers
+        # 1/a = h^-1 sum_p v^p t^(p+1) and 1/a^2 = h^-2 sum_p (p+1) v^p t^(p+2)
+        coef = np.concatenate([mom[:, :_TERMS] / (w_cut * h),
+                               mom[:, 1:] * (np.arange(1, _TERMS + 1) / (w_cut * h) ** 2)])
+        sums += coef @ np.vander((e - c) / h, _TERMS, increasing=True).T
+    if close.size:
+        wz = w_cut * close
+        sin_wz, cos_wz = np.sin(wz), np.cos(wz)
+        step = max(1, _BLOCK // close.size)
+        buf = np.empty((min(step, e.size), close.size))
+        for lo in range(0, e.size, step):
+            block = e[lo:lo + step]
+            wa = close[None, :] - block[:, None]
+            wa *= w_cut
+            idx = np.flatnonzero((wa < 1.0) & (wa > -1.0))     # near entries, row-major
+            g, k = np.divmod(idx, close.size)
+            near[lo:lo + step] = np.bincount(
+                g, weights=_kernel(close[k] - block[g], w_cut, lam), minlength=block.size)
+            wa.reshape(-1)[idx] = np.inf
+            inv = np.divide(1.0, wa, out=wa)                 # 1 / (W a), 0 on near entries
+            tmp = buf[:block.size]
+            sums[0, lo:lo + step] += np.multiply(inv, sin_wz, out=tmp).sum(axis=1)
+            sums[1, lo:lo + step] += np.multiply(inv, cos_wz, out=tmp).sum(axis=1)
+            inv *= inv
+            sums[2, lo:lo + step] += np.multiply(inv, sin_wz, out=tmp).sum(axis=1)
+            sums[3, lo:lo + step] += np.multiply(inv, cos_wz, out=tmp).sum(axis=1)
+    we = w_cut * e
+    sin_we, cos_we = np.sin(we), np.cos(we)
+    # sin W(z - e) = sin Wz cos We - cos Wz sin We, cos alike
+    sin_1 = cos_we * sums[0] - sin_we * sums[1]              # W^-1 sum sin(Wa) / a
+    cos_1 = cos_we * sums[1] + sin_we * sums[0]              # W^-1 sum cos(Wa) / a
+    sin_2 = cos_we * sums[2] - sin_we * sums[3]              # W^-2 sum sin(Wa) / a^2
+    out = (2.0 / lam) * w_cut ** 2 * (sin_2 - cos_1) + 2.0 * w_cut * sin_1 + near
     return out / (2.0 * np.pi * z.size)
 
 

@@ -305,7 +305,7 @@ def run(config, allocator="proposed", trials=1, threads=None):
 # --------------------------------------------------------------------------- emission
 
 
-_ROW_FMT = "%d,{},%d,%.10g,%.10g,%.10g,%.10g,%d,%d\n"   # slot, phase, pair, then _ROW_COLS
+_ROW_SPECS = ("%d", "%d") + ("%.10g",) * 4 + ("%d", "%d")   # slot, pair, then _ROW_COLS
 _CHUNK_ROWS = 4096
 
 
@@ -320,15 +320,26 @@ def _lines(fmt, cols):
 
 def _write_rows(fh, rows, base, first, m):
     """One trial's rows as CSV lines, formatted one chunk per ``%`` call: row r is
-    global slot ``base + r // m`` and pair ``r % m``, and probing if r < ``first``."""
+    global slot ``base + r // m`` and pair ``r % m``, and probing if r < ``first``.
+    A column whose entries are bitwise equal over a chunk is formatted once, into
+    the chunk's format string (probing powers are uniform across pairs)."""
     n = rows["p_v_mw"].shape[0]
     for phase, start, stop in (("absorption", 0, first), ("adaptation", first, n)):
-        fmt = _ROW_FMT.format(phase)
         for lo in range(start, stop, _CHUNK_ROWS):
             hi = min(lo + _CHUNK_ROWS, stop)
             r = np.arange(lo, hi)
             cols = [base + r // m, r % m] + [rows[name][lo:hi] for name in _ROW_COLS]
-            fh.write(_lines(fmt, cols))
+            fields, varying = [], []
+            for spec, col in zip(_ROW_SPECS, cols):
+                bits = col.view(f"u{col.itemsize}")
+                if (bits == bits[0]).all():
+                    fields.append(spec % col[0].item())
+                else:
+                    fields.append(spec)
+                    varying.append(col)
+            fields.insert(1, phase)
+            fmt = ",".join(fields) + "\n"
+            fh.write(_lines(fmt, varying) if varying else fmt * (hi - lo))
 
 
 def emit(report, out_dir):

@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from rv2x.absorption import (AbsorptionPlan, DeconvEstimate, _kernel,
-                             absorption_power, adaptation_capability_bound,
+from rv2x.absorption import (_FAR_RADIUS, _TERMS, AbsorptionPlan, DeconvEstimate,
+                             _kernel, absorption_power, adaptation_capability_bound,
                              collect_sample, edge_weight, estimate_pdf,
                              hungarian_match, run_absorption)
 from rv2x.channel import LargeScaleState, build_large_scale, error_law
 from rv2x.config import SimConfig
 from rv2x.errors import ConfigurationError, InfeasibleMatching
+from rv2x.harness import _stream
 from rv2x.scenario import build_topology
 
 
@@ -83,10 +84,46 @@ def test_estimate_matches_direct_kernel_sum(lam):
         probes.append(e[rng.integers(0, e.size, 4)] + d * np.array([1.0, -1.0, 1.0, -1.0]))
     probes.append(rng.normal(0.5, 0.7, 40))
     probes.append([1e2, -3e3, 5e4, 2.5e5, 1e6, -1e6])
+    # just inside and just outside the far-series radius, on both sides
+    c, radius = 0.5, _FAR_RADIUS * 1.5
+    probes.append(c + radius * np.array([1.0 - 1e-12, 1.0 + 1e-12, 1.0 - 1e-3, 1.0 + 1e-3]))
+    probes.append(c - radius * np.array([1.0 - 1e-12, 1.0 + 1e-12, 1.0 - 1e-3, 1.0 + 1e-3]))
     z = np.concatenate(probes)
     got = DeconvEstimate(samples=z, lambda_y=lam, trunc_k=k).pdf(e)
     want = _direct_pdf(z, e, k, lam)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9 * np.max(np.abs(want)))
+
+
+def test_default_trial_estimates_match_direct_kernel_sum():
+    # trial 0 of the default config on the error_pdf.csv grid: lambda_y spans
+    # orders of magnitude and most probes lie far outside the grid
+    config = SimConfig()
+    law = error_law(config.error_law)
+    topo = build_topology(config, _stream(config.rng_seed, 0, "topology"))
+    large = build_large_scale(topo, config, _stream(config.rng_seed, 0, "shadowing"))
+    _, estimates, _ = run_absorption(large, config, law,
+                                     _stream(config.rng_seed, 0, "absorption"))
+    sd = np.sqrt(law.variances)
+    e = np.linspace(np.min(law.means - 5.0 * sd), np.max(law.means + 5.0 * sd), 601)
+    far = 0
+    for est in estimates:
+        want = _direct_pdf(est.samples, e, est.trunc_k, est.lambda_y)
+        np.testing.assert_allclose(est.pdf(e), want, rtol=0.0,
+                                   atol=1e-9 * np.max(np.abs(want)))
+        far += np.sum(np.abs(est.samples - 0.5 * (e[0] + e[-1]))
+                      > _FAR_RADIUS * 0.5 * (e[-1] - e[0]))
+    assert far > 0.5 * config.num_pairs * config.absorption_len   # the series is exercised
+
+
+def test_small_calls_do_not_depend_on_their_points():
+    # a call of at most _TERMS points sums every probe entry by entry, so each
+    # point's value is the one it has alone (the beta oracle asks one at a time)
+    rng = np.random.default_rng(3)
+    z = np.concatenate([rng.normal(0.5, 0.3, 200), rng.exponential(1e4, 300)])
+    est = DeconvEstimate(samples=z, lambda_y=1e-4, trunc_k=10)
+    e = rng.uniform(-1.0, 2.0, _TERMS)
+    alone = np.array([est.pdf(x)[0] for x in e])
+    np.testing.assert_array_equal(est.pdf(e), alone)
 
 
 def _model_samples(rng, law, lam_y, t):

@@ -16,7 +16,7 @@ from rv2x.channel import build_large_scale, error_law, evolve_small_scale
 from rv2x.config import SimConfig
 from rv2x.errors import ConfigurationError
 from rv2x.qosmodel import true_satisfaction_prob
-from rv2x.harness import (RunReport, default_threads, emit, main, run,
+from rv2x.harness import (_CHUNK_ROWS, RunReport, default_threads, emit, main, run,
                           run_trial, _stream)
 from rv2x.scenario import build_topology, noise_power, qos_constants
 
@@ -336,6 +336,33 @@ def test_emit_conditional_delay_and_infinite_sentinel(tmp_path):
     np.testing.assert_allclose(cdf["ccdf"][-1], 0.5, atol=1e-12)
 
 
+def _reference_slots(report):
+    """Row-by-row transcription of slots.csv: one formatted line per (slot, pair)."""
+    config = report.config
+    want = ["slot,phase,pair,p_v_mw,p_i_mw,delay_ms,throughput_mbps,satisfied,infeasible"]
+    n_slots, m = config.absorption_len + config.adaptation_len, config.num_pairs
+    for t, r in zip(report.trial_ids, report.rows):
+        for i in range(r["p_v_mw"].size):
+            slot, pair = divmod(i, m)
+            phase = "absorption" if slot < config.absorption_len else "adaptation"
+            want.append(",".join((
+                str(t * n_slots + slot), phase, str(pair),
+                *(f"{r[k][i]:.10g}" for k in ("p_v_mw", "p_i_mw", "delay_ms",
+                                              "throughput_mbps")),
+                str(int(r["satisfied"][i])), str(int(r["infeasible"][i])))))
+    return "\n".join(want) + "\n"
+
+
+def _rows_report(config, trial_ids, rows):
+    return RunReport(
+        allocator="gaussian", config=config, trials=max(trial_ids, default=0) + 1,
+        completed=len(rows), trial_ids=trial_ids, rows=rows, decisions=[{}] * len(rows),
+        j_trace=[np.zeros(2)] * len(rows), v2v_ok_rate=0.5, v2i_ok_rate=0.5,
+        mean_delay_ms=1.0, conditional_mean_delay_ms=None, mean_throughput_mbps=1.0,
+        infeasible_rate=0.0, cross_clamped=0, degenerate_sinr=0, estimates=[],
+        partial_errors=[])
+
+
 def test_emit_slots_csv_matches_row_by_row_reference(tmp_path):
     # two trials (ids 0 and 3) of 8,700 rows each: each phase spans two chunks,
     # and chunks start mid-slot
@@ -355,29 +382,56 @@ def test_emit_slots_csv_matches_row_by_row_reference(tmp_path):
             "satisfied": rng.random(n) < 0.5, "infeasible": rng.random(n) < 0.5,
         }
 
-    rows = [trial_rows(), trial_rows()]
-    report = RunReport(
-        allocator="gaussian", config=config, trials=4, completed=2,
-        trial_ids=[0, 3], rows=rows, decisions=[{}, {}], j_trace=[np.zeros(2)] * 2,
-        v2v_ok_rate=0.5, v2i_ok_rate=0.5, mean_delay_ms=1.0,
-        conditional_mean_delay_ms=None, mean_throughput_mbps=1.0,
-        infeasible_rate=0.0, cross_clamped=0, degenerate_sinr=0,
-        estimates=[], partial_errors=[])
-    want = ["slot,phase,pair,p_v_mw,p_i_mw,delay_ms,throughput_mbps,satisfied,infeasible"]
-    n_slots, m = config.absorption_len + config.adaptation_len, config.num_pairs
-    for t, r in zip(report.trial_ids, rows):
-        for i in range(n):
-            slot, pair = divmod(i, m)
-            phase = "absorption" if slot < config.absorption_len else "adaptation"
-            want.append(",".join((
-                str(t * n_slots + slot), phase, str(pair),
-                *(f"{r[k][i]:.10g}" for k in ("p_v_mw", "p_i_mw", "delay_ms",
-                                              "throughput_mbps")),
-                str(int(r["satisfied"][i])), str(int(r["infeasible"][i])))))
+    report = _rows_report(config, [0, 3], [trial_rows(), trial_rows()])
     csv_path, _, _ = emit(report, str(tmp_path / "rows"))
     got = _read(csv_path).decode()
-    assert got == "\n".join(want) + "\n"
+    # compared as lists of lines: a failing diff of the whole text takes minutes
+    assert got.split("\n") == _reference_slots(report).split("\n")
     assert "1e-300" in got and "1e+20" in got and ",-1," in got
+
+
+def test_emit_slots_csv_constant_columns(tmp_path):
+    # columns constant over a whole chunk, over one chunk but not the next,
+    # and all 0.0 but one -0.0; phases of 4,200 rows span a chunk boundary
+    config = SimConfig(num_pairs=2, absorption_len=2100, matching_horizon=2100,
+                       adaptation_len=2100)
+    half = config.absorption_len * config.num_pairs
+    edge = _CHUNK_ROWS
+    rng = np.random.default_rng(9)
+    p_i = np.zeros(2 * half)
+    p_i[17] = -0.0                       # the first chunk is not constant: it prints -0
+    p_i[half:] = -0.0                    # constant -0 over the adaptation chunks
+    delay = rng.lognormal(0.0, 2.0, 2 * half)
+    delay[:edge] = -1.0                  # constant in the first chunk only
+    thr = rng.lognormal(0.0, 2.0, 2 * half)
+    thr[half + edge:] = 1e20             # constant in the last chunk only
+    rows = {
+        "p_v_mw": np.concatenate([np.full(half, 3.5), np.full(edge, 7.25),
+                                  rng.lognormal(0.0, 2.0, half - edge)]),
+        "p_i_mw": p_i, "delay_ms": delay, "throughput_mbps": thr,
+        "satisfied": np.concatenate([np.ones(half, bool), np.zeros(edge, bool),
+                                     rng.random(half - edge) < 0.5]),
+        "infeasible": np.arange(2 * half) >= half,
+    }
+    # one pair and a 4,097-slot probing phase: its last chunk is one row,
+    # every column of which is constant
+    one = SimConfig(num_pairs=1, absorption_len=edge + 1, matching_horizon=edge + 1,
+                    adaptation_len=1)
+    n_one = edge + 2
+    one_rows = {"p_v_mw": np.full(n_one, 2.0), "p_i_mw": np.arange(n_one) * 0.5,
+                "delay_ms": np.full(n_one, -0.0), "throughput_mbps": np.full(n_one, 1.5),
+                "satisfied": np.zeros(n_one, bool), "infeasible": np.ones(n_one, bool)}
+    cases = {"chunks": _rows_report(config, [0, 2], [rows, rows]),
+             "one_row_chunk": _rows_report(one, [1], [one_rows]),
+             "empty": _rows_report(config, [], [])}
+    for name, report in cases.items():
+        csv_path, _, _ = emit(report, str(tmp_path / name))
+        got = _read(csv_path).decode()
+        assert got.split("\n") == _reference_slots(report).split("\n"), name
+    lines = _read(tmp_path / "chunks" / "slots.csv").decode().splitlines()
+    assert lines[1 + 17].split(",")[4] == "-0" and lines[1 + 16].split(",")[4] == "0"
+    assert lines[1 + half].split(",")[4] == "-0"
+    assert len(_read(tmp_path / "empty" / "slots.csv").decode().splitlines()) == 1
 
 
 def _reference_tables(report):
