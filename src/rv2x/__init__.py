@@ -43,7 +43,7 @@ from .channel import (
     pathloss_winner_b1_db,
 )
 from .config import SimConfig, load_config
-from .errors import ConfigurationError, InfeasibleMatching, QuadratureError
+from .errors import ConfigurationError, InfeasibleMatching, NonFiniteSatisfaction
 from .harness import RunReport, emit, run, run_trial
 from .qosmodel import (
     AllocationDecision,
@@ -70,7 +70,7 @@ __all__ = [
     "HprRegion",
     "InfeasibleMatching",
     "LargeScaleState",
-    "QuadratureError",
+    "NonFiniteSatisfaction",
     "RunReport",
     "SimConfig",
     "Topology",

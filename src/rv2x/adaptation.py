@@ -8,7 +8,9 @@ p_i/p_v.  Per slot the allocator:
    satisfaction estimate misses the target probability,
 3. picks the c above the floor whose noise-amplification functional u is
    closest to one, and keeps it when its satisfaction estimate meets the
-   target,
+   target.  u depends only on the pair, and where it rises with c (Prop. 1)
+   the pick is one exact root of u = 1 per pair, found once per block of
+   slots and clipped to each slot's bracket,
 4. otherwise bounds c from above by the delay-satisfaction functional (the
    largest c whose satisfaction estimate still meets the target, found by a
    bracketing Brent-Dekker search between the floor and that pick) and picks
@@ -52,7 +54,7 @@ import numpy as np
 from . import qosmodel
 from .absorption import DeconvEstimate
 from .baselines import GaussianFit, HprRegion
-from .errors import ConfigurationError, QuadratureError
+from .errors import ConfigurationError, NonFiniteSatisfaction
 
 _ROOT_REL_TOL = 1e-6    # root-search tolerance on c (log width); the kept
                         # endpoint always sits on the satisfied side
@@ -68,6 +70,7 @@ _SI_TERMS = 7           # terms of each of Si's auxiliary series f and g in
                         # Si(x) = sgn(x) pi/2 - f cos x - g sin x (DLMF 6.12);
                         # within 3e-16 of 30-digit Si from |W b| = 60 on
 _BLOCK = 2 ** 13        # lanes x probes per block of the beta workspace
+_U_GRID = 129           # points per multisection round of the root of u = 1
 
 
 @dataclasses.dataclass
@@ -488,7 +491,7 @@ def _beta_batch_deconv(cs, ells, estimate, lambda_y, k1, k2):
     out = _beta_exact(cs, ells, z, lambda_y, window, k2 * np.pi,
                       shared=window > k1, edge=z_hi + 0.5 * k1)
     if not np.isfinite(out).all():
-        raise QuadratureError(
+        raise NonFiniteSatisfaction(
             "satisfaction integral did not evaluate to finite values",
             diagnostics={"lambda_y": lambda_y, "bad": int(np.sum(~np.isfinite(out))),
                          "c_range": (float(cs.min()), float(cs.max())),
@@ -632,7 +635,10 @@ def _decide(beta_raw_at, c_l, c_hi, pair):
     picked on [c_l, c_hi] and queried unless it is the floor; where it meets
     the target it is both c_u and c*.  Only where it misses does a root
     search on [c_l, c_t] find the ceiling c_u, and c* is then picked again on
-    [c_l, c_u].  No budget is queried that cannot change c*.  Returns
+    [c_l, c_u].  Both picks clip the pair's one root of u = 1 (``_u_root``),
+    found once per call and only where some slot needs a pick, so a slot's
+    decision does not depend on the other slots of its block.  No budget is
+    queried that cannot change c*.  Returns
     (feasible, c_u, c_star, beta at c_star, beta at c_l); c_u is 0 and the
     betas NaN where nothing was evaluated.
     """
@@ -654,7 +660,8 @@ def _decide(beta_raw_at, c_l, c_hi, pair):
     if not j.size:
         return feasible, c_u, c_star, b_star, b_l
     cl, bl = c_l[j], b_l[j]
-    c_t = _u_pick(cl, np.full(j.size, c_hi), pair)
+    root = _u_root(pair)
+    c_t = _u_pick(cl, np.full(j.size, c_hi), pair, root)
     b_t = bl.copy()
     q = c_t != cl
     if q.any():
@@ -672,7 +679,7 @@ def _decide(beta_raw_at, c_l, c_hi, pair):
                              t_l, np.log(c_t[k]), bl - target, b_t[k] - target)
         cu = np.where(t == t_l, cl, np.exp(t))
         bu = f + target
-        cs = _u_pick(cl, cu, pair)
+        cs = _u_pick(cl, cu, pair, root)
         bs = np.where(cs == cu, bu, np.where(cs == cl, bl, np.nan))
         q = np.isnan(bs)
         if q.any():
@@ -748,32 +755,53 @@ def _bracket_root(fun, a, b, fa, fb):
     return np.where(sat, x_cur, x_blk), np.where(sat, f_cur, f_blk)
 
 
-def _u_pick(cl, cu, pair):
+def _u_root(pair):
+    """The budget where u crosses one on the pair's box, or None where the
+    monotonicity condition of u (Prop. 1) fails there.
+
+    u depends only on the pair, and where Prop. 1 holds it rises with c, so
+    one root serves every slot.  Returns c_lo where u(c_lo) >= 1, inf where
+    u(c_hi) < 1, and otherwise the double b in (c_lo, c_hi] with
+    u(b) >= 1 > u(b-), b- the double just below b.  The search is a
+    multisection over the bit patterns of the doubles, which for positive
+    doubles are ordered as the doubles are: each round evaluates u on
+    ``_U_GRID`` evenly spaced patterns of the bracket, in one call, and keeps
+    the step where u first reaches one, until the bracket's ends are adjacent.
+    u rounds each point alone, so a bracket end keeps its side of one.
+    """
+    lambda_y, k2 = pair.lambda_y, pair.trunc_k2
+    c_lo, _, c_hi = _c_range(pair)
+    if not prop1_holds(lambda_y, k2, c_lo, c_hi):
+        return None
+    a, b = (int(np.float64(c).view(np.int64)) for c in (c_lo, c_hi))
+    while True:
+        step = max((b - a) // (_U_GRID - 1), 1)
+        bits = np.minimum(a + step * np.arange(_U_GRID, dtype=np.int64), b)
+        bits[-1] = b
+        cs = bits.view(np.float64)
+        reached = u_value(cs, lambda_y, k2) >= 1.0
+        k = int(np.argmax(reached))
+        if k == 0:
+            # only the first round holds c_lo and c_hi
+            return c_lo if reached[0] else math.inf
+        a, b = int(bits[k - 1]), int(bits[k])
+        if b - a == 1:
+            return float(cs[k])
+
+
+def _u_pick(cl, cu, pair, root):
     """The budget in [cl, cu] whose u-functional is closest to one.
 
-    Bisects on u = 1 where the monotonicity condition of u (Prop. 1) holds
-    on the pair's box, and takes a dense argmin of |u - 1| otherwise.
+    Where Prop. 1 holds on the pair's box, ``root`` is the pair's crossing
+    of u = 1 (``_u_root``) and the pick is that root clipped to each
+    bracket.  Where it fails, ``root`` is None and the pick is a dense
+    argmin of |u - 1| on each bracket.
     """
-    c_lo, _, c_hi = _c_range(pair)
-    if prop1_holds(pair.lambda_y, pair.trunc_k2, c_lo, c_hi):
-        u_lo = u_value(cl, pair.lambda_y, pair.trunc_k2)
-        u_hi = u_value(cu, pair.lambda_y, pair.trunc_k2)
-        pick = np.where(u_lo >= 1.0, cl, cu)
-        rooted = (u_lo < 1.0) & (u_hi >= 1.0)
-        if rooted.any():
-            lo, hi = np.log(cl[rooted]), np.log(cu[rooted])
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                below = u_value(np.exp(mid), pair.lambda_y, pair.trunc_k2) < 1.0
-                lo = np.where(below, mid, lo)
-                hi = np.where(below, hi, mid)
-                if float(np.max(hi - lo)) <= 1e-9:
-                    break
-            pick[rooted] = np.exp(0.5 * (lo + hi))
-    else:
-        t = np.linspace(0.0, 1.0, 1024)
-        grid = np.exp(np.log(cl)[:, None] * (1.0 - t) + np.log(cu)[:, None] * t)
-        err = np.abs(u_value(grid, pair.lambda_y, pair.trunc_k2) - 1.0)
-        pick = grid[np.arange(grid.shape[0]), np.argmin(err, axis=1)]
+    if root is not None:
+        return np.clip(root, cl, cu)
+    t = np.linspace(0.0, 1.0, 1024)
+    grid = np.exp(np.log(cl)[:, None] * (1.0 - t) + np.log(cu)[:, None] * t)
+    err = np.abs(u_value(grid, pair.lambda_y, pair.trunc_k2) - 1.0)
+    pick = grid[np.arange(grid.shape[0]), np.argmin(err, axis=1)]
     # exp(log(c)) can round one ulp outside [cl, cu]
     return np.clip(pick, cl, cu)

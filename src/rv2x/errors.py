@@ -5,8 +5,8 @@ class ConfigurationError(ValueError):
     """Invalid configuration value, file, or argument combination."""
 
 
-class QuadratureError(RuntimeError):
-    """The satisfaction evaluator returned non-finite satisfaction values.
+class NonFiniteSatisfaction(RuntimeError):
+    """The satisfaction estimate evaluated to a non-finite value.
 
     Carries a ``diagnostics`` dict (count of bad values, parameters and the
     queried ranges) so the caller can log what happened.

@@ -4,7 +4,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize, special
 
@@ -12,10 +12,12 @@ from rv2x import adaptation, qosmodel
 from rv2x.absorption import DeconvEstimate, estimate_pdf
 from rv2x.adaptation import (AdaptationContext, beta, c_param, check_prop1_condition,
                              ell, prop1_holds, solve_slots, u_value,
-                             _bracket_root, _c_range, _prop1_lhs, _u_pick)
+                             _bracket_root, _c_range, _prop1_lhs, _u_pick, _u_root)
 from rv2x.baselines import GaussianFit, HprRegion
 from rv2x.channel import error_law
-from rv2x.errors import ConfigurationError, QuadratureError
+from rv2x.config import SimConfig
+from rv2x.errors import ConfigurationError, NonFiniteSatisfaction
+from rv2x.harness import run_trial
 
 Z12 = np.array([0.05, 0.12, 0.21, 0.33, 0.41, 0.52, 0.63, 0.74, 0.82, 0.91, 1.03, 1.18])
 
@@ -86,6 +88,33 @@ def test_u_strictly_increasing_on_operating_band():
     for lam in (0.5, 5.0, 30.0):
         grid = np.geomspace(1e-2, 80.0, 1000)
         assert np.all(np.diff(u_value(grid, lam, 10)) > 0), f"u not increasing at {lam}"
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(log_lam=st.floats(-5.0, math.log10(50.0)), k2=st.integers(1, 12),
+       log_lo=st.floats(-6.0, 0.0), log_span=st.floats(0.5, 10.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_u_root_is_the_crossing_of_one(log_lam, k2, log_lo, log_span, seed):
+    # u crosses one between about 0.05 and 3.5 lambda_y, so boxes placed
+    # relative to lambda_y hold the crossing or lie wholly on either side
+    lam = 10.0 ** log_lam
+    c_lo = lam * math.exp(log_lo)
+    ctx = _ctx(GaussianFit(mean_e=0.0, var_e=1.0), lam, box=(c_lo, c_lo * math.exp(log_span),
+                                                              1.0, 1.0), trunc_k2=k2)
+    c_lo, _, c_hi = _c_range(ctx)
+    assume(prop1_holds(lam, k2, c_lo, c_hi))
+    root = _u_root(ctx)
+    if u_value(c_lo, lam, k2) >= 1.0:
+        assert root == c_lo
+    elif u_value(c_hi, lam, k2) < 1.0:
+        assert root == math.inf
+    else:
+        assert c_lo < root <= c_hi
+        assert u_value(root, lam, k2) >= 1.0 > u_value(np.nextafter(root, 0.0), lam, k2)
+    # every bracket in the box picks the root clipped to it
+    t = np.sort(np.random.default_rng(seed).uniform(0.0, 1.0, (2, 16)), axis=0)
+    cl, cu = np.clip(c_lo * (c_hi / c_lo) ** t, c_lo, c_hi)
+    np.testing.assert_array_equal(_u_pick(cl, cu, ctx, root), np.clip(root, cl, cu))
 
 
 # ------------------------------------------------------------------ startup check
@@ -412,9 +441,9 @@ def test_beta_limits_and_clamp():
     assert np.all((sweep >= 0.0) & (sweep <= 1.0))
 
 
-def test_beta_quadrature_error_surfaces():
+def test_beta_non_finite_satisfaction_surfaces():
     bad = _estimate([0.5, np.nan])
-    with pytest.raises(QuadratureError):
+    with pytest.raises(NonFiniteSatisfaction):
         beta(1.0, _ctx(bad, 20.0), 1.0, 0.0)
 
 
@@ -801,6 +830,57 @@ def test_solve_slots_matches_single_slot_solves():
                                        err_msg=f"slot {s} field {key}")
 
 
+def test_solve_slots_finds_one_u_root_per_call(monkeypatch):
+    # the u-target and the re-pick under the ceiling share one root of u = 1,
+    # so a block's u evaluations do not grow with its slots
+    ctx = _ctx(GaussianFit(mean_e=-0.5, var_e=0.04), 0.5, box=(0.01, 4.0, 1.0, 1.0))
+    rng = np.random.default_rng(5)
+    slots = {name: rng.exponential(1.0, 200)
+             for name in ("g2_v_hat", "g2_cross_hat", "g2_i", "g2_v_rsu")}
+    calls = []
+    real = adaptation.u_value
+
+    def spy(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(adaptation, "u_value", spy)
+    counts = []
+    for n in (5, 200):
+        calls.clear()
+        res = solve_slots(ctx, {name: v[:n] for name, v in slots.items()})
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+    # both picks ran: some slots keep the root, some take the ceiling below it
+    ok = res["feasible"]
+    assert np.any(res["c_star"][ok] == 0.05685619649520945)
+    assert np.any(res["c_u"][ok] < 0.05685619649520945)
+
+
+@pytest.mark.parametrize("allocator", ["gaussian", "proposed"])
+def test_slot_decision_does_not_depend_on_its_block(monkeypatch, allocator):
+    solved = []
+    real = adaptation.solve_slots
+
+    def spy(pair, slots):
+        solved.append((pair, slots))
+        return real(pair, slots)
+
+    monkeypatch.setattr(adaptation, "solve_slots", spy)
+    run_trial(SimConfig(adaptation_len=50, rng_seed=0), allocator, 0)
+    monkeypatch.undo()
+    assert len(solved) == 10
+    for pair, slots in solved:
+        block = solve_slots(pair, slots)
+        back = solve_slots(pair, {name: v[::-1] for name, v in slots.items()})
+        alone = [solve_slots(pair, {name: v[s:s + 1] for name, v in slots.items()})
+                 for s in range(slots["g2_v_hat"].size)]
+        for key, want in block.items():
+            assert back[key][::-1].tobytes() == want.tobytes(), f"{key} reversed"
+            got = np.concatenate([res[key] for res in alone])
+            assert got.tobytes() == want.tobytes(), f"{key} solved alone"
+
+
 def _wide_spread_case():
     # a small nuisance rate spreads the probes over hundreds of units, far
     # past the minimum window; the satisfaction curve is then not monotone
@@ -871,7 +951,7 @@ def test_solver_queries_only_deciding_budgets(monkeypatch):
     c_lo, _, c_hi = _c_range(base)
     c_l, ok = res["c_l"], res["feasible"]
     cand = np.flatnonzero(ok & (c_l < c_hi))
-    c_t = _u_pick(c_l[cand], np.full(cand.size, c_hi), base)
+    c_t = _u_pick(c_l[cand], np.full(cand.size, c_hi), base, _u_root(base))
     at_hi = {k for c, k in queried if c == c_hi}
     assert at_hi <= set(cand[c_t == c_hi].tolist())
     above = np.flatnonzero(~ok & (c_l > c_lo))
