@@ -41,9 +41,12 @@ exponential on the probes inside the window.  Where the window takes its
 clearance, K = ell + max z + k1/2, the edge points z - (max z + k1/2) do
 not depend on the lane: they are formed once per call, rounded once, and
 their moments taken once, so such a lane pays per probe only for its points
-y.  sin and cos are taken directly of the phases W y and W ym, not by angle
-addition, whose extra phase rounding the large S2 weight at small lambda
-would amplify.
+y.  The far moments stand for cos and sin of exactly the rounded phases
+W y and W ym that Si and S2 are given, yet no lane takes them point by
+point: each phase is W z + W s + d for the lane's shift s, with a residual
+d that TwoSum makes exact (``_shifted_columns``), so cos and sin of W z are
+taken once per call and each lane's moments are rotated by its own W s.
+The shared edge points, formed once per call, take theirs directly.
 """
 
 import dataclasses
@@ -308,15 +311,16 @@ def _far_weights(cs, w_cut, w_y, w_ym, w_s2):
     return out
 
 
-def _near_terms(b, kind, c, w, w_s2, w_cut):
+def _near_terms(b, edge, c, w, w_s2, w_cut):
     """Exact per-point terms of the probes with |W b| < 60, one per entry.
 
-    ``kind`` 0 is the point y (weight ``w`` = 1 + c/lambda), 1 the point
-    ym (weight ``w`` = (1 + c/lambda) e^{-cK}).  Both integrals come from
-    one ``_e1_scaled`` call: E1(zeta) at zeta = -b (c + iW), and Si from
-    Si(x) = pi/2 + Im E1(ix) at x = W |b| (DLMF 6.5), odd in x.  Si so
-    formed is within about 4e-16 absolute, which at |x| < 1e-3 is more
-    than its relative precision: the terms it enters are absolute.
+    ``edge`` marks the points ym among the points y, one flag per entry or
+    one for all; ``w`` is 1 + c/lambda at a point y and (1 + c/lambda)
+    e^{-cK} at a point ym.  Both integrals come from one ``_e1_scaled``
+    call: E1(zeta) at zeta = -b (c + iW), and Si from Si(x) = pi/2 + Im
+    E1(ix) at x = W |b| (DLMF 6.5), odd in x.  Si so formed is within about
+    4e-16 absolute, which at |x| < 1e-3 is more than its relative
+    precision: the terms it enters are absolute.
     """
     n = b.size
     x = w_cut * b
@@ -326,9 +330,46 @@ def _near_terms(b, kind, c, w, w_s2, w_cut):
     m = np.where(np.abs(b) < 1e-12, 2.0 * np.arctan(w_cut / c),
                  -2.0 * np.imag(np.exp(1j * x) * e1[:n]))
     si = np.sign(x) * (0.5 * np.pi + np.imag(np.exp(-1j * np.abs(x)) * e1[n:]))
-    if kind == 0:
-        return 2.0 * si - w * m
-    return w * m - 2.0 * si + w_s2 * _sine_kernel(b, w_cut)
+    out = 2.0 * si - w * m
+    edge = np.broadcast_to(edge, b.shape)
+    if edge.any():
+        out[edge] = w_s2[edge] * _sine_kernel(b[edge], w_cut) - out[edge]
+    return out
+
+
+def _shifted_columns(p, c, a, cos_a, sin_a, out, scratch):
+    """cos(p - c) and sin(p - c) into ``out``, from a = W z and its cos and sin.
+
+    p = fl(W b) is the rounded phase of a point b = z + s, and c = fl(W s)
+    the phase of its shift, one per row.  TwoSum (Knuth, TAOCP vol. 2,
+    4.2.2) splits p - a exactly into fl(p - a) and its rounding error, and
+    fl(p - a) - c is exact by Sterbenz's lemma unless c is within a few ulp
+    of zero, so the residual d = p - a - c is formed to about an ulp of
+    itself.  d is a few ulp of the largest of |p|, |a| and |c|: at most 2.9
+    over three default-scale trials, whose phases reach 4.9e8, so |d| <
+    1e-7 there.  The columns cos a - d (sin a + d/2 cos a) and
+    sin a + d (cos a - d/2 sin a) drop only the terms in d^3, under 2e-22
+    there.  Rotated by c they are cos and sin of the very rounded phase p.
+    ``scratch`` is three rows shaped as p.
+    """
+    s, e, t = scratch
+    np.subtract(p, a, out=s)            # TwoSum(p, -a): s + e = p - a exactly
+    np.subtract(s, p, out=e)
+    np.subtract(s, e, out=t)
+    np.subtract(p, t, out=t)
+    np.add(e, a, out=e)
+    np.subtract(t, e, out=e)
+    np.subtract(s, c, out=s)
+    np.add(s, e, out=s)                 # d
+    np.multiply(s, 0.5, out=e)
+    np.multiply(e, cos_a, out=t)
+    np.add(t, sin_a, out=t)
+    np.multiply(t, s, out=t)
+    np.subtract(cos_a, t, out=out[0])
+    np.multiply(e, sin_a, out=t)
+    np.subtract(cos_a, t, out=t)
+    np.multiply(t, s, out=t)
+    np.add(sin_a, t, out=out[1])
 
 
 def _beta_exact(cs, ells, z, lambda_y, k1, w_cut, shared=None, edge=None):
@@ -355,7 +396,7 @@ def _beta_exact(cs, ells, z, lambda_y, k1, w_cut, shared=None, edge=None):
     sum of moments of cos, sin and 1 against the powers of 1/b, one batched
     matrix product per block.  The near points (under 1% of them at the
     default scale) take E1 and Si from E1's power series or continued
-    fraction (``_near_terms``).
+    fraction (``_near_terms``), those of both halves of a block in one call.
 
     The lanes marked in ``shared`` have the window K = ell + ``edge``, so
     their edge points ym = z - edge do not depend on the lane.  Their far
@@ -367,11 +408,21 @@ def _beta_exact(cs, ells, z, lambda_y, k1, w_cut, shared=None, edge=None):
     lambda is sensitive, not by accuracy.  The other lanes form ym = y - K
     themselves.
 
-    sin and cos are taken directly of the rounded phases W y and W ym, the
-    same numbers Si and the S2 kernel are given.  An angle
-    addition from W z and W ell would round the phase again, by up to
-    W |y| ulp, and at small lambda the S2(ym) weight (1 - e^{-cK}) / lambda
-    reaches 1e5 and more, which amplifies that rounding into beta.
+    The cos and sin columns are those of the rounded phases W y and W ym,
+    the same numbers Si and the S2 kernel are given: at small lambda the
+    S2(ym) weight (1 - e^{-cK}) / lambda reaches 1e5 and more, and would
+    amplify a phase rounded once more, as plain angle addition from W z and
+    W ell rounds it.  A lane reaches them from cos and sin of a = W z,
+    taken once per call: each of its halves shifts the probes by s (ell for
+    y, ell - K for ym), its phases are a + W s + d with a residual d that
+    ``_shifted_columns`` forms exactly, and its moments are rotated by W s,
+    so a lane takes sin and cos of its two shifts only.  The shared edge
+    points are their own base, with s = 0 and d = 0, so their columns are
+    cos and sin taken directly of their phases, once per call.  Every shared
+    lane weighs their moments by that large S2 weight, and this keeps them
+    bit for bit as before at no cost: formed from W z instead, their
+    rounding moved beta by up to 2e-13 relative on a quarter of the default
+    fixture's queries.
 
     Vectorised over lanes: each row is one (c, ell) query against all
     probes; ``k1`` is the window length K, per lane or one for all.  Lanes
@@ -391,20 +442,30 @@ def _beta_exact(cs, ells, z, lambda_y, k1, w_cut, shared=None, edge=None):
     deg = weights.shape[2] - 1
 
     rows = max(1, min(n, _BLOCK // max(t, 1)))
-    work = np.empty((deg + 7, rows, t))
-    powers, cols, (y, ym, tmp) = work[:deg + 1], work[deg + 1:deg + 4], work[deg + 4:]
+    work = np.empty((deg + 10, rows, t))
+    powers, cols, (y, ym, tmp) = work[:deg + 1], work[deg + 1:deg + 4], work[deg + 4:deg + 7]
     cols[2] = 1.0
+    # the probes' phases W z with their cos and sin, on every row: the
+    # columns' arithmetic then runs on equal shapes, not broadcasts
+    probes = work[deg + 7:]
+    np.multiply(z, w_cut, out=probes[0, 0])
+    np.cos(probes[0, 0], out=probes[1, 0])
+    np.sin(probes[0, 0], out=probes[2, 0])
+    probes[:, 1:] = probes[:, :1]
     masks = np.empty((2, rows, t), dtype=bool)
-    moments = np.empty((rows, deg + 1, 3))
+    moments = np.empty((2, rows, deg + 1, 3))
 
-    def far_moments(b):
+    def far_moments(b, shift, kind, base=probes):
         """Moments of the far points ``b``, the first rows of a workspace
-        array, and the flat indices of the near points, which they skip."""
+        array holding the points of ``base`` (their phases, cos and sin)
+        shifted by ``shift``, one per row, into ``moments[kind]``, and the
+        flat indices of the near points, which they skip."""
         m = b.shape[0]
         pw, cl, tmp_b, mask_b = powers[:, :m], cols[:, :m], tmp[:m], masks[0, :m]
         np.multiply(b, w_cut, out=tmp_b)
-        np.cos(tmp_b, out=cl[0])
-        np.sin(tmp_b, out=cl[1])
+        c = w_cut * shift
+        # the powers beyond 1/b are formed after the columns: scratch till then
+        _shifted_columns(tmp_b, c[:, None], *base[:, :m], cl[:2], pw[2:5])
         np.abs(tmp_b, out=tmp_b)
         np.less(tmp_b, _FAR, out=mask_b)
         near = np.flatnonzero(mask_b)
@@ -416,29 +477,38 @@ def _beta_exact(cs, ells, z, lambda_y, k1, w_cut, shared=None, edge=None):
             np.copyto(pw[1], 0.0, where=mask_b)
         for j in range(2, deg + 1):
             np.multiply(pw[j - 1], pw[1], out=pw[j])
-        np.matmul(pw.transpose(1, 0, 2), cl.transpose(1, 2, 0), out=moments[:m])
-        return moments[:m], near
+        mom = moments[kind, :m]
+        np.matmul(pw.transpose(1, 0, 2), cl.transpose(1, 2, 0), out=mom)
+        # rotate the moments of cos(p - c) and sin(p - c) by c
+        cos_c, sin_c = np.cos(c)[:, None], np.sin(c)[:, None]
+        mc, ms = mom[:, :, 0] * cos_c, mom[:, :, 1] * cos_c
+        mc -= mom[:, :, 1] * sin_c
+        ms += mom[:, :, 0] * sin_c
+        mom[:, :, 0], mom[:, :, 1] = mc, ms
+        return mom, near
 
-    def near_sum(b_near, lane, kind, g):
-        """Exact terms of near points ``b_near`` summed onto their lanes
-        ``lane``, indices into the block's lanes ``g``."""
+    def near_sums(b_y, lane_y, b_ym, lane_ym, g):
+        """Exact terms of the near points y ``b_y`` and ym ``b_ym`` of a
+        block, from one ``_near_terms`` call, each half summed onto its
+        lanes (indices into the block's lanes ``g``)."""
+        if not (b_y.size or b_ym.size):
+            return np.zeros(g.size), np.zeros(g.size)
+        lane = np.concatenate([lane_y, lane_ym])
         h = g[lane]
-        vals = _near_terms(b_near, kind, cs[h], (w_y, w_ym)[kind][h], w_s2[h], w_cut)
-        return np.bincount(lane, weights=vals, minlength=g.size)
-
-    def half(b, kind, g):
-        """One point of every probe, y or ym, summed over each lane of ``g``."""
-        mom, near = far_moments(b)
-        total = np.zeros(g.size)
-        if near.size:
-            total += near_sum(b.reshape(-1)[near], near // t, kind, g)
-        total += np.einsum("ljk,ljk->l", mom, weights[g, kind])
-        return total
+        edge_pt = np.arange(lane.size) >= lane_y.size
+        vals = _near_terms(np.concatenate([b_y, b_ym]), edge_pt, cs[h],
+                           np.where(edge_pt, w_ym[h], w_y[h]), w_s2[h], w_cut)
+        return (np.bincount(lane_y, weights=vals[:lane_y.size], minlength=g.size),
+                np.bincount(lane_ym, weights=vals[lane_y.size:], minlength=g.size))
 
     with np.errstate(divide="ignore", invalid="ignore"):
         if shared.any():
             np.subtract(z, edge, out=ym[0])
-            mom, near = far_moments(ym[:1])
+            # the edge points are their own base: d = 0, and their columns
+            # are libm's cos and sin of their phases
+            p_edge = w_cut * ym[:1]
+            mom, near = far_moments(ym[:1], np.zeros(1), 1,
+                                    np.stack([p_edge, np.cos(p_edge), np.sin(p_edge)]))
             edge_moments, edge_near = mom[0].copy(), ym[0, near].copy()
         for own_edge, lanes in ((True, np.flatnonzero(~shared)), (False, np.flatnonzero(shared))):
             for lo in range(0, lanes.size, rows):
@@ -447,17 +517,23 @@ def _beta_exact(cs, ells, z, lambda_y, k1, w_cut, shared=None, edge=None):
                 y_b, ym_b, tmp_b = y[:m], ym[:m], tmp[:m]
                 mask_b, win_b = masks[0, :m], masks[1, :m]
                 np.add(z, ells[g, None], out=y_b)
-                total = half(y_b, 0, g)
+                mom_y, near_y = far_moments(y_b, ells[g], 0)
                 np.greater_equal(y_b, 1e-12, out=win_b)
                 if own_edge:
                     np.subtract(y_b, k1s[g, None], out=ym_b)
-                    total += half(ym_b, 1, g)
+                    mom_ym, near_ym = far_moments(ym_b, ells[g] - k1s[g], 1)
                     np.less(ym_b, 1e-12, out=mask_b)
                     np.logical_and(win_b, mask_b, out=win_b)
+                    b_ym, lane_ym = ym_b.reshape(-1)[near_ym], near_ym // t
                 else:
-                    if edge_near.size:
-                        total += near_sum(np.tile(edge_near, m),
-                                          np.repeat(np.arange(m), edge_near.size), 1, g)
+                    b_ym, lane_ym = np.tile(edge_near, m), np.repeat(np.arange(m), edge_near.size)
+                near_y_sum, near_ym_sum = near_sums(y_b.reshape(-1)[near_y], near_y // t,
+                                                    b_ym, lane_ym, g)
+                total = near_y_sum + np.einsum("ljk,ljk->l", mom_y, weights[g, 0])
+                if own_edge:
+                    total += near_ym_sum + np.einsum("ljk,ljk->l", mom_ym, weights[g, 1])
+                else:
+                    total += near_ym_sum
                     total += np.einsum("jk,ljk->l", edge_moments, weights[g, 1])
                 # the merged branch-cut jumps
                 np.multiply(y_b, -cs[g, None], out=tmp_b)

@@ -335,6 +335,73 @@ def test_beta_kernel_lanes_do_not_depend_on_their_batch():
     assert np.array_equal(batch, rev)
 
 
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(k2=st.integers(1, 12), z=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8),
+       shifts=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4),
+       log_reach=st.floats(-3.0, 8.0))
+@example(k2=10, z=[0.0, 0.3, -1.0], shifts=[0.0, 1.0, -0.5], log_reach=8.0)
+def test_shifted_columns_match_libm(k2, z, shifts, log_reach):
+    # probes z and per-row shifts s scaled so that the phases p = fl(W (z + s))
+    # reach 10**log_reach of either sign, up to 1e8; the compensated columns
+    # rotated by c = fl(W s) are libm's cos p and sin p, and where s = 0 or
+    # z = 0 the residual d is 0 exactly and the columns are cos a and sin a
+    w_cut = k2 * np.pi
+    reach = 10.0 ** log_reach / (2.0 * w_cut)
+    z = reach * np.array(z)
+    s = reach * np.array(shifts)
+    a = w_cut * z
+    p = w_cut * (z + s[:, None])
+    c = w_cut * s
+    assert np.abs(p).max() <= 1.000001e8
+    out, scratch = np.empty((2,) + p.shape), np.empty((3,) + p.shape)
+    adaptation._shifted_columns(p, c[:, None], a, np.cos(a), np.sin(a), out, scratch)
+    cos_c, sin_c = np.cos(c)[:, None], np.sin(c)[:, None]
+    tol = 4.0 * np.finfo(float).eps
+    np.testing.assert_allclose(out[0] * cos_c - out[1] * sin_c, np.cos(p), rtol=0.0, atol=tol)
+    np.testing.assert_allclose(out[1] * cos_c + out[0] * sin_c, np.sin(p), rtol=0.0, atol=tol)
+    exact = (s[:, None] == 0.0) | (z[None, :] == 0.0)
+    assert (scratch[0][exact] == 0.0).all()
+    assert np.array_equal(out[0][exact], np.broadcast_to(np.cos(a), p.shape)[exact])
+    assert np.array_equal(out[1][exact], np.broadcast_to(np.sin(a), p.shape)[exact])
+
+
+def test_beta_kernel_takes_sin_and_cos_once_per_probe_and_shift(monkeypatch):
+    # a call takes cos and sin of every probe's phase W z once, of each
+    # lane's two shifts and of its near points: O(probes + lanes) elements,
+    # not cos and sin of every point of every lane
+    rng = np.random.default_rng(11)
+    z = np.concatenate([rng.normal(0.3, 30.0, 200) + rng.exponential(0.5, 200),
+                        [0.0, _EDGE, -_EDGE, 4e5]])
+    n = 2 * (adaptation._BLOCK // z.size) + 1
+    cs = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    ells = rng.uniform(-1.0, 6.0, n)
+    k1 = np.maximum(10.0, ells + z.max() + 5.0)
+    y = z + ells[:, None]
+    near = int(np.sum(np.abs(_W10 * y) < 60.0) + np.sum(np.abs(_W10 * (y - k1[:, None])) < 60.0))
+    counts = {"sin": 0, "cos": 0}
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def sin(self, x, *args, **kwargs):
+            counts["sin"] += np.size(x)
+            return np.sin(x, *args, **kwargs)
+
+        def cos(self, x, *args, **kwargs):
+            counts["cos"] += np.size(x)
+            return np.cos(x, *args, **kwargs)
+
+    monkeypatch.setattr(adaptation, "np", CountingNumpy())
+    got = adaptation._beta_exact(cs, ells, z, 0.7, k1, _W10)
+    monkeypatch.undo()
+    assert np.array_equal(got, adaptation._beta_exact(cs, ells, z, 0.7, k1, _W10))
+    bound = z.size + 2 * n + near
+    assert 0 < near and bound < n * z.size
+    for name, count in counts.items():
+        assert count <= bound, (name, count, bound)
+
+
 def test_beta_shared_edge_matches_complex_form_reference():
     rng = np.random.default_rng(7)
     e = rng.normal(0.0, 1.0, 60)
@@ -376,6 +443,26 @@ def test_beta_shared_edge_matches_reference_on_random_lanes(n_probes, mean_e, sp
     # the clearance and more
     ells = 5.0 - float(z.max()) + clearance * np.array([1.0, 2.0, 4.0])
     _assert_window_lanes_match_reference(cs, ells, z, lam, k2)
+
+
+@pytest.mark.parametrize("lam", [1.3e-5, 4.1e-5])
+def test_beta_kernel_matches_reference_at_default_scale(lam):
+    # lambda_y at the default fixture's minimum and median, the top probe at
+    # 5.4e5 as in trial 0, so phases reach 1.7e7 and, with the knees its
+    # solver queries at tiny budgets, 2.8e8; lanes at the minimum window
+    # (knees below 5 - z_hi) and lanes whose window takes the clearance
+    rng = np.random.default_rng(19)
+    z = np.concatenate([rng.normal(0.0, 0.5, 300) + rng.exponential(1.0 / lam, 300),
+                        [5.4e5, 0.0, _EDGE]])
+    z_hi = float(z.max())
+    own = np.array([-9e6, -4.4e6, -z_hi - 1e3, -z_hi - 0.5, -z_hi + 2.0, -z_hi + 5.0])
+    clear = np.array([-2.6e4, -30.0, 0.0, 0.5, 1.1, 4.5])
+    ells = np.concatenate([own, clear])
+    cs = np.tile([5e-7, 7e-6, 1e-3, 0.1, 0.3, 2.7], 2)
+    k1 = np.maximum(10.0, ells + z_hi + 5.0)
+    _assert_kernel_matches_reference(cs, ells, z, lam, k1, _W10, f"lambda_y={lam}")
+    shared, _ = _assert_window_lanes_match_reference(cs, ells, z, lam, 10, f"lambda_y={lam}")
+    assert np.array_equal(shared, np.arange(ells.size) >= own.size)
 
 
 def test_beta_batch_lanes_do_not_depend_on_their_batch():
