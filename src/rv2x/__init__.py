@@ -15,13 +15,13 @@ from .absorption import (
     absorption_power,
     adaptation_capability_bound,
     collect_sample,
-    edge_weight,
     estimate_pdf,
     hungarian_match,
     run_absorption,
 )
 from .adaptation import (
     AdaptationContext,
+    PairTable,
     beta,
     c_param,
     check_prop1_condition,
@@ -71,6 +71,7 @@ __all__ = [
     "InfeasibleMatching",
     "LargeScaleState",
     "NonFiniteSatisfaction",
+    "PairTable",
     "RunReport",
     "SimConfig",
     "Topology",
@@ -85,7 +86,6 @@ __all__ = [
     "delay",
     "delay_outage_closed_form",
     "doppler_coefficient",
-    "edge_weight",
     "ell",
     "emit",
     "error_law",

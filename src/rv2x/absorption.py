@@ -193,15 +193,6 @@ def absorption_power(lambda_m, box):
     return pi_min / lambda_m, pv_max
 
 
-def edge_weight(l_v, l_cross, delta, lambda_m, box, k):
-    """Matching weight: squared capability bracket at the best probing powers."""
-    if lambda_m > 1.0:
-        return float("inf")
-    p_i, p_v = absorption_power(lambda_m, box)
-    o = p_v * l_v / (p_i * l_cross)
-    return float(_capability_bracket(delta, o, k) ** 2)
-
-
 def hungarian_match(weights):
     """Exact minimum-weight perfect matching (rows -> columns), O(N^3).
 
@@ -335,16 +326,17 @@ def run_absorption(large, config, law, rng):
     t_len = config.absorption_len
     sigma2 = noise_power(config)
 
-    weights = np.empty((m, n))
-    for i in range(m):
-        for j in range(n):
-            weights[i, j] = edge_weight(large.l_v[i], large.l_cross[j, i], delta, lam, box, k)
+    # pair i on channel j weighs the squared capability bracket at the
+    # probing powers and its received-power ratio o[i, j]
+    p_i, p_v = absorption_power(lam, box)
+    ratio = p_v * large.l_v[:, None] / (p_i * large.l_cross.T)
+    weights = _capability_bracket(delta, ratio, k) ** 2
     if config.identity_matching:
         pairing = np.arange(m)
     else:
         pairing = hungarian_match(weights)
 
-    p_i_a, p_v_a = (np.full(m, p, dtype=float) for p in absorption_power(lam, box))
+    p_i_a, p_v_a = np.full(m, p_i, dtype=float), np.full(m, p_v, dtype=float)
     l_cross_pair = large.l_cross[pairing, np.arange(m)]
     lambda_y = p_i_a * l_cross_pair / (p_v_a * large.l_v * (1.0 - delta * delta))
     o = p_v_a * large.l_v / (p_i_a * l_cross_pair)

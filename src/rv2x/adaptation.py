@@ -9,8 +9,8 @@ p_i/p_v.  Per slot the allocator:
 3. picks the c above the floor whose noise-amplification functional u is
    closest to one, and keeps it when its satisfaction estimate meets the
    target.  u depends only on the pair, and where it rises with c (Prop. 1)
-   the pick is one exact root of u = 1 per pair, found once per block of
-   slots and clipped to each slot's bracket,
+   the pick is one exact root of u = 1 per pair, found once per solve for
+   every pair that needs one and clipped to each slot's bracket,
 4. otherwise bounds c from above by the delay-satisfaction functional (the
    largest c whose satisfaction estimate still meets the target, found by a
    bracketing Brent-Dekker search between the floor and that pick) and picks
@@ -18,6 +18,10 @@ p_i/p_v.  Per slot the allocator:
    below the target there.  Satisfaction is queried only at budgets that
    decide the deployed power: the floor, that pick and the search, and
 5. maps c to box powers, preferring the highest feasible transmit powers.
+
+The solver runs on all slots of all pairs of a trial at once: each (slot,
+pair) is one lane, and each stage (the floor, the pick and each step of the
+search) is one satisfaction query over the lanes of every pair.
 
 The satisfaction functional folds the empirical characteristic function of
 the probes into a truncated-frequency integral over the window x = e + ell in
@@ -39,16 +43,18 @@ series beyond.  The S2(y) kernels of the flat and decaying pieces cancel
 exactly and are never formed, and the two branch-cut jumps merge into one
 exponential on the probes inside the window.  Where the window takes its
 clearance, K = ell + max z + k1/2, the edge points z - (max z + k1/2) do
-not depend on the lane: they are formed once per call, rounded once, and
-their moments taken once, so such a lane pays per probe only for its points
-y.  The far moments stand for cos and sin of exactly the rounded phases
+not depend on the lane: they are formed once per pair and call, rounded
+once, and their moments taken once, so such a lane pays per probe only for
+its points y.  The far moments stand for cos and sin of exactly the rounded phases
 W y and W ym that Si and S2 are given, yet no lane takes them point by
 point: each phase is W z + W s + d for the lane's shift s, with a residual
 d that TwoSum makes exact (``_shifted_columns``), so cos and sin of W z are
-taken once per call and each lane's moments are rotated by its own W s.
-The shared edge points, formed once per call, take theirs directly.
+taken once per pair and call and each lane's moments are rotated by its own
+W s.  The shared edge points take theirs directly.  The near points of a
+whole call are evaluated together, in chunks of ``_BLOCK`` E1 arguments.
 """
 
+import copy
 import dataclasses
 import math
 
@@ -127,20 +133,82 @@ def ell(c, pair, g2_v_hat, g2_cross_hat):
     return g2_cross_hat - (g2_v_hat / c) * pair.delta2 / (1.0 - pair.delta2)
 
 
+_PAIR_FIELDS = ("lambda_y", "delta2", "gamma_v", "sigma2", "l_v", "l_cross", "l_i",
+                "l_v_rsu", "rate_gamma", "prob_req", "trunc_k1", "trunc_k2")
+_MODEL_FIELDS = {DeconvEstimate: (), GaussianFit: ("mean_e", "var_e"), HprRegion: ("hi",)}
+
+
+class PairTable:
+    """The pairs of one solve as columns, the form the solver runs on.
+
+    ``PairTable(contexts)`` keeps the M :class:`AdaptationContext` objects
+    in ``contexts`` and holds one (M,) array per context field and per model
+    parameter, ``box`` as four of them, and, for deconvolution estimates,
+    the probes as one (M, t) array ``samples``.  ``c_param``, ``_c_range``,
+    ``ell`` and ``_p_i_of_c`` read a table as they read one context, entry
+    by entry.  The pairs must share one model type and, with deconvolution
+    estimates, one probe count and the same truncations;
+    ``ConfigurationError`` otherwise.
+    """
+
+    def __init__(self, contexts):
+        self.contexts = tuple(contexts)
+        kinds = [k for k in _MODEL_FIELDS
+                 if self.contexts and all(isinstance(p.estimate, k) for p in self.contexts)]
+        if not kinds:
+            raise ConfigurationError("the pairs of one call need one error-model type")
+        self.kind = kinds[0]
+        self.size = len(self.contexts)
+        for f in _PAIR_FIELDS:
+            setattr(self, f, np.array([getattr(p, f) for p in self.contexts], dtype=float))
+        for f in _MODEL_FIELDS[self.kind]:
+            setattr(self, f, np.array([getattr(p.estimate, f) for p in self.contexts],
+                                      dtype=float))
+        self.box = tuple(np.array(side, dtype=float)
+                         for side in zip(*(p.box for p in self.contexts)))
+        self.samples = None
+        if self.kind is DeconvEstimate:
+            if len({(p.estimate.samples.size, p.trunc_k1, p.trunc_k2)
+                    for p in self.contexts}) > 1:
+                raise ConfigurationError(
+                    "deconvolution pairs of one call need one probe count and truncation")
+            self.samples = np.stack([p.estimate.samples for p in self.contexts])
+
+    def take(self, idx):
+        """The entries ``idx`` of every column, one per lane, as a table
+        without contexts or probes."""
+        lanes = copy.copy(self)
+        lanes.contexts, lanes.samples, lanes.size = None, None, len(idx)
+        lanes.box = tuple(side[idx] for side in self.box)
+        for f in _PAIR_FIELDS + _MODEL_FIELDS[self.kind]:
+            setattr(lanes, f, getattr(self, f)[idx])
+        return lanes
+
+
 # --------------------------------------------------------------------- u functional
 
 
-def u_value(c, lambda_y, k2):
-    """Noise-amplification functional of the adaptation bound at budget c."""
-    c = np.asarray(c, dtype=float)
-    w = k2 * np.pi
-    s = w / lambda_y
+def _u_head(s):
+    """The terms of u that depend on the pair alone, at s = W / lambda_y."""
     t1 = math.sqrt(1.0 + s * s)
-    t2 = math.log((t1 - 1.0) / s)
+    return t1 + math.log((t1 - 1.0) / s)
+
+
+def u_value(c, lambda_y, k2):
+    """Noise-amplification functional of the adaptation bound at budget c.
+
+    ``lambda_y`` and ``k2`` broadcast against ``c``, so columns of them
+    evaluate one pair per row; the terms in them alone are taken with
+    math's sqrt and log, once per entry of their broadcast.
+    """
+    c = np.asarray(c, dtype=float)
+    w = np.multiply(k2, np.pi)
+    s = np.divide(w, lambda_y)
+    head = np.array([_u_head(x) for x in np.ravel(s).tolist()]).reshape(np.shape(s))
     root = np.sqrt(c * c + w * w)
     t3 = (c / lambda_y) * np.log((w + root) / c)
     t4 = (1.0 / c) * np.log(c * w / (root + w))
-    return t1 + t2 + t3 + t4
+    return head + t3 + t4
 
 
 def _prop1_lhs(x, lambda_y, k2):
@@ -372,7 +440,127 @@ def _shifted_columns(p, c, a, cos_a, sin_a, out, scratch):
     np.add(sin_a, t, out=out[1])
 
 
-def _beta_exact(cs, ells, z, lambda_y, k1, w_cut, shared=None, edge=None):
+def _far_terms(cs, ells, z, pair, k1s, shared, edges, weights, w_cut, queue):
+    """The far sums and jump sums of ``_beta_exact``'s lanes, their near
+    points handed to ``queue(points, lanes, is_ym)`` half by half.
+
+    ``z`` holds one row of probes per pair and ``pair`` gives each lane's
+    row; ``edges`` holds each row's edge, read for the ``shared`` lanes.
+    Returns each lane's far sums of its y and ym halves, shape (2, lanes),
+    and its sum of the jump exponentials.  The workspace lives only for
+    this call, so the near points still queued when it returns are
+    evaluated after it is given back.
+    """
+    n, t = cs.size, z.shape[1]
+    deg = weights.shape[2] - 1
+    rows = max(1, min(n, _BLOCK // max(t, 1)))
+    work = np.empty((deg + 7, rows, t))
+    powers, cols, (y, ym, tmp) = work[:deg + 1], work[deg + 1:deg + 4], work[deg + 4:]
+    cols[2] = 1.0
+    # per pair its probes z and their phases W z with cos and sin; a block
+    # copies its lanes' rows of them into its own, so the columns'
+    # arithmetic runs on equal shapes, not broadcasts
+    base = np.empty((z.shape[0], 4, t))
+    base[:, 0] = z
+    np.multiply(base[:, 0], w_cut, out=base[:, 1])
+    np.cos(base[:, 1], out=base[:, 2])
+    np.sin(base[:, 1], out=base[:, 3])
+    probes = np.empty((rows, 4, t))
+    masks = np.empty((2, rows, t), dtype=bool)
+    moments = np.empty((2, rows, deg + 1, 3))
+
+    def far_moments(b, shift, kind):
+        """Moments of the far points ``b``, the first rows of a workspace
+        array holding the points of the probe rows (their phases, cos and
+        sin) shifted by ``shift``, one per row, into ``moments[kind]``, and
+        the flat indices of the near points, which they skip."""
+        m = b.shape[0]
+        pw, cl, tmp_b, mask_b = powers[:, :m], cols[:, :m], tmp[:m], masks[0, :m]
+        np.multiply(b, w_cut, out=tmp_b)
+        c = w_cut * shift
+        # the powers beyond 1/b are formed after the columns: scratch till then
+        _shifted_columns(tmp_b, c[:, None], *probes[:m, 1:].transpose(1, 0, 2), cl[:2],
+                         pw[2:5])
+        np.abs(tmp_b, out=tmp_b)
+        np.less(tmp_b, _FAR, out=mask_b)
+        near = np.flatnonzero(mask_b)
+        np.sign(b, out=pw[0])
+        np.divide(1.0, b, out=pw[1])
+        if near.size:
+            # the near points take the exact path and leave the moments
+            np.copyto(pw[0], 0.0, where=mask_b)
+            np.copyto(pw[1], 0.0, where=mask_b)
+        for j in range(2, deg + 1):
+            np.multiply(pw[j - 1], pw[1], out=pw[j])
+        mom = moments[kind, :m]
+        np.matmul(pw.transpose(1, 0, 2), cl.transpose(1, 2, 0), out=mom)
+        # rotate the moments of cos(p - c) and sin(p - c) by c
+        cos_c, sin_c = np.cos(c)[:, None], np.sin(c)[:, None]
+        mc, ms = mom[:, :, 0] * cos_c, mom[:, :, 1] * cos_c
+        mc -= mom[:, :, 1] * sin_c
+        ms += mom[:, :, 0] * sin_c
+        mom[:, :, 0], mom[:, :, 1] = mc, ms
+        return mom, near
+
+    far = np.empty((2, n))
+    jump = np.empty(n)
+    sh = np.flatnonzero(shared)
+    sp = np.flatnonzero(np.bincount(pair[sh], minlength=z.shape[0]))
+    edge_moments = np.empty((z.shape[0], deg + 1, 3))
+    edge_near = [np.empty(0)] * z.shape[0]
+    for lo in range(0, sp.size, rows):
+        ps = sp[lo:lo + rows]
+        m = ps.size
+        np.subtract(base[ps, 0], edges[ps, None], out=ym[:m])
+        # the edge points are their own base: d = 0, and their columns
+        # are libm's cos and sin of their phases, in the probe rows
+        # before any block holds them
+        np.multiply(ym[:m], w_cut, out=probes[:m, 1])
+        np.cos(probes[:m, 1], out=probes[:m, 2])
+        np.sin(probes[:m, 1], out=probes[:m, 3])
+        mom, near_e = far_moments(ym[:m], np.zeros(m), 1)
+        edge_moments[ps] = mom
+        pts = np.split(ym[:m].reshape(-1)[near_e],
+                       np.searchsorted(near_e // t, np.arange(1, m)))
+        for p, points in zip(ps, pts):
+            edge_near[p] = points
+    held = np.full(rows, -1)            # the pair whose probes each block row holds
+    for own_edge, lanes in ((True, np.flatnonzero(~shared)), (False, sh)):
+        # in pair order, most blocks hold one pair and keep the rows before
+        lanes = lanes[np.argsort(pair[lanes], kind="stable")]
+        for lo in range(0, lanes.size, rows):
+            g = lanes[lo:lo + rows]
+            m = g.size
+            y_b, ym_b, tmp_b = y[:m], ym[:m], tmp[:m]
+            mask_b, win_b = masks[0, :m], masks[1, :m]
+            if not np.array_equal(held[:m], pair[g]):
+                np.take(base, pair[g], axis=0, out=probes[:m], mode="clip")
+                held[:m] = pair[g]
+            np.add(probes[:m, 0], ells[g, None], out=y_b)
+            mom_y, near_y = far_moments(y_b, ells[g], 0)
+            far[0, g] = np.einsum("ljk,ljk->l", mom_y, weights[g, 0])
+            queue(y_b.reshape(-1)[near_y], g[near_y // t], False)
+            np.greater_equal(y_b, 1e-12, out=win_b)
+            if own_edge:
+                np.subtract(y_b, k1s[g, None], out=ym_b)
+                mom_ym, near_ym = far_moments(ym_b, ells[g] - k1s[g], 1)
+                far[1, g] = np.einsum("ljk,ljk->l", mom_ym, weights[g, 1])
+                queue(ym_b.reshape(-1)[near_ym], g[near_ym // t], True)
+                np.less(ym_b, 1e-12, out=mask_b)
+                np.logical_and(win_b, mask_b, out=win_b)
+            # the merged branch-cut jumps
+            np.multiply(y_b, -cs[g, None], out=tmp_b)
+            np.exp(tmp_b, out=tmp_b, where=win_b)
+            jump[g] = np.sum(tmp_b, axis=1, where=win_b)
+    # each shared lane takes its pair's edge moments and near edge points
+    for p in sp:
+        g = sh[pair[sh] == p]
+        far[1, g] = np.einsum("jk,ljk->l", edge_moments[p], weights[g, 1])
+        queue(np.tile(edge_near[p], g.size), np.repeat(g, edge_near[p].size), True)
+    return far, jump
+
+
+def _beta_exact(cs, ells, z, pair, lambda_y, k1, w_cut, shared=None, edge=None):
     """Per-sample closed form of the satisfaction integral.
 
     For probe offset y = z + ell and ym = y - K the flat-window piece
@@ -396,42 +584,60 @@ def _beta_exact(cs, ells, z, lambda_y, k1, w_cut, shared=None, edge=None):
     sum of moments of cos, sin and 1 against the powers of 1/b, one batched
     matrix product per block.  The near points (under 1% of them at the
     default scale) take E1 and Si from E1's power series or continued
-    fraction (``_near_terms``), those of both halves of a block in one call.
+    fraction (``_near_terms``): those of every block of the call are
+    gathered and evaluated together, in chunks of ``_BLOCK`` / 2 points
+    (``_BLOCK`` E1 arguments), and each value is added onto its lane's half
+    in order, so a lane sums its points as one pass over them would.  They
+    wait until the blocks' workspace is given back, so the chunks'
+    temporaries and the workspace do not coexist: a chunk evaluated as soon
+    as it fills raised the default scale's peak RSS by 1.4 MB.  A call
+    there holds at most 16,129 near points.  Where more than 16 chunks
+    wait, those chunks are evaluated at once, since the queue itself then
+    costs more memory than the overlap would.
 
-    The lanes marked in ``shared`` have the window K = ell + ``edge``, so
-    their edge points ym = z - edge do not depend on the lane.  Their far
-    moments are taken once per call, and each such lane only contracts its
-    weights with them; their near edge points, if any, still take the exact
-    path lane by lane.  Their ym all lie below -k1/2, so only y >= 1e-12
-    decides their jump.  The edge points are rounded once, as z - edge, not
-    as (z + ell) - K: the two differ by an ulp of K, to which beta at small
-    lambda is sensitive, not by accuracy.  The other lanes form ym = y - K
-    themselves.
+    The lanes marked in ``shared`` have the window K = ell + the edge of
+    their pair, so their edge points ym = z - edge do not depend on the
+    lane.  Their far moments are taken once per pair and call, and each
+    such lane only contracts its weights with them; their near edge points,
+    if any, still take the exact path lane by lane.  Their ym all lie below
+    -k1/2, so only y >= 1e-12 decides their jump.  The edge points are
+    rounded once, as z - edge, not as (z + ell) - K: the two differ by an
+    ulp of K, to which beta at small lambda is sensitive, not by accuracy.
+    The other lanes form ym = y - K themselves.
 
     The cos and sin columns are those of the rounded phases W y and W ym,
     the same numbers Si and the S2 kernel are given: at small lambda the
     S2(ym) weight (1 - e^{-cK}) / lambda reaches 1e5 and more, and would
     amplify a phase rounded once more, as plain angle addition from W z and
     W ell rounds it.  A lane reaches them from cos and sin of a = W z,
-    taken once per call: each of its halves shifts the probes by s (ell for
-    y, ell - K for ym), its phases are a + W s + d with a residual d that
-    ``_shifted_columns`` forms exactly, and its moments are rotated by W s,
-    so a lane takes sin and cos of its two shifts only.  The shared edge
-    points are their own base, with s = 0 and d = 0, so their columns are
-    cos and sin taken directly of their phases, once per call.  Every shared
-    lane weighs their moments by that large S2 weight, and this keeps them
-    bit for bit as before at no cost: formed from W z instead, their
-    rounding moved beta by up to 2e-13 relative on a quarter of the default
-    fixture's queries.
+    taken once per pair and call: each of its halves shifts the probes by s
+    (ell for y, ell - K for ym), its phases are a + W s + d with a residual
+    d that ``_shifted_columns`` forms exactly, and its moments are rotated
+    by W s, so a lane takes sin and cos of its two shifts only.  The shared
+    edge points are their own base, with s = 0 and d = 0, so their columns
+    are cos and sin taken directly of their phases, once per pair and call.
+    Every shared lane weighs their moments by that large S2 weight, and
+    this keeps them bit for bit as before at no cost: formed from W z
+    instead, their rounding moved beta by up to 2e-13 relative on a quarter
+    of the default fixture's queries.
 
     Vectorised over lanes: each row is one (c, ell) query against all
-    probes; ``k1`` is the window length K, per lane or one for all.  Lanes
-    go through blocks of about ``_BLOCK`` elements in one workspace
-    allocated per call, which every temporary of the block is written into,
-    and each lane's value does not depend on the other lanes of its call.
+    probes of its pair.  ``z`` holds one row of probes per pair and
+    ``pair`` gives each lane's row; ``lambda_y`` and ``k1``, the window
+    length K, are per lane or one for all, and ``edge`` is per row of ``z``
+    or one for all.  Lanes go through blocks of about ``_BLOCK``
+    elements in one workspace allocated per call, which every temporary of
+    the block is written into, and each lane's value does not depend on the
+    other lanes of its call.
     """
-    n, t = cs.size, z.size
-    out = np.empty(n)
+    n = cs.size
+    t = z.shape[1]
+    pair = np.asarray(pair)
+    # only the pairs with lanes in the call take their phases; found by
+    # bincount, since np.unique's first call costs a process 2 MB of RSS
+    has_lanes = np.bincount(pair, minlength=z.shape[0]) > 0
+    used = np.flatnonzero(has_lanes)
+    pair = (np.cumsum(has_lanes) - 1)[pair]
     k1s = np.broadcast_to(np.asarray(k1, dtype=float), cs.shape)
     shared = np.zeros(n, dtype=bool) if shared is None else np.asarray(shared, dtype=bool)
     decay = np.exp(-cs * k1s)
@@ -439,108 +645,50 @@ def _beta_exact(cs, ells, z, lambda_y, k1, w_cut, shared=None, edge=None):
     w_ym = w_y * decay
     w_s2 = (1.0 - decay) / lambda_y
     weights = _far_weights(cs, w_cut, w_y, w_ym, w_s2)
-    deg = weights.shape[2] - 1
+    edges = np.broadcast_to(np.asarray(edge, dtype=float), z.shape[:1])[used]
+    near = np.zeros((2, n))             # each lane's near sums of its y and ym halves
+    step = _BLOCK // 2                  # points per _near_terms call: E1 at 2 each
+    # near points not yet evaluated, (b, lane, is ym) by batch, and their count
+    queued = [(np.empty(0), np.empty(0, dtype=np.intp), np.empty(0, dtype=bool))]
+    waiting = 0
 
-    rows = max(1, min(n, _BLOCK // max(t, 1)))
-    work = np.empty((deg + 10, rows, t))
-    powers, cols, (y, ym, tmp) = work[:deg + 1], work[deg + 1:deg + 4], work[deg + 4:deg + 7]
-    cols[2] = 1.0
-    # the probes' phases W z with their cos and sin, on every row: the
-    # columns' arithmetic then runs on equal shapes, not broadcasts
-    probes = work[deg + 7:]
-    np.multiply(z, w_cut, out=probes[0, 0])
-    np.cos(probes[0, 0], out=probes[1, 0])
-    np.sin(probes[0, 0], out=probes[2, 0])
-    probes[:, 1:] = probes[:, :1]
-    masks = np.empty((2, rows, t), dtype=bool)
-    moments = np.empty((2, rows, deg + 1, 3))
+    def evaluate(end):
+        """The first ``end`` queued points, in chunks of ``step``, each value
+        added onto its lane's half in queue order, so every lane sums its
+        points in their order; the rest stays queued."""
+        nonlocal waiting
+        b, lane, is_ym = (np.concatenate(col) for col in zip(*queued))
+        for lo in range(0, end, step):
+            h, e = lane[lo:min(lo + step, end)], is_ym[lo:min(lo + step, end)]
+            vals = _near_terms(b[lo:lo + h.size], e, cs[h], np.where(e, w_ym[h], w_y[h]),
+                               w_s2[h], w_cut)
+            np.add.at(near[0], h[~e], vals[~e])
+            np.add.at(near[1], h[e], vals[e])
+        queued[:] = [(b[end:], lane[end:], is_ym[end:])]
+        waiting -= end
 
-    def far_moments(b, shift, kind, base=probes):
-        """Moments of the far points ``b``, the first rows of a workspace
-        array holding the points of ``base`` (their phases, cos and sin)
-        shifted by ``shift``, one per row, into ``moments[kind]``, and the
-        flat indices of the near points, which they skip."""
-        m = b.shape[0]
-        pw, cl, tmp_b, mask_b = powers[:, :m], cols[:, :m], tmp[:m], masks[0, :m]
-        np.multiply(b, w_cut, out=tmp_b)
-        c = w_cut * shift
-        # the powers beyond 1/b are formed after the columns: scratch till then
-        _shifted_columns(tmp_b, c[:, None], *base[:, :m], cl[:2], pw[2:5])
-        np.abs(tmp_b, out=tmp_b)
-        np.less(tmp_b, _FAR, out=mask_b)
-        near = np.flatnonzero(mask_b)
-        np.sign(b, out=pw[0])
-        np.divide(1.0, b, out=pw[1])
-        if near.size:
-            # the near points take the exact path and leave the moments
-            np.copyto(pw[0], 0.0, where=mask_b)
-            np.copyto(pw[1], 0.0, where=mask_b)
-        for j in range(2, deg + 1):
-            np.multiply(pw[j - 1], pw[1], out=pw[j])
-        mom = moments[kind, :m]
-        np.matmul(pw.transpose(1, 0, 2), cl.transpose(1, 2, 0), out=mom)
-        # rotate the moments of cos(p - c) and sin(p - c) by c
-        cos_c, sin_c = np.cos(c)[:, None], np.sin(c)[:, None]
-        mc, ms = mom[:, :, 0] * cos_c, mom[:, :, 1] * cos_c
-        mc -= mom[:, :, 1] * sin_c
-        ms += mom[:, :, 0] * sin_c
-        mom[:, :, 0], mom[:, :, 1] = mc, ms
-        return mom, near
-
-    def near_sums(b_y, lane_y, b_ym, lane_ym, g):
-        """Exact terms of the near points y ``b_y`` and ym ``b_ym`` of a
-        block, from one ``_near_terms`` call, each half summed onto its
-        lanes (indices into the block's lanes ``g``)."""
-        if not (b_y.size or b_ym.size):
-            return np.zeros(g.size), np.zeros(g.size)
-        lane = np.concatenate([lane_y, lane_ym])
-        h = g[lane]
-        edge_pt = np.arange(lane.size) >= lane_y.size
-        vals = _near_terms(np.concatenate([b_y, b_ym]), edge_pt, cs[h],
-                           np.where(edge_pt, w_ym[h], w_y[h]), w_s2[h], w_cut)
-        return (np.bincount(lane_y, weights=vals[:lane_y.size], minlength=g.size),
-                np.bincount(lane_ym, weights=vals[lane_y.size:], minlength=g.size))
+    def queue(points, lanes, is_ym):
+        # held until the workspace is given back, unless 16 chunks wait
+        nonlocal waiting
+        queued.append((points, lanes, np.full(points.size, is_ym)))
+        waiting += points.size
+        if waiting >= 16 * step:
+            evaluate(waiting - waiting % step)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        if shared.any():
-            np.subtract(z, edge, out=ym[0])
-            # the edge points are their own base: d = 0, and their columns
-            # are libm's cos and sin of their phases
-            p_edge = w_cut * ym[:1]
-            mom, near = far_moments(ym[:1], np.zeros(1), 1,
-                                    np.stack([p_edge, np.cos(p_edge), np.sin(p_edge)]))
-            edge_moments, edge_near = mom[0].copy(), ym[0, near].copy()
-        for own_edge, lanes in ((True, np.flatnonzero(~shared)), (False, np.flatnonzero(shared))):
-            for lo in range(0, lanes.size, rows):
-                g = lanes[lo:lo + rows]
-                m = g.size
-                y_b, ym_b, tmp_b = y[:m], ym[:m], tmp[:m]
-                mask_b, win_b = masks[0, :m], masks[1, :m]
-                np.add(z, ells[g, None], out=y_b)
-                mom_y, near_y = far_moments(y_b, ells[g], 0)
-                np.greater_equal(y_b, 1e-12, out=win_b)
-                if own_edge:
-                    np.subtract(y_b, k1s[g, None], out=ym_b)
-                    mom_ym, near_ym = far_moments(ym_b, ells[g] - k1s[g], 1)
-                    np.less(ym_b, 1e-12, out=mask_b)
-                    np.logical_and(win_b, mask_b, out=win_b)
-                    b_ym, lane_ym = ym_b.reshape(-1)[near_ym], near_ym // t
-                else:
-                    b_ym, lane_ym = np.tile(edge_near, m), np.repeat(np.arange(m), edge_near.size)
-                near_y_sum, near_ym_sum = near_sums(y_b.reshape(-1)[near_y], near_y // t,
-                                                    b_ym, lane_ym, g)
-                total = near_y_sum + np.einsum("ljk,ljk->l", mom_y, weights[g, 0])
-                if own_edge:
-                    total += near_ym_sum + np.einsum("ljk,ljk->l", mom_ym, weights[g, 1])
-                else:
-                    total += near_ym_sum
-                    total += np.einsum("jk,ljk->l", edge_moments, weights[g, 1])
-                # the merged branch-cut jumps
-                np.multiply(y_b, -cs[g, None], out=tmp_b)
-                np.exp(tmp_b, out=tmp_b, where=win_b)
-                total -= 2.0 * np.pi * w_y[g] * np.sum(tmp_b, axis=1, where=win_b)
-                out[g] = 1.0 - total / (2.0 * np.pi * t)
-    return out
+        far, jump = _far_terms(cs, ells, z[used], pair, k1s, shared, edges, weights, w_cut,
+                               queue)
+        evaluate(waiting)
+
+        # each lane's total in the order of its terms: near y, far y, the ym
+        # half, then the jumps
+        total = near[0] + far[0]
+        own = ~shared
+        total[own] += near[1, own] + far[1, own]
+        total[shared] += near[1, shared]
+        total[shared] += far[1, shared]
+        total -= 2.0 * np.pi * w_y * jump
+        return 1.0 - total / (2.0 * np.pi * t)
 
 
 # --------------------------------------------------------------------- beta dispatch
@@ -556,33 +704,39 @@ def _beta_window(ells, z_hi, k1):
     return np.maximum(float(k1), ells + z_hi + 0.5 * k1)
 
 
-def _beta_batch_deconv(cs, ells, estimate, lambda_y, k1, k2):
-    """Raw satisfaction values for matched (c, ell) arrays."""
+def _beta_batch_deconv(cs, ells, z, pair, lambda_y, k1, k2):
+    """Raw satisfaction values for matched (c, ell) arrays.
+
+    ``z`` holds one row of probes per pair and ``pair`` gives each query's
+    row; ``lambda_y`` is per query or one for all.
+    """
     cs = np.asarray(cs, dtype=float)
     ells = np.asarray(ells, dtype=float)
-    z = np.asarray(estimate.samples, dtype=float)
-    z_hi = float(z.max())
-    window = _beta_window(ells, z_hi, k1)
-    # lanes whose window takes the clearance share the edge z - (z_hi + k1/2)
-    out = _beta_exact(cs, ells, z, lambda_y, window, k2 * np.pi,
+    z = np.asarray(z, dtype=float)
+    z_hi = z.max(axis=1)
+    window = _beta_window(ells, z_hi[pair], k1)
+    # lanes whose window takes the clearance share their pair's edge z - (z_hi + k1/2)
+    out = _beta_exact(cs, ells, z, pair, lambda_y, window, k2 * np.pi,
                       shared=window > k1, edge=z_hi + 0.5 * k1)
     if not np.isfinite(out).all():
         raise NonFiniteSatisfaction(
             "satisfaction integral did not evaluate to finite values",
-            diagnostics={"lambda_y": lambda_y, "bad": int(np.sum(~np.isfinite(out))),
+            diagnostics={"lambda_y_range": (float(np.min(lambda_y)), float(np.max(lambda_y))),
+                         "bad": int(np.sum(~np.isfinite(out))),
                          "c_range": (float(cs.min()), float(cs.max())),
                          "ell_range": (float(ells.min()), float(ells.max()))})
     return out
 
 
-def _beta_batch_gaussian(cs, ells_full, fit):
+def _beta_batch_gaussian(cs, ells_full, mean_e, var_e):
     """Closed-form satisfaction under a Gaussian error law.
 
     ``ells_full`` is the knee including the noise term; the satisfaction is
     P{E >= c (e + ell)} with E ~ Exp(1) and e ~ N(mean_e, var_e)
-    (:func:`qosmodel.gaussian_satisfaction`).
+    (:func:`qosmodel.gaussian_satisfaction`), the law's moments per query
+    or one for all.
     """
-    return qosmodel.gaussian_satisfaction(cs, ells_full, fit.mean_e, fit.var_e)
+    return qosmodel.gaussian_satisfaction(cs, ells_full, mean_e, var_e)
 
 
 def _p_i_of_c(cs, pair):
@@ -593,27 +747,35 @@ def _p_i_of_c(cs, pair):
     return np.where(cs <= c_lo, pi_min, np.where(cs <= c_mid, cs * gain, pi_max))
 
 
-def _beta_raw(pair, cs, g2_v_hat, g2_cross_hat):
-    """Unclamped satisfaction at budgets ``cs`` for the matching reports."""
-    est = pair.estimate
-    ells = ell(cs, pair, g2_v_hat, g2_cross_hat)
-    if isinstance(est, DeconvEstimate):
-        return _beta_batch_deconv(cs, ells, est, pair.lambda_y, pair.trunc_k1, pair.trunc_k2)
-    if isinstance(est, GaussianFit):
-        shift = pair.sigma2 / (_p_i_of_c(cs, pair) * pair.l_cross)
-        return _beta_batch_gaussian(cs, ells + shift, est)
+def _beta_raw(tab, pair, cs, g2_v_hat, g2_cross_hat):
+    """Unclamped satisfaction of queries: query k asks pair ``pair[k]`` of
+    the :class:`PairTable` ``tab`` at budget ``cs[k]`` for its reports."""
+    lanes = tab.take(pair)
+    ells = ell(cs, lanes, g2_v_hat, g2_cross_hat)
+    if tab.kind is DeconvEstimate:
+        return _beta_batch_deconv(cs, ells, tab.samples, pair, lanes.lambda_y,
+                                  tab.trunc_k1[0], tab.trunc_k2[0])
+    if tab.kind is GaussianFit:
+        shift = lanes.sigma2 / (_p_i_of_c(cs, lanes) * lanes.l_cross)
+        return _beta_batch_gaussian(cs, ells + shift, lanes.mean_e, lanes.var_e)
     raise ConfigurationError("high-probability regions define no satisfaction curve")
 
 
-def beta(c, pair, g2_v_hat, g2_cross_hat, return_raw=False):
+def beta(c, pair, g2_v_hat, g2_cross_hat, return_raw=False, pair_of=None):
     """Delay-satisfaction estimate at budget c, clamped to [0, 1].
 
     ``c`` broadcasts against a slot's reported sidelink and cross fading;
-    the result is a float only when all three are scalars.
+    the result is a float only when all three are scalars.  ``pair`` is
+    one context, or a :class:`PairTable` with ``pair_of`` giving each
+    query's pair (broadcast like the rest, 0 if omitted).
     """
     cs, g2_v_hat, g2_cross_hat = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (c, g2_v_hat, g2_cross_hat)))
-    raw = _beta_raw(pair, cs.ravel(), g2_v_hat.ravel(), g2_cross_hat.ravel()).reshape(cs.shape)
+    tab = pair if isinstance(pair, PairTable) else PairTable([pair])
+    lane_pair = np.broadcast_to(np.asarray(0 if pair_of is None else pair_of, dtype=np.intp),
+                                cs.shape).ravel()
+    raw = _beta_raw(tab, lane_pair, cs.ravel(), g2_v_hat.ravel(),
+                    g2_cross_hat.ravel()).reshape(cs.shape)
     clamped = np.clip(raw, 0.0, 1.0)
     if not cs.ndim:
         raw, clamped = float(raw), float(clamped)
@@ -623,13 +785,17 @@ def beta(c, pair, g2_v_hat, g2_cross_hat, return_raw=False):
 # --------------------------------------------------------------------- the solver
 
 
-def solve_slots(pair, slots):
-    """Vectorised per-pair solver over a block of slots.
+def solve_slots(pairs, slots):
+    """Vectorised solver over the slots of one or more pairs.
 
-    ``pair`` is an :class:`AdaptationContext`; ``slots`` maps the four
-    reported fading names (``g2_v_hat``, ``g2_cross_hat``, ``g2_i``,
-    ``g2_v_rsu``) to equal length arrays.  Returns per-slot arrays with the
-    decision record fields.
+    ``pairs`` is a :class:`PairTable` of a trial's M contexts, whose pairs
+    share one error-model type, and ``slots`` maps the four reported fading
+    names (``g2_v_hat``, ``g2_cross_hat``, ``g2_i``, ``g2_v_rsu``) to (S, M)
+    arrays, column i for pair i.  Returns (S, M) arrays with the decision
+    record fields.  One context with (S,) arrays is the case M = 1, and
+    returns (S,) arrays.  Every (slot, pair) is one lane of
+    each satisfaction query, so a solver stage queries all pairs at once,
+    and a lane's decision does not depend on the other lanes of its call.
 
     A slot is feasible when its rate floor c_l lies in the box and meets the
     satisfaction target there; on feasible slots c_l <= c_star <= c_u and the
@@ -646,39 +812,46 @@ def solve_slots(pair, slots):
     region c_u is the closed-form worst-case ceiling clipped to the box, and
     ``beta_star`` its worst-case bound.
     """
-    est = pair.estimate
-    d2 = pair.delta2
+    one = isinstance(pairs, AdaptationContext)
+    tab = PairTable([pairs]) if one else pairs
+    m = tab.size
+    g2_v_hat, g2_cross_hat, g2_i, g2_v_rsu = (
+        np.asarray(slots[name], dtype=float).reshape(-1, m)
+        for name in ("g2_v_hat", "g2_cross_hat", "g2_i", "g2_v_rsu"))
+    d2 = tab.delta2
     one_minus = 1.0 - d2
-    g2_v_hat = np.asarray(slots["g2_v_hat"], dtype=float)
-    g2_cross_hat = np.asarray(slots["g2_cross_hat"], dtype=float)
-    g2_i = np.asarray(slots["g2_i"], dtype=float)
-    g2_v_rsu = np.asarray(slots["g2_v_rsu"], dtype=float)
 
-    pi_min, pi_max, pv_min, pv_max = pair.box
-    c_lo, c_mid, c_hi = _c_range(pair)
+    pi_min, pi_max, pv_min, pv_max = tab.box
+    c_lo, c_mid, c_hi = _c_range(tab)
 
     # rate floor; a dead uplink report pushes the floor to infinity
     with np.errstate(divide="ignore", invalid="ignore"):
-        c_rate = (pair.rate_gamma * pair.gamma_v * pair.l_cross * pair.l_v_rsu * g2_v_rsu
-                  / (one_minus * pair.l_v * pair.l_i * np.where(g2_i > 0, g2_i, np.nan)))
+        c_rate = (tab.rate_gamma * tab.gamma_v * tab.l_cross * tab.l_v_rsu * g2_v_rsu
+                  / (one_minus * tab.l_v * tab.l_i * np.where(g2_i > 0, g2_i, np.nan)))
     c_rate = np.where(np.isfinite(c_rate), c_rate, np.inf)
     c_l = np.maximum(c_lo, c_rate)
 
-    def beta_raw_at(cs, idx):
-        return _beta_raw(pair, cs, g2_v_hat[idx], g2_cross_hat[idx])
-
-    if isinstance(est, HprRegion):
+    if tab.kind is HprRegion:
         # the region's worst-case knee gives the ceiling in closed form
-        q0 = -math.log(pair.prob_req)
+        q0 = -np.array([math.log(p) for p in tab.prob_req.tolist()])
         c0 = d2 * g2_v_hat / one_minus
-        denom = g2_cross_hat + est.hi
+        denom = g2_cross_hat + tab.hi
         with np.errstate(divide="ignore"):
             c_cap = np.where(denom > 0, (q0 + c0) / denom, np.inf)
         c_u = np.minimum(c_hi, c_cap)
         feasible = c_l <= c_u
         c_star = np.where(feasible, c_u, c_lo)
     else:
-        feasible, c_u, c_star, b_raw, b_l = _decide(beta_raw_at, c_l, c_hi, pair)
+        # lane k is slot k // m of pair k % m
+        lane_pair = np.tile(np.arange(m), c_l.shape[0])
+        v_hat, cross_hat = g2_v_hat.ravel(), g2_cross_hat.ravel()
+
+        def beta_raw_at(cs, idx):
+            return _beta_raw(tab, lane_pair[idx], cs, v_hat[idx], cross_hat[idx])
+
+        feasible, c_u, c_star, b_raw, b_l = (
+            x.reshape(c_l.shape)
+            for x in _decide(beta_raw_at, c_l.ravel(), c_hi[lane_pair], tab, lane_pair))
         # infeasible slots deploy the lowest budget, where beta is known
         # only if the floor sits there
         c_star = np.where(feasible, c_star, c_lo)
@@ -686,39 +859,43 @@ def solve_slots(pair, slots):
 
     # ---- map c to powers (highest-power preference) ----
     p_v = np.where(c_star <= c_mid, pv_max,
-                   pair.gamma_v * pi_max * pair.l_cross / (c_star * pair.l_v * one_minus))
-    p_i = _p_i_of_c(c_star, pair)
+                   tab.gamma_v * pi_max * tab.l_cross / (c_star * tab.l_v * one_minus))
+    p_i = _p_i_of_c(c_star, tab)
     # the map can round one ulp outside the box at its corners
     p_v = np.where(feasible, np.clip(p_v, pv_min, pv_max), pv_max)
     p_i = np.where(feasible, np.clip(p_i, pi_min, pi_max), pi_min)
 
-    if isinstance(est, HprRegion):
-        worst = c_star * (g2_cross_hat + est.hi) - d2 * g2_v_hat / one_minus
+    if tab.kind is HprRegion:
+        worst = c_star * (g2_cross_hat + tab.hi) - d2 * g2_v_hat / one_minus
         b_raw = np.exp(-np.maximum(worst, 0.0))
 
-    return {
+    res = {
         "c_l": c_l, "c_u": c_u, "c_star": c_star,
         "p_v": p_v, "p_i": p_i,
         "beta_star": np.clip(b_raw, 0.0, 1.0), "feasible": feasible,
     }
+    return {key: val[:, 0] for key, val in res.items()} if one else res
 
 
-def _decide(beta_raw_at, c_l, c_hi, pair):
-    """Feasibility, ceiling and budget of every slot, deciding before searching.
+def _decide(beta_raw_at, c_l, c_hi, tab, lane_pair):
+    """Feasibility, ceiling and budget of every lane, deciding before searching.
 
-    A floor above the box is infeasible with no query, and so is a floor whose
-    satisfaction misses the target.  On the other slots the u-target c_t is
-    picked on [c_l, c_hi] and queried unless it is the floor; where it meets
-    the target it is both c_u and c*.  Only where it misses does a root
-    search on [c_l, c_t] find the ceiling c_u, and c* is then picked again on
-    [c_l, c_u].  Both picks clip the pair's one root of u = 1 (``_u_root``),
-    found once per call and only where some slot needs a pick, so a slot's
-    decision does not depend on the other slots of its block.  No budget is
-    queried that cannot change c*.  Returns
-    (feasible, c_u, c_star, beta at c_star, beta at c_l); c_u is 0 and the
-    betas NaN where nothing was evaluated.
+    Lane k is a slot of pair ``lane_pair[k]`` of the table ``tab``, with
+    floor ``c_l[k]`` and box top ``c_hi[k]``.  A floor above the box is
+    infeasible with no query, and so is a floor whose satisfaction misses
+    the target.  On the other lanes the u-target c_t is picked on
+    [c_l, c_hi] and queried unless it is the floor; where it meets the
+    target it is both c_u and c*.  Only where it misses does a root search
+    on [c_l, c_t] find the ceiling c_u, and c* is then picked again on
+    [c_l, c_u].  Both picks clip the pair's one root of u = 1
+    (``_u_root``), found once per call for each pair where some lane needs
+    a pick, so a lane's decision does not depend on the other lanes of its
+    call.  Each stage queries all its lanes, of every pair, at once.  No
+    budget is queried that cannot change c*.  Returns (feasible, c_u,
+    c_star, beta at c_star, beta at c_l); c_u is 0 and the betas NaN where
+    nothing was evaluated.
     """
-    target = pair.prob_req
+    target = tab.prob_req[lane_pair]
     n = c_l.shape[0]
     c_u = np.zeros(n)
     c_star = np.full(n, np.nan)
@@ -735,9 +912,13 @@ def _decide(beta_raw_at, c_l, c_hi, pair):
     j = np.flatnonzero(feasible & (c_l < c_hi))
     if not j.size:
         return feasible, c_u, c_star, b_star, b_l
-    cl, bl = c_l[j], b_l[j]
-    root = _u_root(pair)
-    c_t = _u_pick(cl, np.full(j.size, c_hi), pair, root)
+    cl, bl, tj = c_l[j], b_l[j], target[j]
+    need = np.flatnonzero(np.bincount(lane_pair[j], minlength=tab.size))
+    roots = np.full(tab.size, np.nan)
+    roots[need] = _u_root(tab.take(need))
+    lanes = tab.take(lane_pair[j])
+    root = roots[lane_pair[j]]
+    c_t = _u_pick(cl, c_hi[j], lanes, root)
     b_t = bl.copy()
     q = c_t != cl
     if q.any():
@@ -747,25 +928,25 @@ def _decide(beta_raw_at, c_l, c_hi, pair):
     b_star[j] = b_t
 
     # the target binds below the u-target: find the ceiling on [c_l, c_t]
-    k = np.flatnonzero(b_t < target)
+    k = np.flatnonzero(b_t < tj)
     if k.size:
-        lanes, cl, bl = j[k], cl[k], bl[k]
+        lanes_k, cl, bl, tk = j[k], cl[k], bl[k], tj[k]
         t_l = np.log(cl)
-        t, f = _bracket_root(lambda x, m: beta_raw_at(np.exp(x), lanes[m]) - target,
-                             t_l, np.log(c_t[k]), bl - target, b_t[k] - target)
+        t, f = _bracket_root(lambda x, m: beta_raw_at(np.exp(x), lanes_k[m]) - tk[m],
+                             t_l, np.log(c_t[k]), bl - tk, b_t[k] - tk)
         cu = np.where(t == t_l, cl, np.exp(t))
-        bu = f + target
-        cs = _u_pick(cl, cu, pair, root)
+        bu = f + tk
+        cs = _u_pick(cl, cu, lanes.take(k), root[k])
         bs = np.where(cs == cu, bu, np.where(cs == cl, bl, np.nan))
         q = np.isnan(bs)
         if q.any():
-            bs[q] = beta_raw_at(cs[q], lanes[q])
+            bs[q] = beta_raw_at(cs[q], lanes_k[q])
         # an estimate that is not monotone can dip below the target inside
         # [c_l, c_u]; the floor meets it by construction
-        dip = bs < target
-        c_u[lanes] = cu
-        c_star[lanes] = np.where(dip, cl, cs)
-        b_star[lanes] = np.where(dip, bl, bs)
+        dip = bs < tk
+        c_u[lanes_k] = cu
+        c_star[lanes_k] = np.where(dip, cl, cs)
+        b_star[lanes_k] = np.where(dip, bl, bs)
     return feasible, c_u, c_star, b_star, b_l
 
 
@@ -831,53 +1012,66 @@ def _bracket_root(fun, a, b, fa, fb):
     return np.where(sat, x_cur, x_blk), np.where(sat, f_cur, f_blk)
 
 
-def _u_root(pair):
-    """The budget where u crosses one on the pair's box, or None where the
+def _u_root(pairs):
+    """Where u crosses one on each pair's box, or NaN where the
     monotonicity condition of u (Prop. 1) fails there.
 
-    u depends only on the pair, and where Prop. 1 holds it rises with c, so
-    one root serves every slot.  Returns c_lo where u(c_lo) >= 1, inf where
+    ``pairs`` is a :class:`PairTable`, or its entries at some pair indices
+    (``PairTable.take``); the result has one root per entry.  u depends
+    only on the pair, and where Prop. 1 holds it rises with c, so one root
+    serves every slot.  A root is c_lo where u(c_lo) >= 1, inf where
     u(c_hi) < 1, and otherwise the double b in (c_lo, c_hi] with
     u(b) >= 1 > u(b-), b- the double just below b.  The search is a
     multisection over the bit patterns of the doubles, which for positive
     doubles are ordered as the doubles are: each round evaluates u on
-    ``_U_GRID`` evenly spaced patterns of the bracket, in one call, and keeps
-    the step where u first reaches one, until the bracket's ends are adjacent.
-    u rounds each point alone, so a bracket end keeps its side of one.
+    ``_U_GRID`` evenly spaced patterns of every open bracket, one pair per
+    row of one call, and keeps the step where u first reaches one, until
+    the bracket's ends are adjacent.  u rounds each point alone, so a
+    bracket end keeps its side of one.
     """
-    lambda_y, k2 = pair.lambda_y, pair.trunc_k2
-    c_lo, _, c_hi = _c_range(pair)
-    if not prop1_holds(lambda_y, k2, c_lo, c_hi):
-        return None
-    a, b = (int(np.float64(c).view(np.int64)) for c in (c_lo, c_hi))
-    while True:
-        step = max((b - a) // (_U_GRID - 1), 1)
-        bits = np.minimum(a + step * np.arange(_U_GRID, dtype=np.int64), b)
-        bits[-1] = b
+    c_lo, _, c_hi = _c_range(pairs)
+    lam, k2 = pairs.lambda_y, pairs.trunc_k2
+    roots = np.full(lam.size, np.nan)
+    live = np.flatnonzero([prop1_holds(*p) for p in zip(lam.tolist(), k2.tolist(),
+                                                        c_lo.tolist(), c_hi.tolist())])
+    a, b = c_lo[live].view(np.int64), c_hi[live].view(np.int64)
+    while live.size:
+        step = np.maximum((b - a) // (_U_GRID - 1), 1)
+        bits = np.minimum(a[:, None] + step[:, None] * np.arange(_U_GRID, dtype=np.int64),
+                          b[:, None])
+        bits[:, -1] = b
         cs = bits.view(np.float64)
-        reached = u_value(cs, lambda_y, k2) >= 1.0
-        k = int(np.argmax(reached))
-        if k == 0:
-            # only the first round holds c_lo and c_hi
-            return c_lo if reached[0] else math.inf
-        a, b = int(bits[k - 1]), int(bits[k])
-        if b - a == 1:
-            return float(cs[k])
+        reached = u_value(cs, lam[live, None], k2[live, None]) >= 1.0
+        k = np.argmax(reached, axis=1)
+        # only the first round holds c_lo and c_hi
+        first = k == 0
+        roots[live[first]] = np.where(reached[first, 0], c_lo[live[first]], np.inf)
+        rows = np.arange(live.size)
+        a, b = bits[rows, k - 1], bits[rows, k]
+        done = ~first & (b - a == 1)
+        roots[live[done]] = cs[rows, k][done]
+        keep = ~first & ~done
+        live, a, b = live[keep], a[keep], b[keep]
+    return roots
 
 
-def _u_pick(cl, cu, pair, root):
+def _u_pick(cl, cu, pairs, root):
     """The budget in [cl, cu] whose u-functional is closest to one.
 
-    Where Prop. 1 holds on the pair's box, ``root`` is the pair's crossing
-    of u = 1 (``_u_root``) and the pick is that root clipped to each
-    bracket.  Where it fails, ``root`` is None and the pick is a dense
-    argmin of |u - 1| on each bracket.
+    Where Prop. 1 holds on a pair's box, ``root`` is the pair's crossing of
+    u = 1 (``_u_root``) and the pick is that root clipped to each bracket.
+    Where it fails, ``root`` is NaN and the pick is a dense argmin of
+    |u - 1| on each bracket.  ``root`` and ``pairs``, the entries of a
+    :class:`PairTable` (``PairTable.take``), hold one entry per bracket.
     """
-    if root is not None:
-        return np.clip(root, cl, cu)
-    t = np.linspace(0.0, 1.0, 1024)
-    grid = np.exp(np.log(cl)[:, None] * (1.0 - t) + np.log(cu)[:, None] * t)
-    err = np.abs(u_value(grid, pair.lambda_y, pair.trunc_k2) - 1.0)
-    pick = grid[np.arange(grid.shape[0]), np.argmin(err, axis=1)]
-    # exp(log(c)) can round one ulp outside [cl, cu]
-    return np.clip(pick, cl, cu)
+    pick = np.clip(root, cl, cu)
+    dense = np.flatnonzero(np.isnan(pick))
+    if dense.size:
+        lo, hi = cl[dense], cu[dense]
+        lam, k2 = pairs.lambda_y[dense, None], pairs.trunc_k2[dense, None]
+        t = np.linspace(0.0, 1.0, 1024)
+        grid = np.exp(np.log(lo)[:, None] * (1.0 - t) + np.log(hi)[:, None] * t)
+        err = np.abs(u_value(grid, lam, k2) - 1.0)
+        # exp(log(c)) can round one ulp outside [cl, cu]
+        pick[dense] = np.clip(grid[np.arange(dense.size), np.argmin(err, axis=1)], lo, hi)
+    return pick

@@ -5,10 +5,10 @@ Trials are statistically independent and individually seeded from
 worker processes participate.  Per trial the flow is: draw a topology and
 epoch shadowing, run the probing/matching phase (shared by all allocators),
 fit the allocator's error model, then draw the adaptation slots' fading as
-one block and solve them with the per-pair vectorised solver.  Each phase's
-realised QoS is computed in one call over all its slots and written straight
-into the trial's row columns; this module alone knows the row format.  The
-CLI runs as ``rv2x`` or ``python -m rv2x``.
+one block and solve it, every pair at once, in one call of the vectorised
+solver.  Each phase's realised QoS is computed in one call over all its
+slots and written straight into the trial's row columns; this module alone
+knows the row format.  The CLI runs as ``rv2x`` or ``python -m rv2x``.
 """
 
 import argparse
@@ -153,27 +153,25 @@ def run_trial(config, allocator, trial):
         g2_i = fading.g2_i[:, pairing]                          # matched uplink fading
         g2_v_rsu = fading.g2_v_rsu
 
-        for i in range(m):
-            pair_ctx = adaptation.AdaptationContext(
-                estimate=models[i], lambda_y=float(plan.lambda_y[i]),
-                delta2=large.delta ** 2, gamma_v=gamma_v, sigma2=sigma2,
-                l_v=float(large.l_v[i]), l_cross=float(large.l_cross[pairing[i], i]),
-                l_i=float(large.l_i[pairing[i]]), l_v_rsu=float(large.l_v_rsu[i]),
-                rate_gamma=rate_gamma, prob_req=config.prob_req, box=box,
-                trunc_k1=config.trunc_k1, trunc_k2=config.trunc_k2,
-            )
-            res = adaptation.solve_slots(pair_ctx, {
-                "g2_v_hat": g2_v_hat[:, i], "g2_cross_hat": g2_cross_hat[:, i],
-                "g2_i": g2_i[:, i], "g2_v_rsu": g2_v_rsu[:, i]})
-            for key, col in decisions.items():
-                col[:, i] = res[key]
-            if config.deviation_trace:
-                # the solver leaves beta at the fallback budget unevaluated
-                # where the floor lies above it; the trace needs it
-                todo = np.flatnonzero(np.isnan(res["beta_star"]))
-                if todo.size:
-                    decisions["beta_star"][todo, i] = adaptation.beta(
-                        res["c_star"][todo], pair_ctx, g2_v_hat[todo, i], g2_cross_hat[todo, i])
+        pairs = adaptation.PairTable(adaptation.AdaptationContext(
+            estimate=models[i], lambda_y=float(plan.lambda_y[i]),
+            delta2=large.delta ** 2, gamma_v=gamma_v, sigma2=sigma2,
+            l_v=float(large.l_v[i]), l_cross=float(large.l_cross[pairing[i], i]),
+            l_i=float(large.l_i[pairing[i]]), l_v_rsu=float(large.l_v_rsu[i]),
+            rate_gamma=rate_gamma, prob_req=config.prob_req, box=box,
+            trunc_k1=config.trunc_k1, trunc_k2=config.trunc_k2,
+        ) for i in range(m))
+        decisions = adaptation.solve_slots(pairs, {
+            "g2_v_hat": g2_v_hat, "g2_cross_hat": g2_cross_hat,
+            "g2_i": g2_i, "g2_v_rsu": g2_v_rsu})
+        if config.deviation_trace:
+            # the solver leaves beta at the fallback budget unevaluated
+            # where the floor lies above it; the trace needs it
+            todo = np.isnan(decisions["beta_star"])
+            if todo.any():
+                decisions["beta_star"][todo] = adaptation.beta(
+                    decisions["c_star"][todo], pairs, g2_v_hat[todo], g2_cross_hat[todo],
+                    pair_of=np.nonzero(todo)[1])
 
         if config.deviation_trace:
             block = types.SimpleNamespace(delta2=large.delta ** 2, gamma_v=gamma_v,

@@ -142,11 +142,12 @@ def gaussian_satisfaction(cs, ells, mu, s2):
     Phi((e0 - mu)/s) + exp(-c (ell + mu) + c^2 s2/2) Q((e0 - mu + c s2)/s).
     The second term is taken through log Q, so that it stays finite where
     Q underflows and the exponential overflows.  ``cs`` and ``ells``
-    broadcast; c must be nonnegative.
+    broadcast, and so do ``mu`` and ``s2``, which may be per entry; c must
+    be nonnegative.
     """
     cs = np.asarray(cs, dtype=float)
     ells = np.asarray(ells, dtype=float)
-    s = math.sqrt(s2)
+    s = np.sqrt(s2)
     e0 = -ells
     term1 = _ndtr((e0 - mu) / s)
     expo = (-cs * (ells + mu) + 0.5 * cs * cs * s2

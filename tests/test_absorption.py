@@ -10,7 +10,7 @@ from scipy import integrate
 
 from rv2x.absorption import (_FAR_RADIUS, _TERMS, AbsorptionPlan, DeconvEstimate,
                              _kernel, absorption_power, adaptation_capability_bound,
-                             collect_sample, edge_weight, estimate_pdf,
+                             collect_sample, estimate_pdf,
                              hungarian_match, run_absorption)
 from rv2x.channel import LargeScaleState, build_large_scale, error_law
 from rv2x.config import SimConfig
@@ -243,18 +243,22 @@ def test_absorption_power_rejections():
 
 
 def test_edge_weight_consistency():
-    box = (10.0, 200.0, 10.0, 200.0)
-    l_v, l_cross, delta, k = 2e-7, 3e-9, 0.65, 10
-    w = edge_weight(l_v, l_cross, delta, 0.5, box, k)
-    p_i, p_v = absorption_power(0.5, box)
-    o = p_v * l_v / (p_i * l_cross)
-    # same bracket as the horizon bound, up to the k^2/(4T) prefactor
-    np.testing.assert_allclose((k * k / 4000.0) * w,
-                               adaptation_capability_bound(delta, o, k, 1000), rtol=1e-12)
-    assert edge_weight(l_v, l_cross, delta, 1.2, box, k) == float("inf")
+    # run_absorption's weight of pair i on channel j is the horizon bound's
+    # bracket at the probing powers, without the bound's k^2/(4T) prefactor
+    config = SimConfig(num_pairs=6, absorption_len=20, matching_horizon=20)
+    large = build_large_scale(build_topology(config, _stream(0, 0, "topology")), config,
+                              _stream(0, 0, "shadowing"))
+    plan, _, _ = run_absorption(large, config, error_law(config.error_law),
+                                _stream(0, 0, "absorption"))
+    box = (config.pi_min_mw, config.pi_max_mw, config.pv_min_mw, config.pv_max_mw)
+    p_i, p_v = absorption_power(config.hr_weight, box)
+    o = p_v * large.l_v[:, None] / (p_i * large.l_cross.T)
+    k, m = config.trunc_k, config.num_pairs
+    want = [[adaptation_capability_bound(large.delta, o[i, j], k, 1000) for j in range(m)]
+            for i in range(m)]
+    np.testing.assert_allclose((k * k / 4000.0) * plan.weights, want, rtol=1e-12)
     # stronger direct link (bigger o) is harder to deconvolve
-    ws = [edge_weight(lv, l_cross, delta, 0.5, box, k) for lv in (1e-8, 1e-7, 1e-6)]
-    assert ws[0] < ws[1] < ws[2]
+    assert np.all(np.diff(plan.weights.ravel()[np.argsort(o, axis=None)]) > 0)
 
 
 # ------------------------------------------------------------------ matching
@@ -358,15 +362,13 @@ def test_hungarian_on_real_weights_with_wide_ranges():
     # weights within one matrix span 15+ orders of magnitude; a tight-edge
     # tolerance scaled by the largest weight ties edges that are not tied
     m = 8
-    config = SimConfig(num_pairs=m)
-    box = (config.pi_min_mw, config.pi_max_mw, config.pv_min_mw, config.pv_max_mw)
+    config = SimConfig(num_pairs=m, absorption_len=1)
+    law = error_law(config.error_law)
     checked = 0
     for seed in range(60):
         topo = build_topology(config, np.random.default_rng((seed, 0)))
         large = build_large_scale(topo, config, np.random.default_rng((seed, 1)))
-        w = np.array([[edge_weight(large.l_v[i], large.l_cross[j, i], large.delta,
-                                   config.hr_weight, box, config.trunc_k)
-                       for j in range(m)] for i in range(m)])
+        w = run_absorption(large, config, law, np.random.default_rng((seed, 2)))[0].weights
         finite = w[np.isfinite(w)]
         if finite.max() < 1e15 * finite.min():
             continue

@@ -10,8 +10,8 @@ from scipy import integrate, optimize, special
 
 from rv2x import adaptation, qosmodel
 from rv2x.absorption import DeconvEstimate, estimate_pdf
-from rv2x.adaptation import (AdaptationContext, beta, c_param, check_prop1_condition,
-                             ell, prop1_holds, solve_slots, u_value,
+from rv2x.adaptation import (AdaptationContext, PairTable, beta, c_param,
+                             check_prop1_condition, ell, prop1_holds, solve_slots, u_value,
                              _bracket_root, _c_range, _prop1_lhs, _u_pick, _u_root)
 from rv2x.baselines import GaussianFit, HprRegion
 from rv2x.channel import error_law
@@ -103,7 +103,8 @@ def test_u_root_is_the_crossing_of_one(log_lam, k2, log_lo, log_span, seed):
                                                               1.0, 1.0), trunc_k2=k2)
     c_lo, _, c_hi = _c_range(ctx)
     assume(prop1_holds(lam, k2, c_lo, c_hi))
-    root = _u_root(ctx)
+    one = PairTable([ctx])
+    root = _u_root(one)[0]
     if u_value(c_lo, lam, k2) >= 1.0:
         assert root == c_lo
     elif u_value(c_hi, lam, k2) < 1.0:
@@ -114,7 +115,9 @@ def test_u_root_is_the_crossing_of_one(log_lam, k2, log_lo, log_span, seed):
     # every bracket in the box picks the root clipped to it
     t = np.sort(np.random.default_rng(seed).uniform(0.0, 1.0, (2, 16)), axis=0)
     cl, cu = np.clip(c_lo * (c_hi / c_lo) ** t, c_lo, c_hi)
-    np.testing.assert_array_equal(_u_pick(cl, cu, ctx, root), np.clip(root, cl, cu))
+    lanes = one.take(np.zeros(cl.size, dtype=np.intp))
+    np.testing.assert_array_equal(_u_pick(cl, cu, lanes, np.full(cl.size, root)),
+                                  np.clip(root, cl, cu))
 
 
 # ------------------------------------------------------------------ startup check
@@ -231,6 +234,18 @@ _W10 = 10 * np.pi
 _EDGE = 60.0 / _W10     # |W b| = 60: the kernel's near/far boundary
 
 
+def _kernel(cs, ells, z, lam, k1, w_cut, **kw):
+    """``_beta_exact`` on lanes that all query one pair with probes ``z``."""
+    return adaptation._beta_exact(cs, ells, np.asarray(z, dtype=float)[None],
+                                  np.zeros(len(cs), dtype=np.intp), lam, k1, w_cut, **kw)
+
+
+def _deconv(cs, ells, z, lam, k1, k2):
+    """``_beta_batch_deconv`` on queries that all ask one pair with probes ``z``."""
+    return adaptation._beta_batch_deconv(cs, ells, np.asarray(z, dtype=float)[None],
+                                         np.zeros(len(cs), dtype=np.intp), lam, k1, k2)
+
+
 def _assert_within_reference_tolerance(got, want, scale, msg=""):
     # float64 carries a per-probe term of size S to about 1e-16 S, in the
     # reference as in the kernel: 1e-12 holds until S passes 1e5, which only
@@ -242,7 +257,7 @@ def _assert_within_reference_tolerance(got, want, scale, msg=""):
 
 
 def _assert_kernel_matches_reference(cs, ells, z, lam, k1, w_cut, msg=""):
-    got = adaptation._beta_exact(cs, ells, z, lam, k1, w_cut)
+    got = _kernel(cs, ells, z, lam, k1, w_cut)
     want, scale = _beta_exact_reference(cs, ells, z, lam, k1, w_cut)
     _assert_within_reference_tolerance(got, want, scale, msg)
     return scale
@@ -260,7 +275,7 @@ def _assert_window_lanes_match_reference(cs, ells, z, lam, k2, msg="", k1=10):
     z_hi = float(z.max())
     window = adaptation._beta_window(ells, z_hi, k1)
     clear = window > k1
-    got = adaptation._beta_batch_deconv(cs, ells, types.SimpleNamespace(samples=z), lam, k1, k2)
+    got = _deconv(cs, ells, z, lam, k1, k2)
     own, own_scale = _beta_exact_reference(cs, ells, z, lam, window, k2 * np.pi)
     edge, edge_scale = _beta_exact_reference(cs, ells, z, lam, window, k2 * np.pi,
                                              edge=z_hi + 0.5 * k1)
@@ -325,11 +340,10 @@ def test_beta_kernel_lanes_do_not_depend_on_their_batch():
     cs = 10.0 ** rng.uniform(-3.0, 3.0, n)
     ells = rng.uniform(-1.0, 6.0, n)
     k1 = np.maximum(10.0, ells + z.max() + 5.0)
-    batch = adaptation._beta_exact(cs, ells, z, 0.7, k1, _W10)
-    single = np.array([adaptation._beta_exact(cs[i:i + 1], ells[i:i + 1], z, 0.7,
-                                              k1[i:i + 1], _W10)[0] for i in range(n)])
-    rev = adaptation._beta_exact(cs[::-1].copy(), ells[::-1].copy(), z, 0.7,
-                                 k1[::-1].copy(), _W10)[::-1]
+    batch = _kernel(cs, ells, z, 0.7, k1, _W10)
+    single = np.array([_kernel(cs[i:i + 1], ells[i:i + 1], z, 0.7, k1[i:i + 1], _W10)[0]
+                       for i in range(n)])
+    rev = _kernel(cs[::-1].copy(), ells[::-1].copy(), z, 0.7, k1[::-1].copy(), _W10)[::-1]
     assert np.isfinite(batch).all()
     assert np.array_equal(batch, single)
     assert np.array_equal(batch, rev)
@@ -393,9 +407,9 @@ def test_beta_kernel_takes_sin_and_cos_once_per_probe_and_shift(monkeypatch):
             return np.cos(x, *args, **kwargs)
 
     monkeypatch.setattr(adaptation, "np", CountingNumpy())
-    got = adaptation._beta_exact(cs, ells, z, 0.7, k1, _W10)
+    got = _kernel(cs, ells, z, 0.7, k1, _W10)
     monkeypatch.undo()
-    assert np.array_equal(got, adaptation._beta_exact(cs, ells, z, 0.7, k1, _W10))
+    assert np.array_equal(got, _kernel(cs, ells, z, 0.7, k1, _W10))
     bound = z.size + 2 * n + near
     assert 0 < near and bound < n * z.size
     for name, count in counts.items():
@@ -473,7 +487,6 @@ def test_beta_batch_lanes_do_not_depend_on_their_batch():
     rng = np.random.default_rng(13)
     z = np.concatenate([rng.normal(0.3, 1.0, 200) + rng.exponential(0.5, 200),
                         [0.0, _EDGE, -_EDGE]])
-    est = types.SimpleNamespace(samples=z)
     rows = adaptation._BLOCK // z.size
     n = 4 * rows + 3
     cs = 10.0 ** rng.uniform(-3.0, 3.0, n)
@@ -482,7 +495,7 @@ def test_beta_batch_lanes_do_not_depend_on_their_batch():
     assert clear.sum() > rows + 1 and (~clear).sum() > rows + 1
 
     def run(idx):
-        return adaptation._beta_batch_deconv(cs[idx], ells[idx], est, 0.7, 10, 2)
+        return _deconv(cs[idx], ells[idx], z, 0.7, 10, 2)
 
     batch = run(np.arange(n))
     single = np.array([run([i])[0] for i in range(n)])
@@ -490,6 +503,79 @@ def test_beta_batch_lanes_do_not_depend_on_their_batch():
     assert np.isfinite(batch).all()
     assert np.array_equal(batch, single)
     assert np.array_equal(batch, rev)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(n_pairs=st.integers(2, 4), n_probes=st.integers(100, 400), per_pair=st.integers(3, 12),
+       k2=st.sampled_from([2, 10]), seed=st.integers(0, 2 ** 32 - 1))
+@example(n_pairs=3, n_probes=300, per_pair=12, k2=2, seed=1)
+def test_beta_kernel_pairs_in_one_call_match_calls_per_pair(n_pairs, n_probes, per_pair, k2,
+                                                           seed):
+    # lanes of 2-4 pairs, each pair with its own probes, lambda_y and edge,
+    # agree to the bit in one call and in a call per pair: shared-edge and
+    # own-edge lanes, in workspace blocks that mix pairs, with near points
+    # in every half at k2 = 2 (|b| < 9.5) and in y at k2 = 10
+    rng = np.random.default_rng(seed)
+    lam = 10.0 ** rng.uniform(-4.0, 1.5, n_pairs)
+    z = rng.normal(0.0, 1.0, (n_pairs, n_probes)) + rng.exponential(
+        1.0 / np.maximum(lam, 0.2)[:, None], (n_pairs, n_probes))
+    pair = rng.permutation(np.repeat(np.arange(n_pairs), per_pair))
+    z_hi = z.max(axis=1)
+    k1 = 10.0
+    # every other lane of a pair takes the minimum window, the rest the clearance
+    above = np.arange(pair.size) % 2 == 0
+    ells = 0.5 * k1 - z_hi[pair] + np.where(above, rng.uniform(0.1, 3.0, pair.size),
+                                            -rng.uniform(1.0, 3.0, pair.size))
+    window = adaptation._beta_window(ells, z_hi[pair], k1)
+    shared, edge = window > k1, z_hi + 0.5 * k1
+    assert np.array_equal(shared, above)
+    cs = 10.0 ** rng.uniform(-3.0, 2.0, pair.size)
+    w_cut = k2 * np.pi
+    got = adaptation._beta_exact(cs, ells, z, pair, lam[pair], window, w_cut, shared=shared,
+                                 edge=edge)
+    assert np.isfinite(got).all()
+    for p in range(n_pairs):
+        k = np.flatnonzero(pair == p)
+        want = _kernel(cs[k], ells[k], z[p], lam[p], window[k], w_cut, shared=shared[k],
+                       edge=edge[p])
+        assert got[k].tobytes() == want.tobytes(), f"pair {p}"
+    if k2 == 2:
+        y = z[pair] + ells[:, None]
+        assert np.any(np.abs(w_cut * y) < 60.0)
+        assert np.any(np.abs(w_cut * (y - k1))[~shared] < 60.0)
+        assert np.any(np.abs(w_cut * (z - edge[:, None])) < 60.0)
+
+
+def test_beta_kernel_takes_near_points_in_few_calls(monkeypatch):
+    # the near points of all blocks of a call are evaluated together, in
+    # calls of at most _BLOCK / 2 points (each point takes E1 at two
+    # arguments), not in a call per block of lanes: probes spread over
+    # hundreds of units leave each lane a few near points, probes within a
+    # few units of zero hundreds
+    rng = np.random.default_rng(11)
+    step = adaptation._BLOCK // 2
+    sizes = []
+    real = adaptation._near_terms
+
+    def spy(b, *args):
+        sizes.append(b.size)
+        return real(b, *args)
+
+    monkeypatch.setattr(adaptation, "_near_terms", spy)
+    for spread, blocks in ((200.0, 4), (0.5, 6)):
+        z = np.concatenate([rng.normal(0.3, 1.0, 200) + rng.exponential(spread, 200),
+                            [0.0, _EDGE, -_EDGE, 4e5]])
+        n = blocks * (adaptation._BLOCK // z.size) + 1
+        cs = 10.0 ** rng.uniform(-3.0, 3.0, n)
+        ells = rng.uniform(-1.0, 1.0, n)
+        k1 = np.maximum(10.0, ells + z.max() + 5.0)
+        sizes.clear()
+        _kernel(cs, ells, z, 0.7, k1, _W10)
+        near = int(np.sum(np.abs(_W10 * (z + ells[:, None])) < 60.0))
+        assert sum(sizes) == near > 0
+        assert len(sizes) <= math.ceil(near / step)
+        assert max(sizes) <= step
+    assert len(sizes) > 1
 
 
 def test_beta_window_keeps_the_interference_tail():
@@ -694,7 +780,7 @@ def test_beta_gaussian_deep_tail():
     assert np.all(arg < -40.0)
     expo = -cs * (ells + mu) + 0.5 * cs * cs * s2 + special.log_ndtr(arg)
     want = special.ndtr((-ells - mu) / s) + np.exp(np.minimum(expo, 0.0))
-    np.testing.assert_allclose(adaptation._beta_batch_gaussian(cs, ells, fit), want,
+    np.testing.assert_allclose(adaptation._beta_batch_gaussian(cs, ells, mu, s2), want,
                                rtol=1e-12)
 
 
@@ -956,16 +1042,92 @@ def test_slot_decision_does_not_depend_on_its_block(monkeypatch, allocator):
     monkeypatch.setattr(adaptation, "solve_slots", spy)
     run_trial(SimConfig(adaptation_len=50, rng_seed=0), allocator, 0)
     monkeypatch.undo()
-    assert len(solved) == 10
-    for pair, slots in solved:
-        block = solve_slots(pair, slots)
-        back = solve_slots(pair, {name: v[::-1] for name, v in slots.items()})
-        alone = [solve_slots(pair, {name: v[s:s + 1] for name, v in slots.items()})
-                 for s in range(slots["g2_v_hat"].size)]
+    # one call solves every pair of the trial
+    assert len(solved) == 1
+    pairs, slots = solved[0]
+    assert pairs.size == 10
+    every = solve_slots(pairs, slots)
+    for i, pair in enumerate(pairs.contexts):
+        col = {name: v[:, i] for name, v in slots.items()}
+        block = solve_slots(pair, col)
+        back = solve_slots(pair, {name: v[::-1] for name, v in col.items()})
+        alone = [solve_slots(pair, {name: v[s:s + 1] for name, v in col.items()})
+                 for s in range(col["g2_v_hat"].size)]
         for key, want in block.items():
+            assert every[key][:, i].tobytes() == want.tobytes(), f"{key} of pair {i}, all pairs"
             assert back[key][::-1].tobytes() == want.tobytes(), f"{key} reversed"
             got = np.concatenate([res[key] for res in alone])
             assert got.tobytes() == want.tobytes(), f"{key} solved alone"
+
+
+def _pairs_of_one_kind(kind):
+    # three pairs with their own laws, rates, boxes and gains: the first
+    # reaches the ceiling search, the second has a box where Prop. 1 fails,
+    # so its u-pick is the dense argmin, and the third has infeasible floors
+    rng = np.random.default_rng(31)
+    if kind == "deconv":
+        z = rng.normal(0.0, 0.5, 400) + rng.exponential(0.5, size=400)
+        wide = error_law("type1").sample(rng, 400) + rng.exponential(1.0 / 0.03, size=400)
+        models = [_estimate(z, lam=2.0), _neg_mass_estimate(50.0, rng), _estimate(wide, lam=0.03)]
+        rates = (2.0, 50.0, 0.03)
+    elif kind == "gaussian":
+        models = [GaussianFit(mean_e=-0.5, var_e=0.04), GaussianFit(mean_e=-5.0, var_e=0.01),
+                  GaussianFit(mean_e=0.5, var_e=0.01)]
+        rates = (0.5, 50.0, 20.0)
+    else:
+        models = [HprRegion(lo=-0.1, hi=0.4, coverage=0.96),
+                  HprRegion(lo=-1.0, hi=0.2, coverage=0.95),
+                  HprRegion(lo=-0.5, hi=1.5, coverage=0.97)]
+        rates = (0.5, 50.0, 20.0)
+    return [_ctx(models[0], rates[0], box=(0.01, 4.0, 1.0, 1.0)),
+            _ctx(models[1], rates[1], box=(20.0, 300.0, 1.0, 1.0)),
+            _ctx(models[2], rates[2], d2=0.4256, sigma2=0.05, rate_gamma=3.0, l_cross=0.5,
+                 box=(0.1, 10.0, 0.1, 10.0))]
+
+
+@pytest.mark.parametrize("kind", ["deconv", "gaussian", "hpr"])
+def test_solve_slots_over_pairs_matches_single_pair_solves(monkeypatch, kind):
+    pairs = _pairs_of_one_kind(kind)
+    rng = np.random.default_rng(7)
+    slots = {name: rng.exponential(1.0, (60, len(pairs)))
+             for name in ("g2_v_hat", "g2_cross_hat", "g2_i", "g2_v_rsu")}
+    searched = []
+    real = adaptation._bracket_root
+
+    def spy(fun, a, *args):
+        searched.append(a.size)
+        return real(fun, a, *args)
+
+    monkeypatch.setattr(adaptation, "_bracket_root", spy)
+    every = solve_slots(PairTable(pairs), slots)
+    monkeypatch.undo()
+    for i, pair in enumerate(pairs):
+        alone = solve_slots(pair, {name: v[:, i] for name, v in slots.items()})
+        for key, want in alone.items():
+            assert every[key].shape == (60, len(pairs))
+            assert every[key][:, i].tobytes() == want.tobytes(), f"{key} of pair {i}"
+    ok = every["feasible"]
+    assert ok.any() and not ok.all()
+    if kind != "hpr":
+        # lanes reached the ceiling search, and the pair without Prop. 1
+        # picked above its floor
+        assert sum(searched) > 0
+        c_lo, _, c_hi = _c_range(pairs[1])
+        assert not prop1_holds(pairs[1].lambda_y, pairs[1].trunc_k2, c_lo, c_hi)
+        assert np.any(ok[:, 1] & (every["c_star"][:, 1] > every["c_l"][:, 1]))
+
+
+def test_solve_slots_rejects_pairs_that_cannot_share_a_call():
+    slots = {name: np.ones((2, 2)) for name in ("g2_v_hat", "g2_cross_hat", "g2_i", "g2_v_rsu")}
+    region = HprRegion(lo=-0.1, hi=0.4, coverage=0.96)
+    for models in ([_estimate(), GaussianFit(mean_e=0.0, var_e=1.0)],
+                   [GaussianFit(mean_e=0.0, var_e=1.0), region],
+                   [_estimate(), _estimate(Z12[:6])]):
+        with pytest.raises(ConfigurationError):
+            solve_slots(PairTable([_ctx(model, 20.0) for model in models]), slots)
+    with pytest.raises(ConfigurationError):
+        solve_slots(PairTable([_ctx(_estimate(), 20.0), _ctx(_estimate(), 20.0, trunc_k2=5)]),
+                    slots)
 
 
 def _wide_spread_case():
@@ -1038,7 +1200,9 @@ def test_solver_queries_only_deciding_budgets(monkeypatch):
     c_lo, _, c_hi = _c_range(base)
     c_l, ok = res["c_l"], res["feasible"]
     cand = np.flatnonzero(ok & (c_l < c_hi))
-    c_t = _u_pick(c_l[cand], np.full(cand.size, c_hi), base, _u_root(base))
+    one = PairTable([base])
+    c_t = _u_pick(c_l[cand], np.full(cand.size, c_hi), one.take(np.zeros(cand.size, dtype=np.intp)),
+                  np.full(cand.size, _u_root(one)[0]))
     at_hi = {k for c, k in queried if c == c_hi}
     assert at_hi <= set(cand[c_t == c_hi].tolist())
     above = np.flatnonzero(~ok & (c_l > c_lo))

@@ -170,7 +170,8 @@ def test_deviation_trace_fills_beta_at_the_fallback_budget(monkeypatch, allocato
 
     monkeypatch.setattr(adaptation, "solve_slots", spy)
     on = run_trial(SimConfig(adaptation_len=50, rng_seed=0), allocator, 0)
-    m = len(solved)
+    assert len(solved) == 1
+    pairs, slots = solved[0]
     off = run_trial(SimConfig(adaptation_len=50, rng_seed=0, deviation_trace=False),
                     allocator, 0)
     dec, dec_off = on["decisions"], off["decisions"]
@@ -184,9 +185,10 @@ def test_deviation_trace_fills_beta_at_the_fallback_budget(monkeypatch, allocato
         np.testing.assert_array_equal(dec[key], dec_off[key])
     np.testing.assert_array_equal(dec["beta_star"][~floor_above],
                                   dec_off["beta_star"][~floor_above])
-    for i, (pair, slots) in enumerate(solved[:m]):
+    for i, pair in enumerate(pairs.contexts):
         for s in np.flatnonzero(infeasible[:, i]):
-            want = beta(_c_range(pair)[0], pair, slots["g2_v_hat"][s], slots["g2_cross_hat"][s])
+            want = beta(_c_range(pair)[0], pair, slots["g2_v_hat"][s, i],
+                        slots["g2_cross_hat"][s, i])
             np.testing.assert_allclose(dec["beta_star"][s, i], want, rtol=1e-12, atol=1e-14,
                                        err_msg=f"slot {s} pair {i}")
 
