@@ -20,11 +20,9 @@ from .absorption import (
     run_absorption,
 )
 from .adaptation import (
-    AdaptationContext,
     PairTable,
     beta,
     c_param,
-    check_prop1_condition,
     ell,
     prop1_holds,
     solve_slots,
@@ -60,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbsorptionPlan",
-    "AdaptationContext",
     "AllocationDecision",
     "ChannelState",
     "ConfigurationError",
@@ -81,7 +78,6 @@ __all__ = [
     "build_large_scale",
     "build_topology",
     "c_param",
-    "check_prop1_condition",
     "collect_sample",
     "delay",
     "delay_outage_closed_form",

@@ -55,7 +55,6 @@ whole call are evaluated together, in chunks of ``_BLOCK`` E1 arguments.
 """
 
 import copy
-import dataclasses
 import math
 
 import numpy as np
@@ -80,105 +79,106 @@ _SI_TERMS = 7           # terms of each of Si's auxiliary series f and g in
                         # within 3e-16 of 30-digit Si from |W b| = 60 on
 _BLOCK = 2 ** 13        # lanes x probes per block of the beta workspace
 _U_GRID = 129           # points per multisection round of the root of u = 1
+_PROP1_GRID = 256       # geometric budgets per box on which Prop. 1 is tested
 
 
-@dataclasses.dataclass
-class AdaptationContext:
-    """One V2V pair's error model, link gains and QoS targets.
-
-    ``estimate`` is the error model the allocator runs on: the
-    deconvolution estimate, a Gaussian moment fit, or a high-probability
-    region.  Nothing in it is per slot: a slot's fading reports are passed
-    as arrays to ``solve_slots`` and ``beta``.
-    """
-
-    estimate: object
-    lambda_y: float          # exponential rate of the probe nuisance component
-    delta2: float            # squared fading-aging coefficient
-    gamma_v: float           # sidelink SINR threshold
-    sigma2: float            # noise power, mW
-    l_v: float               # sidelink direct large-scale gain
-    l_cross: float           # matched cross-link gain (V2I TX -> V2V RX)
-    l_i: float               # uplink direct gain
-    l_v_rsu: float           # V2V TX -> RSU gain
-    rate_gamma: float        # uplink SINR floor from the rate requirement
-    prob_req: float
-    box: tuple               # (pi_min, pi_max, pv_min, pv_max) in mW
-    trunc_k1: int
-    trunc_k2: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.delta2 < 1.0:
-            raise ConfigurationError("aging coefficient must satisfy 0 <= delta^2 < 1")
-        if not isinstance(self.estimate, (DeconvEstimate, GaussianFit, HprRegion)):
-            raise ConfigurationError("unrecognised error-model object")
+def c_param(p_i, p_v, pairs):
+    """Interference-budget parameter of a power pair, for each entry of the
+    :class:`PairTable` ``pairs`` (broadcast against the powers)."""
+    return pairs.gamma_v * pairs.l_cross / (pairs.l_v * (1.0 - pairs.delta2)) * p_i / p_v
 
 
-def c_param(p_i, p_v, pair):
-    """Interference-budget parameter of a power pair."""
-    return pair.gamma_v * pair.l_cross / (pair.l_v * (1.0 - pair.delta2)) * p_i / p_v
-
-
-def _c_range(pair):
+def _c_range(pairs):
     """(c_lo, c_mid, c_hi): budgets at the box corners (pi_min, pv_max),
-    (pi_max, pv_max) and (pi_max, pv_min)."""
-    pi_min, pi_max, pv_min, pv_max = pair.box
-    return (c_param(pi_min, pv_max, pair), c_param(pi_max, pv_max, pair),
-            c_param(pi_max, pv_min, pair))
+    (pi_max, pv_max) and (pi_max, pv_min), one entry per pair."""
+    pi_min, pi_max, pv_min, pv_max = pairs.box
+    return (c_param(pi_min, pv_max, pairs), c_param(pi_max, pv_max, pairs),
+            c_param(pi_max, pv_min, pairs))
 
 
-def ell(c, pair, g2_v_hat, g2_cross_hat):
+def ell(c, pairs, g2_v_hat, g2_cross_hat):
     """Knee of the satisfaction profile at budget c for a slot's reported
-    fading (noise term dropped)."""
-    return g2_cross_hat - (g2_v_hat / c) * pair.delta2 / (1.0 - pair.delta2)
+    fading (noise term dropped), for each entry of ``pairs``."""
+    return g2_cross_hat - (g2_v_hat / c) * pairs.delta2 / (1.0 - pairs.delta2)
 
 
-_PAIR_FIELDS = ("lambda_y", "delta2", "gamma_v", "sigma2", "l_v", "l_cross", "l_i",
-                "l_v_rsu", "rate_gamma", "prob_req", "trunc_k1", "trunc_k2")
+_PAIR_FIELDS = (
+    "lambda_y",     # exponential rate of the probe nuisance component
+    "delta2",       # squared fading-aging coefficient
+    "gamma_v",      # sidelink SINR threshold
+    "sigma2",       # noise power, mW
+    "l_v",          # sidelink direct large-scale gain
+    "l_cross",      # matched cross-link gain (V2I TX -> V2V RX)
+    "l_i",          # uplink direct gain
+    "l_v_rsu",      # V2V TX -> RSU gain
+    "rate_gamma",   # uplink SINR floor from the rate requirement
+    "prob_req",
+    "trunc_k1",
+    "trunc_k2",
+)
 _MODEL_FIELDS = {DeconvEstimate: (), GaussianFit: ("mean_e", "var_e"), HprRegion: ("hi",)}
 
 
-class PairTable:
-    """The pairs of one solve as columns, the form the solver runs on.
+def _column(name, value, m):
+    """``value`` as an (m,) float array; a scalar stands for every pair."""
+    col = np.asarray(value, dtype=float)
+    if col.shape not in ((), (m,)):
+        raise ConfigurationError(f"{name} needs one value or one per pair ({m}), "
+                                 f"not shape {col.shape}")
+    return np.broadcast_to(col, (m,)).copy()
 
-    ``PairTable(contexts)`` keeps the M :class:`AdaptationContext` objects
-    in ``contexts`` and holds one (M,) array per context field and per model
-    parameter, ``box`` as four of them, and, for deconvolution estimates,
-    the probes as one (M, t) array ``samples``.  ``c_param``, ``_c_range``,
-    ``ell`` and ``_p_i_of_c`` read a table as they read one context, entry
-    by entry.  The pairs must share one model type and, with deconvolution
-    estimates, one probe count and the same truncations;
-    ``ConfigurationError`` otherwise.
+
+class PairTable:
+    """The V2V pairs of one solve: error models, link gains and QoS targets.
+
+    ``PairTable(models, box, **fields)`` takes the M pairs' error models,
+    the models the allocator runs on: deconvolution estimates, Gaussian
+    moment fits or high-probability regions, all of one type.  Each name of
+    ``_PAIR_FIELDS`` is a keyword, held as one (M,) array; ``box``, the
+    power box (pi_min, pi_max, pv_min, pv_max) in mW, is held as four.  A
+    scalar stands for all M pairs.  The model parameters become (M,) arrays
+    too, and deconvolution estimates' probes one (M, t) array ``samples``.
+    Nothing in a table is per slot: a slot's fading reports are passed as
+    arrays to ``solve_slots`` and ``beta``.  ``ConfigurationError`` is
+    raised for a missing, unknown or wrongly sized field, an aging
+    coefficient outside 0 <= delta^2 < 1, models not all of one recognised
+    type, and deconvolution pairs without one probe count and truncation.
     """
 
-    def __init__(self, contexts):
-        self.contexts = tuple(contexts)
-        kinds = [k for k in _MODEL_FIELDS
-                 if self.contexts and all(isinstance(p.estimate, k) for p in self.contexts)]
+    def __init__(self, models, box, **fields):
+        self.models = tuple(models)
+        self.size = m = len(self.models)
+        kinds = [k for k in _MODEL_FIELDS if m and all(isinstance(e, k) for e in self.models)]
         if not kinds:
-            raise ConfigurationError("the pairs of one call need one error-model type")
+            raise ConfigurationError("the pairs of one call need one recognised error-model type")
         self.kind = kinds[0]
-        self.size = len(self.contexts)
+        if set(fields) != set(_PAIR_FIELDS):
+            raise ConfigurationError(
+                f"pair fields missing {sorted(set(_PAIR_FIELDS) - set(fields))}, "
+                f"unknown {sorted(set(fields) - set(_PAIR_FIELDS))}")
         for f in _PAIR_FIELDS:
-            setattr(self, f, np.array([getattr(p, f) for p in self.contexts], dtype=float))
+            setattr(self, f, _column(f, fields[f], m))
         for f in _MODEL_FIELDS[self.kind]:
-            setattr(self, f, np.array([getattr(p.estimate, f) for p in self.contexts],
-                                      dtype=float))
-        self.box = tuple(np.array(side, dtype=float)
-                         for side in zip(*(p.box for p in self.contexts)))
+            setattr(self, f, np.array([getattr(e, f) for e in self.models], dtype=float))
+        if len(box) != 4:
+            raise ConfigurationError("the power box needs (pi_min, pi_max, pv_min, pv_max)")
+        self.box = tuple(_column("box", side, m) for side in box)
+        if not np.all((self.delta2 >= 0.0) & (self.delta2 < 1.0)):
+            raise ConfigurationError("aging coefficient must satisfy 0 <= delta^2 < 1")
         self.samples = None
         if self.kind is DeconvEstimate:
-            if len({(p.estimate.samples.size, p.trunc_k1, p.trunc_k2)
-                    for p in self.contexts}) > 1:
+            if (len({e.samples.size for e in self.models}) > 1
+                    or np.any(self.trunc_k1 != self.trunc_k1[0])
+                    or np.any(self.trunc_k2 != self.trunc_k2[0])):
                 raise ConfigurationError(
                     "deconvolution pairs of one call need one probe count and truncation")
-            self.samples = np.stack([p.estimate.samples for p in self.contexts])
+            self.samples = np.stack([e.samples for e in self.models])
 
     def take(self, idx):
         """The entries ``idx`` of every column, one per lane, as a table
-        without contexts or probes."""
+        without models or probes."""
         lanes = copy.copy(self)
-        lanes.contexts, lanes.samples, lanes.size = None, None, len(idx)
+        lanes.models, lanes.samples, lanes.size = None, None, len(idx)
         lanes.box = tuple(side[idx] for side in self.box)
         for f in _PAIR_FIELDS + _MODEL_FIELDS[self.kind]:
             setattr(lanes, f, getattr(self, f)[idx])
@@ -217,26 +217,15 @@ def _prop1_lhs(x, lambda_y, k2):
     return x / r - np.log((x + r) / d) - lambda_y * x * x * np.log(x + r)
 
 
-def check_prop1_condition(lambda_y, k2, c_grid):
-    """Verify the sufficient monotonicity condition of u on a c-grid.
+def prop1_holds(lambda_y, k2, c_grid):
+    """Whether the sufficient monotonicity condition of u (Prop. 1) holds at
+    every budget of the last axis of ``c_grid``.
 
-    Raises :class:`ConfigurationError` naming the violating point; returns
-    True when the condition holds everywhere on the grid.
+    ``lambda_y`` and ``k2`` broadcast against the grid, so (M, 1) columns of
+    them test one pair per row of an (M, n) grid, with one answer per row.
     """
-    x = 1.0 / np.asarray(c_grid, dtype=float)
-    lhs = _prop1_lhs(x, lambda_y, k2)
-    bad = lhs > 0.0
-    if bad.any():
-        i = int(np.argmax(lhs))
-        raise ConfigurationError(
-            f"u-monotonicity condition fails at x = {x.flat[i]:.6g} "
-            f"(lhs = {lhs.flat[i]:.3e}) for lambda_y = {lambda_y:.6g}, k2 = {k2}")
-    return True
-
-
-def prop1_holds(lambda_y, k2, c_lo, c_hi, n_grid=256):
-    grid = np.geomspace(c_lo, c_hi, n_grid)
-    return bool((_prop1_lhs(1.0 / grid, lambda_y, k2) <= 0.0).all())
+    return np.all(_prop1_lhs(1.0 / np.asarray(c_grid, dtype=float), lambda_y, k2) <= 0.0,
+                  axis=-1)
 
 
 # --------------------------------------------------------------------- beta: exact form
@@ -728,6 +717,7 @@ def _beta_batch_deconv(cs, ells, z, pair, lambda_y, k1, k2):
     return out
 
 
+# a thin wrapper kept by name: perfbench's adaptation.beta.* metrics hook it
 def _beta_batch_gaussian(cs, ells_full, mean_e, var_e):
     """Closed-form satisfaction under a Gaussian error law.
 
@@ -739,11 +729,12 @@ def _beta_batch_gaussian(cs, ells_full, mean_e, var_e):
     return qosmodel.gaussian_satisfaction(cs, ells_full, mean_e, var_e)
 
 
-def _p_i_of_c(cs, pair):
-    """Uplink power deployed at budget c under the highest-power mapping."""
-    pi_min, pi_max, pv_min, pv_max = pair.box
-    c_lo, c_mid, _ = _c_range(pair)
-    gain = pv_max * pair.l_v * (1.0 - pair.delta2) / (pair.gamma_v * pair.l_cross)
+def _p_i_of_c(cs, pairs):
+    """Uplink power deployed at budget c under the highest-power mapping,
+    for each entry of ``pairs``."""
+    pi_min, pi_max, pv_min, pv_max = pairs.box
+    c_lo, c_mid, _ = _c_range(pairs)
+    gain = pv_max * pairs.l_v * (1.0 - pairs.delta2) / (pairs.gamma_v * pairs.l_cross)
     return np.where(cs <= c_lo, pi_min, np.where(cs <= c_mid, cs * gain, pi_max))
 
 
@@ -761,20 +752,18 @@ def _beta_raw(tab, pair, cs, g2_v_hat, g2_cross_hat):
     raise ConfigurationError("high-probability regions define no satisfaction curve")
 
 
-def beta(c, pair, g2_v_hat, g2_cross_hat, return_raw=False, pair_of=None):
+def beta(c, pairs, g2_v_hat, g2_cross_hat, pair_of=0, return_raw=False):
     """Delay-satisfaction estimate at budget c, clamped to [0, 1].
 
     ``c`` broadcasts against a slot's reported sidelink and cross fading;
-    the result is a float only when all three are scalars.  ``pair`` is
-    one context, or a :class:`PairTable` with ``pair_of`` giving each
-    query's pair (broadcast like the rest, 0 if omitted).
+    the result is a float only when all three are scalars.  ``pair_of``
+    gives each query's pair in the :class:`PairTable` ``pairs``, broadcast
+    like the rest.
     """
     cs, g2_v_hat, g2_cross_hat = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (c, g2_v_hat, g2_cross_hat)))
-    tab = pair if isinstance(pair, PairTable) else PairTable([pair])
-    lane_pair = np.broadcast_to(np.asarray(0 if pair_of is None else pair_of, dtype=np.intp),
-                                cs.shape).ravel()
-    raw = _beta_raw(tab, lane_pair, cs.ravel(), g2_v_hat.ravel(),
+    lane_pair = np.broadcast_to(np.asarray(pair_of, dtype=np.intp), cs.shape).ravel()
+    raw = _beta_raw(pairs, lane_pair, cs.ravel(), g2_v_hat.ravel(),
                     g2_cross_hat.ravel()).reshape(cs.shape)
     clamped = np.clip(raw, 0.0, 1.0)
     if not cs.ndim:
@@ -786,16 +775,15 @@ def beta(c, pair, g2_v_hat, g2_cross_hat, return_raw=False, pair_of=None):
 
 
 def solve_slots(pairs, slots):
-    """Vectorised solver over the slots of one or more pairs.
+    """Vectorised solver over the slots of a trial's pairs.
 
-    ``pairs`` is a :class:`PairTable` of a trial's M contexts, whose pairs
-    share one error-model type, and ``slots`` maps the four reported fading
-    names (``g2_v_hat``, ``g2_cross_hat``, ``g2_i``, ``g2_v_rsu``) to (S, M)
-    arrays, column i for pair i.  Returns (S, M) arrays with the decision
-    record fields.  One context with (S,) arrays is the case M = 1, and
-    returns (S,) arrays.  Every (slot, pair) is one lane of
-    each satisfaction query, so a solver stage queries all pairs at once,
-    and a lane's decision does not depend on the other lanes of its call.
+    ``pairs`` is the :class:`PairTable` of the M pairs, and ``slots`` maps
+    the four reported fading names (``g2_v_hat``, ``g2_cross_hat``,
+    ``g2_i``, ``g2_v_rsu``) to (S, M) arrays, column i for pair i; with
+    M = 1, (S,) arrays will do.  Returns (S, M) arrays with the decision
+    record fields.  Every (slot, pair) is one lane of each satisfaction
+    query, so a solver stage queries all pairs at once, and a lane's
+    decision does not depend on the other lanes of its call.
 
     A slot is feasible when its rate floor c_l lies in the box and meets the
     satisfaction target there; on feasible slots c_l <= c_star <= c_u and the
@@ -812,30 +800,28 @@ def solve_slots(pairs, slots):
     region c_u is the closed-form worst-case ceiling clipped to the box, and
     ``beta_star`` its worst-case bound.
     """
-    one = isinstance(pairs, AdaptationContext)
-    tab = PairTable([pairs]) if one else pairs
-    m = tab.size
+    m = pairs.size
     g2_v_hat, g2_cross_hat, g2_i, g2_v_rsu = (
         np.asarray(slots[name], dtype=float).reshape(-1, m)
         for name in ("g2_v_hat", "g2_cross_hat", "g2_i", "g2_v_rsu"))
-    d2 = tab.delta2
+    d2 = pairs.delta2
     one_minus = 1.0 - d2
 
-    pi_min, pi_max, pv_min, pv_max = tab.box
-    c_lo, c_mid, c_hi = _c_range(tab)
+    pi_min, pi_max, pv_min, pv_max = pairs.box
+    c_lo, c_mid, c_hi = _c_range(pairs)
 
     # rate floor; a dead uplink report pushes the floor to infinity
     with np.errstate(divide="ignore", invalid="ignore"):
-        c_rate = (tab.rate_gamma * tab.gamma_v * tab.l_cross * tab.l_v_rsu * g2_v_rsu
-                  / (one_minus * tab.l_v * tab.l_i * np.where(g2_i > 0, g2_i, np.nan)))
+        c_rate = (pairs.rate_gamma * pairs.gamma_v * pairs.l_cross * pairs.l_v_rsu * g2_v_rsu
+                  / (one_minus * pairs.l_v * pairs.l_i * np.where(g2_i > 0, g2_i, np.nan)))
     c_rate = np.where(np.isfinite(c_rate), c_rate, np.inf)
     c_l = np.maximum(c_lo, c_rate)
 
-    if tab.kind is HprRegion:
+    if pairs.kind is HprRegion:
         # the region's worst-case knee gives the ceiling in closed form
-        q0 = -np.array([math.log(p) for p in tab.prob_req.tolist()])
+        q0 = -np.array([math.log(p) for p in pairs.prob_req.tolist()])
         c0 = d2 * g2_v_hat / one_minus
-        denom = g2_cross_hat + tab.hi
+        denom = g2_cross_hat + pairs.hi
         with np.errstate(divide="ignore"):
             c_cap = np.where(denom > 0, (q0 + c0) / denom, np.inf)
         c_u = np.minimum(c_hi, c_cap)
@@ -847,11 +833,11 @@ def solve_slots(pairs, slots):
         v_hat, cross_hat = g2_v_hat.ravel(), g2_cross_hat.ravel()
 
         def beta_raw_at(cs, idx):
-            return _beta_raw(tab, lane_pair[idx], cs, v_hat[idx], cross_hat[idx])
+            return _beta_raw(pairs, lane_pair[idx], cs, v_hat[idx], cross_hat[idx])
 
         feasible, c_u, c_star, b_raw, b_l = (
             x.reshape(c_l.shape)
-            for x in _decide(beta_raw_at, c_l.ravel(), c_hi[lane_pair], tab, lane_pair))
+            for x in _decide(beta_raw_at, c_l.ravel(), c_hi[lane_pair], pairs, lane_pair))
         # infeasible slots deploy the lowest budget, where beta is known
         # only if the floor sits there
         c_star = np.where(feasible, c_star, c_lo)
@@ -859,22 +845,21 @@ def solve_slots(pairs, slots):
 
     # ---- map c to powers (highest-power preference) ----
     p_v = np.where(c_star <= c_mid, pv_max,
-                   tab.gamma_v * pi_max * tab.l_cross / (c_star * tab.l_v * one_minus))
-    p_i = _p_i_of_c(c_star, tab)
+                   pairs.gamma_v * pi_max * pairs.l_cross / (c_star * pairs.l_v * one_minus))
+    p_i = _p_i_of_c(c_star, pairs)
     # the map can round one ulp outside the box at its corners
     p_v = np.where(feasible, np.clip(p_v, pv_min, pv_max), pv_max)
     p_i = np.where(feasible, np.clip(p_i, pi_min, pi_max), pi_min)
 
-    if tab.kind is HprRegion:
-        worst = c_star * (g2_cross_hat + tab.hi) - d2 * g2_v_hat / one_minus
+    if pairs.kind is HprRegion:
+        worst = c_star * (g2_cross_hat + pairs.hi) - d2 * g2_v_hat / one_minus
         b_raw = np.exp(-np.maximum(worst, 0.0))
 
-    res = {
+    return {
         "c_l": c_l, "c_u": c_u, "c_star": c_star,
         "p_v": p_v, "p_i": p_i,
         "beta_star": np.clip(b_raw, 0.0, 1.0), "feasible": feasible,
     }
-    return {key: val[:, 0] for key, val in res.items()} if one else res
 
 
 def _decide(beta_raw_at, c_l, c_hi, tab, lane_pair):
@@ -1032,8 +1017,8 @@ def _u_root(pairs):
     c_lo, _, c_hi = _c_range(pairs)
     lam, k2 = pairs.lambda_y, pairs.trunc_k2
     roots = np.full(lam.size, np.nan)
-    live = np.flatnonzero([prop1_holds(*p) for p in zip(lam.tolist(), k2.tolist(),
-                                                        c_lo.tolist(), c_hi.tolist())])
+    live = np.flatnonzero(prop1_holds(lam[:, None], k2[:, None],
+                                      np.geomspace(c_lo, c_hi, _PROP1_GRID, axis=-1)))
     a, b = c_lo[live].view(np.int64), c_hi[live].view(np.int64)
     while live.size:
         step = np.maximum((b - a) // (_U_GRID - 1), 1)

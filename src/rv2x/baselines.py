@@ -11,6 +11,7 @@ import numpy as np
 from .errors import ConfigurationError
 
 MIN_PROBES = 30     # fewest probes either fit accepts
+VAR_FLOOR = 1e-6    # least error variance the Gaussian fit returns
 
 
 @dataclasses.dataclass
@@ -23,7 +24,7 @@ class GaussianFit:
     n: int = 0
 
 
-def fit_gaussian(samples, lambda_y, var_floor=1e-6, zero_mean=False):
+def fit_gaussian(samples, lambda_y):
     """Moment matching on probes z = e + Y, Y ~ Exp(lambda_y).
 
     Subtracts the known nuisance moments; a sample variance falling below
@@ -33,10 +34,10 @@ def fit_gaussian(samples, lambda_y, var_floor=1e-6, zero_mean=False):
     z = np.asarray(samples, dtype=float)
     if z.size < MIN_PROBES:
         raise ConfigurationError(f"gaussian moment fit needs at least {MIN_PROBES} probes")
-    mean_e = 0.0 if zero_mean else float(z.mean() - 1.0 / lambda_y)
+    mean_e = float(z.mean() - 1.0 / lambda_y)
     var_raw = float(z.var(ddof=1) - 1.0 / lambda_y ** 2)
-    floored = var_raw < var_floor
-    return GaussianFit(mean_e=mean_e, var_e=max(var_raw, var_floor),
+    floored = var_raw < VAR_FLOOR
+    return GaussianFit(mean_e=mean_e, var_e=max(var_raw, VAR_FLOOR),
                        floored=floored, n=int(z.size))
 
 

@@ -153,14 +153,12 @@ def run_trial(config, allocator, trial):
         g2_i = fading.g2_i[:, pairing]                          # matched uplink fading
         g2_v_rsu = fading.g2_v_rsu
 
-        pairs = adaptation.PairTable(adaptation.AdaptationContext(
-            estimate=models[i], lambda_y=float(plan.lambda_y[i]),
-            delta2=large.delta ** 2, gamma_v=gamma_v, sigma2=sigma2,
-            l_v=float(large.l_v[i]), l_cross=float(large.l_cross[pairing[i], i]),
-            l_i=float(large.l_i[pairing[i]]), l_v_rsu=float(large.l_v_rsu[i]),
-            rate_gamma=rate_gamma, prob_req=config.prob_req, box=box,
-            trunc_k1=config.trunc_k1, trunc_k2=config.trunc_k2,
-        ) for i in range(m))
+        l_cross = large.l_cross[pairing, idx]                   # matched cross-link gains
+        pairs = adaptation.PairTable(
+            models, box, lambda_y=plan.lambda_y, delta2=large.delta ** 2, gamma_v=gamma_v,
+            sigma2=sigma2, l_v=large.l_v, l_cross=l_cross, l_i=large.l_i[pairing],
+            l_v_rsu=large.l_v_rsu, rate_gamma=rate_gamma, prob_req=config.prob_req,
+            trunc_k1=config.trunc_k1, trunc_k2=config.trunc_k2)
         decisions = adaptation.solve_slots(pairs, {
             "g2_v_hat": g2_v_hat, "g2_cross_hat": g2_cross_hat,
             "g2_i": g2_i, "g2_v_rsu": g2_v_rsu})
@@ -175,8 +173,7 @@ def run_trial(config, allocator, trial):
 
         if config.deviation_trace:
             block = types.SimpleNamespace(delta2=large.delta ** 2, gamma_v=gamma_v,
-                                          sigma2=sigma2, l_v=large.l_v,
-                                          l_cross=large.l_cross[pairing, idx],
+                                          sigma2=sigma2, l_v=large.l_v, l_cross=l_cross,
                                           g2_v_hat=g2_v_hat, g2_cross_hat=g2_cross_hat)
             p_true = qosmodel.true_satisfaction_prob(
                 block, (decisions["p_v"], decisions["p_i"]), law)

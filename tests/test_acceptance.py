@@ -16,7 +16,7 @@ import pytest
 
 from rv2x.absorption import (DeconvEstimate, absorption_power,
                              adaptation_capability_bound, hungarian_match)
-from rv2x.adaptation import AdaptationContext, beta, check_prop1_condition, u_value
+from rv2x.adaptation import PairTable, beta, prop1_holds, u_value
 from rv2x.channel import doppler_coefficient, error_law
 from rv2x.config import SimConfig
 from rv2x.harness import emit, run
@@ -239,26 +239,26 @@ def test_criterion_06_monotonicity_guarantees():
         est = DeconvEstimate(samples=z, lambda_y=lam, trunc_k=10)
         gch = float(rng.uniform(0.2, 2.0))
         gvh = float(rng.uniform(0.2, 2.0))
-        ctx = AdaptationContext(
-            estimate=est, lambda_y=lam, delta2=d2, gamma_v=1.0, sigma2=0.0,
+        pair = PairTable(
+            [est], (0.1, 10.0, 0.1, 10.0), lambda_y=lam, delta2=d2, gamma_v=1.0, sigma2=0.0,
             l_v=1.0, l_cross=1.0, l_i=1.0, l_v_rsu=1.0, rate_gamma=0.0,
-            prob_req=0.95, box=(0.1, 10.0, 0.1, 10.0), trunc_k1=10, trunc_k2=10)
+            prob_req=0.95, trunc_k1=10, trunc_k2=10)
 
         cgrid = np.geomspace(1e-2, 80.0, 1000)
-        check_prop1_condition(lam, 10, cgrid)      # Prop. 1's condition on u, K2 = 10
+        assert prop1_holds(lam, 10, cgrid)      # Prop. 1's condition on u, K2 = 10
         u_ok &= bool((np.diff(u_value(cgrid, lam, 10)) > 0).all())
 
         # the satisfaction curve is checked across its active transition;
         # outside it the curve is exactly flat (the shifted window holds no
         # estimate mass), where strictness is not meaningful
         scan = np.geomspace(1e-4, 1e3, 1200)
-        _, raw_scan = beta(scan, ctx, gvh, gch, return_raw=True)
+        _, raw_scan = beta(scan, pair, gvh, gch, return_raw=True)
         tail = max(0.03, raw_scan[-1] + 0.02)
         hi_idx = np.flatnonzero(raw_scan <= tail)
         lo_idx = np.flatnonzero(raw_scan >= 0.97)
         assert hi_idx.size and lo_idx.size, f"context {ctx_i}: no transition found"
         grid = np.geomspace(scan[lo_idx[-1]], scan[hi_idx[0]], 1000)
-        _, raw = beta(grid, ctx, gvh, gch, return_raw=True)
+        _, raw = beta(grid, pair, gvh, gch, return_raw=True)
         step = np.diff(raw)
         beta_ok &= bool((step < 0).all())
         min_step = min(min_step, float(np.abs(step).min()))

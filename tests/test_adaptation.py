@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import types
 
@@ -10,9 +9,9 @@ from scipy import integrate, optimize, special
 
 from rv2x import adaptation, qosmodel
 from rv2x.absorption import DeconvEstimate, estimate_pdf
-from rv2x.adaptation import (AdaptationContext, PairTable, beta, c_param,
-                             check_prop1_condition, ell, prop1_holds, solve_slots, u_value,
-                             _bracket_root, _c_range, _prop1_lhs, _u_pick, _u_root)
+from rv2x.adaptation import (PairTable, beta, c_param, ell, prop1_holds, solve_slots, u_value,
+                             _PAIR_FIELDS, _bracket_root, _c_range, _prop1_lhs, _u_pick,
+                             _u_root)
 from rv2x.baselines import GaussianFit, HprRegion
 from rv2x.channel import error_law
 from rv2x.config import SimConfig
@@ -26,26 +25,53 @@ def _estimate(samples=Z12, lam=20.0, k=10):
     return DeconvEstimate(samples=np.asarray(samples, dtype=float), lambda_y=lam, trunc_k=k)
 
 
-def _ctx(estimate, lam_y, d2=0.0, **kw):
-    base = dict(estimate=estimate, lambda_y=lam_y, delta2=d2, gamma_v=1.0,
+def _table(models, lam_y, d2=0.0, **kw):
+    """A PairTable of ``models``; a field given as a scalar holds for every pair."""
+    base = dict(lambda_y=lam_y, delta2=d2, gamma_v=1.0,
                 sigma2=0.0, l_v=1.0, l_cross=1.0, l_i=1.0, l_v_rsu=1.0,
                 rate_gamma=0.0, prob_req=0.95,
                 box=(0.1, 10.0, 0.1, 10.0), trunc_k1=10, trunc_k2=10)
     base.update(kw)
-    return AdaptationContext(**base)
+    return PairTable(models, **base)
 
 
-def _solve_one(ctx, g2_cross_hat, g2_v_hat=1.0, g2_i=1.0, g2_v_rsu=1.0):
+def _pair(model, lam_y, d2=0.0, **kw):
+    """A one-pair PairTable."""
+    return _table([model], lam_y, d2, **kw)
+
+
+def _pair_of(pairs, i):
+    """Pair ``i`` of a table as a one-pair table."""
+    return PairTable(pairs.models[i:i + 1], tuple(side[i] for side in pairs.box),
+                     **{f: getattr(pairs, f)[i] for f in _PAIR_FIELDS})
+
+
+def _box_grid(c_lo, c_hi):
+    """The budgets on which the solver tests Prop. 1 for a box."""
+    return np.geomspace(c_lo, c_hi, adaptation._PROP1_GRID)
+
+
+def _corners(pair):
+    """(c_lo, c_mid, c_hi) of a one-pair table, as floats."""
+    return tuple(float(c[0]) for c in _c_range(pair))
+
+
+def _solve(pair, slots):
+    """solve_slots' decisions for the one pair of ``pair``, one per slot."""
+    return {key: val[:, 0] for key, val in solve_slots(pair, slots).items()}
+
+
+def _solve_one(pair, g2_cross_hat, g2_v_hat=1.0, g2_i=1.0, g2_v_rsu=1.0):
     """solve_slots' decision on a single slot with these reports."""
-    res = solve_slots(ctx, {"g2_v_hat": np.array([g2_v_hat]),
-                            "g2_cross_hat": np.array([g2_cross_hat]),
-                            "g2_i": np.array([g2_i]), "g2_v_rsu": np.array([g2_v_rsu])})
+    res = _solve(pair, {"g2_v_hat": np.array([g2_v_hat]),
+                        "g2_cross_hat": np.array([g2_cross_hat]),
+                        "g2_i": np.array([g2_i]), "g2_v_rsu": np.array([g2_v_rsu])})
     return {key: val[0] for key, val in res.items()}
 
 
-def _powers(ctx, g2_cross_hat, **reports):
+def _powers(pair, g2_cross_hat, **reports):
     """(p_v, p_i) that solve_slots deploys on one slot."""
-    res = _solve_one(ctx, g2_cross_hat, **reports)
+    res = _solve_one(pair, g2_cross_hat, **reports)
     return float(res["p_v"]), float(res["p_i"])
 
 
@@ -99,12 +125,11 @@ def test_u_root_is_the_crossing_of_one(log_lam, k2, log_lo, log_span, seed):
     # relative to lambda_y hold the crossing or lie wholly on either side
     lam = 10.0 ** log_lam
     c_lo = lam * math.exp(log_lo)
-    ctx = _ctx(GaussianFit(mean_e=0.0, var_e=1.0), lam, box=(c_lo, c_lo * math.exp(log_span),
+    pair = _pair(GaussianFit(mean_e=0.0, var_e=1.0), lam, box=(c_lo, c_lo * math.exp(log_span),
                                                               1.0, 1.0), trunc_k2=k2)
-    c_lo, _, c_hi = _c_range(ctx)
-    assume(prop1_holds(lam, k2, c_lo, c_hi))
-    one = PairTable([ctx])
-    root = _u_root(one)[0]
+    c_lo, _, c_hi = _corners(pair)
+    assume(prop1_holds(lam, k2, _box_grid(c_lo, c_hi)))
+    root = _u_root(pair)[0]
     if u_value(c_lo, lam, k2) >= 1.0:
         assert root == c_lo
     elif u_value(c_hi, lam, k2) < 1.0:
@@ -115,7 +140,7 @@ def test_u_root_is_the_crossing_of_one(log_lam, k2, log_lo, log_span, seed):
     # every bracket in the box picks the root clipped to it
     t = np.sort(np.random.default_rng(seed).uniform(0.0, 1.0, (2, 16)), axis=0)
     cl, cu = np.clip(c_lo * (c_hi / c_lo) ** t, c_lo, c_hi)
-    lanes = one.take(np.zeros(cl.size, dtype=np.intp))
+    lanes = pair.take(np.zeros(cl.size, dtype=np.intp))
     np.testing.assert_array_equal(_u_pick(cl, cu, lanes, np.full(cl.size, root)),
                                   np.clip(root, cl, cu))
 
@@ -125,18 +150,23 @@ def test_u_root_is_the_crossing_of_one(log_lam, k2, log_lo, log_span, seed):
 def test_prop1_violation_detected():
     np.testing.assert_allclose(_prop1_lhs(np.array([1e-3]), 50.0, 10),
                                [0.000160468957833805], rtol=1e-12)
-    assert not prop1_holds(50.0, 10, 900.0, 1100.0)
-    with pytest.raises(ConfigurationError, match="0.001"):
-        check_prop1_condition(50.0, 10, [1000.0])
+    assert not prop1_holds(50.0, 10, _box_grid(900.0, 1100.0))
+    assert not prop1_holds(50.0, 10, [1000.0])
+    # one answer per row of pairs, each on its own grid
+    rows = np.stack([_box_grid(900.0, 1100.0), _box_grid(1e-2, 80.0)])
+    assert prop1_holds(np.array([[50.0], [5.0]]), 10, rows).tolist() == [False, True]
 
 
 def test_prop1_safe_band_and_small_cutoff():
     for lam in (0.5, 5.0, 30.0):
-        assert prop1_holds(lam, 10, 1e-2, 80.0)
-        assert check_prop1_condition(lam, 10, np.geomspace(1e-2, 80.0, 512))
+        assert prop1_holds(lam, 10, _box_grid(1e-2, 80.0))
+        assert prop1_holds(lam, 10, np.geomspace(1e-2, 80.0, 512))
     # too small a frequency cutoff breaks the monotonicity precondition
     for k2 in (1, 2):
-        assert not prop1_holds(5.0, k2, 1e-2, 80.0)
+        assert not prop1_holds(5.0, k2, _box_grid(1e-2, 80.0))
+    lam, k2 = np.array([0.5, 5.0, 30.0, 5.0, 5.0]), np.array([10, 10, 10, 1, 2])
+    assert prop1_holds(lam[:, None], k2[:, None], _box_grid(1e-2, 80.0)).tolist() == \
+        [True, True, True, False, False]
 
 
 # ------------------------------------------------------------------ beta (deconv)
@@ -159,7 +189,7 @@ def test_beta_matches_direct_integral():
     est = _estimate()
     cases = [(c, l) for l in (-0.2, 0.1, 0.5) for c in (0.3, 2.0, 20.0)] + [(0.05, 0.0)]
     for c, l in cases:
-        _, raw = beta(c, _ctx(est, 20.0), 1.0, l, return_raw=True)
+        _, raw = beta(c, _pair(est, 20.0), 1.0, l, return_raw=True)
         np.testing.assert_allclose(raw, _beta_oracle(c, l, est), atol=2e-7,
                                    err_msg=f"ell={l} c={c}")
 
@@ -168,15 +198,15 @@ def test_beta_exact_path_matches_direct_integral():
     # probes spread two hundred apart: the window must reach the upper
     # cluster, where half the mass sits
     est = _estimate(np.concatenate([Z12, Z12 + 260.0]))
-    ctx = _ctx(est, 20.0)
+    pair = _pair(est, 20.0)
     for l in (-130.0, 0.1):
         for c in (0.3, 2.0, 20.0):
-            _, raw = beta(c, ctx, 1.0, l, return_raw=True)
+            _, raw = beta(c, pair, 1.0, l, return_raw=True)
             np.testing.assert_allclose(raw, _beta_oracle(c, l, est, _window(l, est)),
                                        atol=2e-7, err_msg=f"ell={l} c={c}")
     # at ell = -130 the upper cluster sits near x = 130, where no budget
     # helps: satisfaction is the lower cluster's half of the mass
-    assert abs(beta(0.3, ctx, 1.0, -130.0) - 0.5) < 1e-3
+    assert abs(beta(0.3, pair, 1.0, -130.0) - 0.5) < 1e-3
 
 
 # The complex/sici form the kernel was written from: per probe, the sine
@@ -582,7 +612,7 @@ def test_beta_window_keeps_the_interference_tail():
     # a fixed window [0, k1] lost the probes once ell + z passed k1, and the
     # estimate climbed to 1 as interference grew
     ells = np.linspace(0.5, 12.0, 461)
-    raw = beta(2.0, _ctx(_estimate(), 20.0), 1.0, ells, return_raw=True)[1]
+    raw = beta(2.0, _pair(_estimate(), 20.0), 1.0, ells, return_raw=True)[1]
     # no rise beyond the kernel's tail ripple
     assert np.max(raw - np.minimum.accumulate(raw)) <= 2e-3
     assert np.all(raw[ells >= 8.0] <= 0.01)
@@ -593,31 +623,31 @@ def test_beta_tracks_true_law():
     rng = np.random.default_rng(31)
     z = law.sample(rng, 2000) + rng.exponential(1.0 / 20.0, size=2000)
     est = _estimate(z)
-    ctx = _ctx(est, 20.0)
+    pair = _pair(est, 20.0)
 
     def beta_true(c):
         f = lambda e: law.pdf(e) * np.exp(-c * max(e, 0.0))
         return integrate.quad(f, -6.0, 6.0, limit=400)[0]
 
     for c in (0.5, 2.0, 8.0):
-        assert abs(beta(c, ctx, 1.0, 0.0) - beta_true(c)) < 0.04
+        assert abs(beta(c, pair, 1.0, 0.0) - beta_true(c)) < 0.04
 
 
 def test_beta_limits_and_clamp():
     est = _estimate()
-    ctx = _ctx(est, 20.0)
-    assert abs(beta(1e-10, ctx, 1.0, 0.0) - 1.0) < 1e-6
-    assert beta(1e5, ctx, 1.0, 0.0) < 0.05
-    clamped, raw = beta(20.0, ctx, 1.0, 0.5, return_raw=True)
+    pair = _pair(est, 20.0)
+    assert abs(beta(1e-10, pair, 1.0, 0.0) - 1.0) < 1e-6
+    assert beta(1e5, pair, 1.0, 0.0) < 0.05
+    clamped, raw = beta(20.0, pair, 1.0, 0.5, return_raw=True)
     assert raw < 0.0 and clamped == 0.0
-    sweep = beta(np.geomspace(1e-3, 1e3, 50), ctx, 1.0, 0.0)
+    sweep = beta(np.geomspace(1e-3, 1e3, 50), pair, 1.0, 0.0)
     assert np.all((sweep >= 0.0) & (sweep <= 1.0))
 
 
 def test_beta_non_finite_satisfaction_surfaces():
     bad = _estimate([0.5, np.nan])
     with pytest.raises(NonFiniteSatisfaction):
-        beta(1.0, _ctx(bad, 20.0), 1.0, 0.0)
+        beta(1.0, _pair(bad, 20.0), 1.0, 0.0)
 
 
 # ------------------------------------------------------------------ E1 and Si
@@ -721,8 +751,8 @@ def test_near_si_matches_scipy_sici():
 
 def test_beta_gaussian_closed_form():
     fit = GaussianFit(mean_e=0.5, var_e=0.01)
-    ctx = _ctx(fit, 20.0)
-    np.testing.assert_allclose(beta(3.0, ctx, 1.0, -0.4, return_raw=True)[1],
+    pair = _pair(fit, 20.0)
+    np.testing.assert_allclose(beta(3.0, pair, 1.0, -0.4, return_raw=True)[1],
                                0.7460701258779614, rtol=1e-12)
 
     def oracle(c, l, mu, s2):
@@ -732,7 +762,7 @@ def test_beta_gaussian_closed_form():
         return integrate.quad(f, mu - 12 * s, mu + 12 * s, points=[-l], limit=400)[0]
 
     for c in (0.5, 3.0, 25.0):
-        _, raw = beta(c, ctx, 1.0, -0.4, return_raw=True)
+        _, raw = beta(c, pair, 1.0, -0.4, return_raw=True)
         np.testing.assert_allclose(raw, oracle(c, -0.4, 0.5, 0.01), rtol=1e-9)
 
 
@@ -786,68 +816,102 @@ def test_beta_gaussian_deep_tail():
 
 def test_beta_rejects_region_and_unknown_models():
     with pytest.raises(ConfigurationError):
-        beta(1.0, _ctx(HprRegion(lo=-0.1, hi=0.4, coverage=0.96), 20.0), 1.0, 0.0)
+        beta(1.0, _pair(HprRegion(lo=-0.1, hi=0.4, coverage=0.96), 20.0), 1.0, 0.0)
     with pytest.raises(ConfigurationError):
-        beta(1.0, _ctx(types.SimpleNamespace(), 20.0), 1.0, 0.0)
+        beta(1.0, _pair(types.SimpleNamespace(), 20.0), 1.0, 0.0)
 
 
 @pytest.mark.parametrize("model", [_estimate(), GaussianFit(mean_e=0.5, var_e=0.01)],
                          ids=["deconv", "gaussian"])
 def test_beta_over_slot_arrays_matches_scalar_calls(model):
     # the Gaussian knee carries the noise term, which depends on c
-    ctx = _ctx(model, 20.0, d2=0.4256, sigma2=0.05)
+    pair = _pair(model, 20.0, d2=0.4256, sigma2=0.05)
     rng = np.random.default_rng(17)
     cs = 10.0 ** rng.uniform(-2.0, 1.0, 9)
     g2_v_hat, g2_cross_hat = rng.exponential(1.0, 9), rng.exponential(1.0, 9)
-    clamped, raw = beta(cs, ctx, g2_v_hat, g2_cross_hat, return_raw=True)
-    one = [beta(float(c), ctx, float(v), float(x), return_raw=True)
+    clamped, raw = beta(cs, pair, g2_v_hat, g2_cross_hat, return_raw=True)
+    one = [beta(float(c), pair, float(v), float(x), return_raw=True)
            for c, v, x in zip(cs, g2_v_hat, g2_cross_hat)]
     assert all(isinstance(b, float) and isinstance(r, float) for b, r in one)
-    assert isinstance(beta(float(cs[0]), ctx, 1.0, 0.5), float)
+    assert isinstance(beta(float(cs[0]), pair, 1.0, 0.5), float)
     np.testing.assert_array_equal(clamped, [b for b, _ in one])
     np.testing.assert_array_equal(raw, [r for _, r in one])
     # a budget broadcasts against the reports, and reports against budgets
-    np.testing.assert_array_equal(beta(cs[4], ctx, g2_v_hat, g2_cross_hat),
-                                  beta(np.full(9, cs[4]), ctx, g2_v_hat, g2_cross_hat))
-    grid = beta(cs[:, None], ctx, g2_v_hat[:3], g2_cross_hat[:3])
+    np.testing.assert_array_equal(beta(cs[4], pair, g2_v_hat, g2_cross_hat),
+                                  beta(np.full(9, cs[4]), pair, g2_v_hat, g2_cross_hat))
+    grid = beta(cs[:, None], pair, g2_v_hat[:3], g2_cross_hat[:3])
     assert grid.shape == (9, 3)
-    np.testing.assert_array_equal(grid[:, 1], beta(cs, ctx, g2_v_hat[1], g2_cross_hat[1]))
+    np.testing.assert_array_equal(grid[:, 1], beta(cs, pair, g2_v_hat[1], g2_cross_hat[1]))
     with pytest.raises(ConfigurationError):
-        beta(cs, dataclasses.replace(ctx, estimate=HprRegion(lo=-0.1, hi=0.4, coverage=0.96)),
+        beta(cs, _pair(HprRegion(lo=-0.1, hi=0.4, coverage=0.96), 20.0, d2=0.4256, sigma2=0.05),
              g2_v_hat, g2_cross_hat)
 
 
 # ------------------------------------------------------------------ c mapping
 
 def test_c_param_scaling_and_ell():
-    ctx = _ctx(_estimate(), 20.0, d2=0.4256, gamma_v=0.0767, l_cross=3e-9, l_v=2e-7)
-    base = c_param(20.0, 100.0, ctx)
-    np.testing.assert_allclose(c_param(40.0, 100.0, ctx), 2.0 * base, rtol=1e-12)
-    np.testing.assert_allclose(c_param(20.0, 50.0, ctx), 2.0 * base, rtol=1e-12)
+    pair = _pair(_estimate(), 20.0, d2=0.4256, gamma_v=0.0767, l_cross=3e-9, l_v=2e-7)
+    base = c_param(20.0, 100.0, pair)
+    np.testing.assert_allclose(c_param(40.0, 100.0, pair), 2.0 * base, rtol=1e-12)
+    np.testing.assert_allclose(c_param(20.0, 50.0, pair), 2.0 * base, rtol=1e-12)
     want = 0.0767 * 20.0 * 3e-9 / (100.0 * 2e-7 * (1.0 - 0.4256))
     np.testing.assert_allclose(base, want, rtol=1e-12)
-    lo, _, hi = _c_range(ctx)
+    lo, _, hi = _corners(pair)
     assert lo < hi
-    np.testing.assert_allclose(lo, c_param(ctx.box[0], ctx.box[3], ctx), rtol=1e-12)
-    np.testing.assert_allclose(hi, c_param(ctx.box[1], ctx.box[2], ctx), rtol=1e-12)
+    np.testing.assert_allclose(lo, c_param(pair.box[0][0], pair.box[3][0], pair), rtol=1e-12)
+    np.testing.assert_allclose(hi, c_param(pair.box[1][0], pair.box[2][0], pair), rtol=1e-12)
     # knee: reported cross fade minus the aged sidelink correction
-    np.testing.assert_allclose(ell(2.0, ctx, 1.0, 0.7),
+    np.testing.assert_allclose(ell(2.0, pair, 1.0, 0.7),
                                0.7 - (1.0 / 2.0) * 0.4256 / (1.0 - 0.4256), rtol=1e-12)
-    assert ell(2.0, _ctx(_estimate(), 20.0), 1.0, 0.7) == 0.7
+    assert ell(2.0, _pair(_estimate(), 20.0), 1.0, 0.7) == 0.7
 
 
 def test_box_corners_come_from_c_param():
-    # on this context another rounding of the corners puts c_hi one ulp off
-    ctx = _ctx(_estimate(), 20.0, d2=0.4256, gamma_v=0.0767, l_cross=3e-9, l_v=2e-7)
-    pi_min, pi_max, pv_min, pv_max = ctx.box
-    assert _c_range(ctx) == (c_param(pi_min, pv_max, ctx), c_param(pi_max, pv_max, ctx),
-                             c_param(pi_max, pv_min, ctx))
+    # on this pair another rounding of the corners puts c_hi one ulp off
+    pair = _pair(_estimate(), 20.0, d2=0.4256, gamma_v=0.0767, l_cross=3e-9, l_v=2e-7)
+    pi_min, pi_max, pv_min, pv_max = pair.box
+    want = (c_param(pi_min, pv_max, pair), c_param(pi_max, pv_max, pair),
+            c_param(pi_max, pv_min, pair))
+    assert all(np.array_equal(got, w) for got, w in zip(_c_range(pair), want))
 
 
 def test_context_validates_aging():
-    for bad in (1.0, 1.2, -0.05):
+    for bad in (1.0, 1.2, -0.05, np.nan):
         with pytest.raises(ConfigurationError):
-            _ctx(_estimate(), 20.0, d2=bad)
+            _pair(_estimate(), 20.0, d2=bad)
+    # one bad pair among good ones
+    with pytest.raises(ConfigurationError):
+        _table([_estimate()] * 3, 20.0, d2=[0.0, 0.4, 1.0])
+
+
+def test_pair_table_takes_columns_and_broadcasts_scalars():
+    models = [GaussianFit(mean_e=0.1 * i, var_e=0.01) for i in range(3)]
+    box = (0.1, np.array([10.0, 20.0, 30.0]), 0.1, 10.0)
+    pairs = _table(models, [2.0, 20.0, 50.0], d2=0.4, l_cross=np.array([1.0, 0.5, 0.25]),
+                   box=box)
+    assert pairs.size == 3 and pairs.kind is GaussianFit
+    assert pairs.lambda_y.tolist() == [2.0, 20.0, 50.0]
+    assert pairs.delta2.tolist() == [0.4] * 3 and pairs.trunc_k2.tolist() == [10.0] * 3
+    assert pairs.mean_e.tolist() == [0.0, 0.1, 0.2]
+    assert [side.tolist() for side in pairs.box] == \
+        [[0.1] * 3, [10.0, 20.0, 30.0], [0.1] * 3, [10.0] * 3]
+    # the table holds its own columns, not the caller's arrays
+    box[1][0] = 99.0
+    assert pairs.box[1][0] == 10.0
+    # a column of the wrong length, a missing, unknown or malformed field
+    for bad in (dict(l_v=[1.0, 2.0]), dict(l_v=np.ones((3, 1))), dict(gain=1.0),
+                dict(box=(0.1, [1.0] * 2, 0.1, 1.0)), dict(box=(0.1, 10.0, 0.1))):
+        with pytest.raises(ConfigurationError):
+            _table(models, 20.0, **bad)
+    fields = dict(lambda_y=20.0, delta2=0.0, gamma_v=1.0, sigma2=0.0, l_v=1.0, l_cross=1.0,
+                  l_i=1.0, l_v_rsu=1.0, rate_gamma=0.0, prob_req=0.95, trunc_k1=10, trunc_k2=10)
+    PairTable(models, (0.1, 10.0, 0.1, 10.0), **fields)
+    for name in fields:
+        with pytest.raises(ConfigurationError, match=name):
+            PairTable(models, (0.1, 10.0, 0.1, 10.0),
+                      **{f: v for f, v in fields.items() if f != name})
+    with pytest.raises(ConfigurationError):
+        _table([], 20.0)
 
 
 # ------------------------------------------------------------------ the solver
@@ -882,67 +946,67 @@ def test_bracket_root_matches_brentq_lane_by_lane():
 
 def test_solver_rate_floor_and_ceiling_contract():
     est = _estimate()
-    ctx = _ctx(est, 20.0)
-    res = _solve_one(ctx, 0.1)
+    pair = _pair(est, 20.0)
+    res = _solve_one(pair, 0.1)
     c_l, c_u = res["c_l"], res["c_u"]
     # no rate requirement: floor sits on the box bound exactly
-    lo, _, hi = _c_range(ctx)
+    lo, _, hi = _corners(pair)
     assert c_l == lo
     # the u-target misses the satisfaction target here, so c_u is the
     # searched ceiling
     assert res["feasible"] and lo < c_u < hi
-    assert abs(beta(c_u, ctx, 1.0, 0.1) - ctx.prob_req) < 1e-4, "kept endpoint off target"
-    assert beta(c_u, ctx, 1.0, 0.1) >= ctx.prob_req
+    assert abs(beta(c_u, pair, 1.0, 0.1) - pair.prob_req[0]) < 1e-4, "kept endpoint off target"
+    assert beta(c_u, pair, 1.0, 0.1) >= pair.prob_req[0]
     # explicit floor inside the box
-    ctx2 = _ctx(est, 20.0, rate_gamma=0.5, l_v_rsu=0.2)
+    pair2 = _pair(est, 20.0, rate_gamma=0.5, l_v_rsu=0.2)
     want = 0.5 * 1.0 * 1.0 * 0.2 * 0.3 / (1.0 * 1.0 * 1.0 * 2.0)
-    got_l = _solve_one(ctx2, 0.1, g2_v_rsu=0.3, g2_i=2.0)["c_l"]
-    np.testing.assert_allclose(got_l, max(want, _c_range(ctx2)[0]), rtol=1e-12)
+    got_l = _solve_one(pair2, 0.1, g2_v_rsu=0.3, g2_i=2.0)["c_l"]
+    np.testing.assert_allclose(got_l, max(want, _corners(pair2)[0]), rtol=1e-12)
 
 
 def test_solver_picks_floor_when_u_exceeds_one():
-    ctx = _ctx(_neg_mass_estimate(34.85, np.random.default_rng(7)), 34.85,
+    pair = _pair(_neg_mass_estimate(34.85, np.random.default_rng(7)), 34.85,
                box=(10.0, 50.0, 1.0, 1.0))
-    assert u_value(_c_range(ctx)[0], 34.85, 10) > 1.0
-    res = _solve_one(ctx, 0.5)
+    assert u_value(_corners(pair)[0], 34.85, 10) > 1.0
+    res = _solve_one(pair, 0.5)
     assert res["c_l"] == res["c_star"] == 10.0
     # the whole box meets the target: the floor is picked for u alone
-    assert beta(50.0, ctx, 1.0, 0.5) >= ctx.prob_req
-    p_v, p_i = _powers(ctx, 0.5)
+    assert beta(50.0, pair, 1.0, 0.5) >= pair.prob_req[0]
+    p_v, p_i = _powers(pair, 0.5)
     assert (p_v, p_i) == (1.0, 10.0)  # (pv_max, pi_min): lowest budget in the box
 
 
 def test_solver_picks_ceiling_when_u_below_one():
-    ctx = _ctx(_neg_mass_estimate(20.0, np.random.default_rng(8)), 20.0,
+    pair = _pair(_neg_mass_estimate(20.0, np.random.default_rng(8)), 20.0,
                box=(1e-4, 0.04, 1.0, 1.0))
-    c_hi = _c_range(ctx)[2]
+    c_hi = _corners(pair)[2]
     assert u_value(c_hi, 20.0, 10) < 1.0
-    p_v, p_i = _powers(ctx, 0.5)
+    p_v, p_i = _powers(pair, 0.5)
     assert (p_v, p_i) == (1.0, 0.04)  # (pv_max, pi_max): highest budget in the box
-    np.testing.assert_allclose(c_param(p_i, p_v, ctx), c_hi, rtol=1e-12)
+    np.testing.assert_allclose(c_param(p_i, p_v, pair), c_hi, rtol=1e-12)
 
 
 def test_solver_bisects_to_unit_u():
-    ctx = _ctx(_neg_mass_estimate(0.5, np.random.default_rng(9)), 0.5,
+    pair = _pair(_neg_mass_estimate(0.5, np.random.default_rng(9)), 0.5,
                box=(0.01, 4.0, 1.0, 1.0))
-    p_v, p_i = _powers(ctx, 0.5)
-    c_star = c_param(p_i, p_v, ctx)
+    p_v, p_i = _powers(pair, 0.5)
+    c_star = c_param(p_i, p_v, pair)
     np.testing.assert_allclose(c_star, 0.05685619649520945, rtol=1e-6)
     assert abs(u_value(c_star, 0.5, 10) - 1.0) < 1e-6
-    assert ctx.box[2] <= p_v <= ctx.box[3] and ctx.box[0] <= p_i <= ctx.box[1]
+    assert pair.box[2][0] <= p_v <= pair.box[3][0] and pair.box[0][0] <= p_i <= pair.box[1][0]
 
 
 def test_solver_grid_optimality():
     rng = np.random.default_rng(42)
     for lam_y, d2, gch in [(0.5, 0.0, 0.5), (5.0, 0.4256, 0.9), (5.0, 0.2, 0.3),
                            (0.5, 0.4256, 1.4)]:
-        ctx = _ctx(_neg_mass_estimate(lam_y, rng), lam_y, d2=d2, box=(0.01, 4.0, 1.0, 1.0))
-        res = _solve_one(ctx, gch)
+        pair = _pair(_neg_mass_estimate(lam_y, rng), lam_y, d2=d2, box=(0.01, 4.0, 1.0, 1.0))
+        res = _solve_one(pair, gch)
         c_l, c_u = res["c_l"], res["c_u"]
-        c_star = c_param(res["p_i"], res["p_v"], ctx)
+        c_star = c_param(res["p_i"], res["p_v"], pair)
         assert c_l * (1 - 1e-9) <= c_star <= c_u * (1 + 1e-9)
         # the u-pick is optimal over the whole budget range above the floor
-        grid = np.geomspace(c_l, _c_range(ctx)[2], 4001)
+        grid = np.geomspace(c_l, _corners(pair)[2], 4001)
         u_min = np.abs(u_value(grid, lam_y, 10) - 1.0).min()
         assert abs(u_value(c_star, lam_y, 10) - 1.0) <= u_min + 1e-9
 
@@ -951,53 +1015,53 @@ def test_solver_takes_dense_argmin_where_prop1_fails():
     # u peaks below one inside this box, so Prop. 1 fails and the pick is the
     # argmin of |u - 1| on a dense log grid, the peak, not an end of the box;
     # a Gaussian law far below the window satisfies every budget
-    ctx = _ctx(GaussianFit(mean_e=-5.0, var_e=0.01), 50.0, box=(20.0, 300.0, 1.0, 1.0))
-    c_lo, _, c_hi = _c_range(ctx)
-    assert not prop1_holds(50.0, 10, c_lo, c_hi)
+    pair = _pair(GaussianFit(mean_e=-5.0, var_e=0.01), 50.0, box=(20.0, 300.0, 1.0, 1.0))
+    c_lo, _, c_hi = _corners(pair)
+    assert not prop1_holds(50.0, 10, _box_grid(c_lo, c_hi))
     t = np.linspace(0.0, 1.0, 1024)
     grid = np.exp(np.log(20.0) * (1.0 - t) + np.log(300.0) * t)
     k = np.argmin(np.abs(u_value(grid, 50.0, 10) - 1.0))
     assert 0 < k < grid.size - 1
-    res = _solve_one(ctx, 0.5)
+    res = _solve_one(pair, 0.5)
     assert res["feasible"]
     assert res["c_star"] == grid[k]
 
 
 def test_solver_infeasible_fallback():
-    ctx = _ctx(_estimate(), 20.0, rate_gamma=1e9)
-    res = _solve_one(ctx, 0.1)
+    pair = _pair(_estimate(), 20.0, rate_gamma=1e9)
+    res = _solve_one(pair, 0.1)
     assert res["c_l"] > res["c_u"]
-    assert _powers(ctx, 0.1) == (ctx.box[3], ctx.box[0])  # (pv_max, pi_min)
+    assert _powers(pair, 0.1) == (pair.box[3][0], pair.box[0][0])  # (pv_max, pi_min)
 
 
 def test_solver_region_model_rides_worst_case_budget():
     region = HprRegion(lo=-0.1, hi=0.4, coverage=0.96)
-    ctx = _ctx(region, 20.0)
-    q0 = -math.log(ctx.prob_req)
-    want_cu = min(_c_range(ctx)[2], q0 / (0.5 + 0.4))
-    np.testing.assert_allclose(_solve_one(ctx, 0.5)["c_u"], want_cu, rtol=1e-12)
-    p_v, p_i = _powers(ctx, 0.5)
-    np.testing.assert_allclose(c_param(p_i, p_v, ctx), want_cu, rtol=1e-12)
+    pair = _pair(region, 20.0)
+    q0 = -math.log(pair.prob_req[0])
+    want_cu = min(_corners(pair)[2], q0 / (0.5 + 0.4))
+    np.testing.assert_allclose(_solve_one(pair, 0.5)["c_u"], want_cu, rtol=1e-12)
+    p_v, p_i = _powers(pair, 0.5)
+    np.testing.assert_allclose(c_param(p_i, p_v, pair), want_cu, rtol=1e-12)
     # aged sidelink report shifts the worst-case knee
-    ctx2 = _ctx(region, 20.0, d2=0.4256)
+    pair2 = _pair(region, 20.0, d2=0.4256)
     c0 = 0.4256 * 0.8 / (1.0 - 0.4256)
-    np.testing.assert_allclose(_solve_one(ctx2, 0.5, g2_v_hat=0.8)["c_u"],
-                               min(_c_range(ctx2)[2], (q0 + c0) / 0.9), rtol=1e-12)
+    np.testing.assert_allclose(_solve_one(pair2, 0.5, g2_v_hat=0.8)["c_u"],
+                               min(_corners(pair2)[2], (q0 + c0) / 0.9), rtol=1e-12)
 
 
 def test_solve_slots_matches_single_slot_solves():
     rng = np.random.default_rng(3)
     est = _estimate()
-    base = _ctx(est, 20.0, d2=0.4256, rate_gamma=0.02, box=(0.05, 6.0, 0.5, 2.0))
+    base = _pair(est, 20.0, d2=0.4256, rate_gamma=0.02, box=(0.05, 6.0, 0.5, 2.0))
     slots = {
         "g2_v_hat": rng.exponential(1.0, 6),
         "g2_cross_hat": rng.exponential(1.0, 6),
         "g2_i": rng.exponential(1.0, 6),
         "g2_v_rsu": rng.exponential(1.0, 6),
     }
-    block = solve_slots(base, slots)
+    block = _solve(base, slots)
     for s in range(6):
-        single = solve_slots(base, {k: np.array([v[s]]) for k, v in slots.items()})
+        single = _solve(base, {k: np.array([v[s]]) for k, v in slots.items()})
         for key in ("c_l", "c_u", "c_star", "p_v", "p_i", "beta_star", "feasible"):
             np.testing.assert_allclose(block[key][s], single[key][0], rtol=1e-12,
                                        err_msg=f"slot {s} field {key}")
@@ -1006,7 +1070,7 @@ def test_solve_slots_matches_single_slot_solves():
 def test_solve_slots_finds_one_u_root_per_call(monkeypatch):
     # the u-target and the re-pick under the ceiling share one root of u = 1,
     # so a block's u evaluations do not grow with its slots
-    ctx = _ctx(GaussianFit(mean_e=-0.5, var_e=0.04), 0.5, box=(0.01, 4.0, 1.0, 1.0))
+    pair = _pair(GaussianFit(mean_e=-0.5, var_e=0.04), 0.5, box=(0.01, 4.0, 1.0, 1.0))
     rng = np.random.default_rng(5)
     slots = {name: rng.exponential(1.0, 200)
              for name in ("g2_v_hat", "g2_cross_hat", "g2_i", "g2_v_rsu")}
@@ -1021,7 +1085,7 @@ def test_solve_slots_finds_one_u_root_per_call(monkeypatch):
     counts = []
     for n in (5, 200):
         calls.clear()
-        res = solve_slots(ctx, {name: v[:n] for name, v in slots.items()})
+        res = _solve(pair, {name: v[:n] for name, v in slots.items()})
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
     # both picks ran: some slots keep the root, some take the ceiling below it
@@ -1047,11 +1111,12 @@ def test_slot_decision_does_not_depend_on_its_block(monkeypatch, allocator):
     pairs, slots = solved[0]
     assert pairs.size == 10
     every = solve_slots(pairs, slots)
-    for i, pair in enumerate(pairs.contexts):
+    for i in range(pairs.size):
+        pair = _pair_of(pairs, i)
         col = {name: v[:, i] for name, v in slots.items()}
-        block = solve_slots(pair, col)
-        back = solve_slots(pair, {name: v[::-1] for name, v in col.items()})
-        alone = [solve_slots(pair, {name: v[s:s + 1] for name, v in col.items()})
+        block = _solve(pair, col)
+        back = _solve(pair, {name: v[::-1] for name, v in col.items()})
+        alone = [_solve(pair, {name: v[s:s + 1] for name, v in col.items()})
                  for s in range(col["g2_v_hat"].size)]
         for key, want in block.items():
             assert every[key][:, i].tobytes() == want.tobytes(), f"{key} of pair {i}, all pairs"
@@ -1079,17 +1144,16 @@ def _pairs_of_one_kind(kind):
                   HprRegion(lo=-1.0, hi=0.2, coverage=0.95),
                   HprRegion(lo=-0.5, hi=1.5, coverage=0.97)]
         rates = (0.5, 50.0, 20.0)
-    return [_ctx(models[0], rates[0], box=(0.01, 4.0, 1.0, 1.0)),
-            _ctx(models[1], rates[1], box=(20.0, 300.0, 1.0, 1.0)),
-            _ctx(models[2], rates[2], d2=0.4256, sigma2=0.05, rate_gamma=3.0, l_cross=0.5,
-                 box=(0.1, 10.0, 0.1, 10.0))]
+    box = ([0.01, 20.0, 0.1], [4.0, 300.0, 10.0], [1.0, 1.0, 0.1], [1.0, 1.0, 10.0])
+    return _table(models, rates, d2=[0.0, 0.0, 0.4256], sigma2=[0.0, 0.0, 0.05],
+                  rate_gamma=[0.0, 0.0, 3.0], l_cross=[1.0, 1.0, 0.5], box=box)
 
 
 @pytest.mark.parametrize("kind", ["deconv", "gaussian", "hpr"])
 def test_solve_slots_over_pairs_matches_single_pair_solves(monkeypatch, kind):
     pairs = _pairs_of_one_kind(kind)
     rng = np.random.default_rng(7)
-    slots = {name: rng.exponential(1.0, (60, len(pairs)))
+    slots = {name: rng.exponential(1.0, (60, pairs.size))
              for name in ("g2_v_hat", "g2_cross_hat", "g2_i", "g2_v_rsu")}
     searched = []
     real = adaptation._bracket_root
@@ -1099,12 +1163,12 @@ def test_solve_slots_over_pairs_matches_single_pair_solves(monkeypatch, kind):
         return real(fun, a, *args)
 
     monkeypatch.setattr(adaptation, "_bracket_root", spy)
-    every = solve_slots(PairTable(pairs), slots)
+    every = solve_slots(pairs, slots)
     monkeypatch.undo()
-    for i, pair in enumerate(pairs):
-        alone = solve_slots(pair, {name: v[:, i] for name, v in slots.items()})
+    for i in range(pairs.size):
+        alone = _solve(_pair_of(pairs, i), {name: v[:, i] for name, v in slots.items()})
         for key, want in alone.items():
-            assert every[key].shape == (60, len(pairs))
+            assert every[key].shape == (60, pairs.size)
             assert every[key][:, i].tobytes() == want.tobytes(), f"{key} of pair {i}"
     ok = every["feasible"]
     assert ok.any() and not ok.all()
@@ -1112,22 +1176,22 @@ def test_solve_slots_over_pairs_matches_single_pair_solves(monkeypatch, kind):
         # lanes reached the ceiling search, and the pair without Prop. 1
         # picked above its floor
         assert sum(searched) > 0
-        c_lo, _, c_hi = _c_range(pairs[1])
-        assert not prop1_holds(pairs[1].lambda_y, pairs[1].trunc_k2, c_lo, c_hi)
+        c_lo, _, c_hi = _corners(_pair_of(pairs, 1))
+        assert not prop1_holds(pairs.lambda_y[1], pairs.trunc_k2[1], _box_grid(c_lo, c_hi))
         assert np.any(ok[:, 1] & (every["c_star"][:, 1] > every["c_l"][:, 1]))
 
 
 def test_solve_slots_rejects_pairs_that_cannot_share_a_call():
-    slots = {name: np.ones((2, 2)) for name in ("g2_v_hat", "g2_cross_hat", "g2_i", "g2_v_rsu")}
     region = HprRegion(lo=-0.1, hi=0.4, coverage=0.96)
     for models in ([_estimate(), GaussianFit(mean_e=0.0, var_e=1.0)],
                    [GaussianFit(mean_e=0.0, var_e=1.0), region],
+                   [region, types.SimpleNamespace(hi=0.4)],
                    [_estimate(), _estimate(Z12[:6])]):
         with pytest.raises(ConfigurationError):
-            solve_slots(PairTable([_ctx(model, 20.0) for model in models]), slots)
-    with pytest.raises(ConfigurationError):
-        solve_slots(PairTable([_ctx(_estimate(), 20.0), _ctx(_estimate(), 20.0, trunc_k2=5)]),
-                    slots)
+            _table(models, 20.0)
+    for trunc in (dict(trunc_k1=[10, 5]), dict(trunc_k2=[10, 5])):
+        with pytest.raises(ConfigurationError):
+            _table([_estimate(), _estimate()], 20.0, **trunc)
 
 
 def _wide_spread_case():
@@ -1136,7 +1200,7 @@ def _wide_spread_case():
     rng = np.random.default_rng(2024)
     lam_y = 0.03
     z = error_law("type1").sample(rng, 1000) + rng.exponential(1.0 / lam_y, size=1000)
-    base = _ctx(_estimate(z, lam=lam_y), lam_y, d2=0.4256, rate_gamma=3.0,
+    base = _pair(_estimate(z, lam=lam_y), lam_y, d2=0.4256, rate_gamma=3.0,
                 box=(0.1, 10.0, 0.1, 10.0))
     n = 120
     slots = {
@@ -1151,14 +1215,14 @@ def _wide_spread_case():
 def test_solver_contract_on_wide_spread_estimate():
     base, slots = _wide_spread_case()
     n = slots["g2_v_hat"].size
-    res = solve_slots(base, slots)
-    lo, _, hi = _c_range(base)
+    res = _solve(base, slots)
+    lo, _, hi = _corners(base)
     ok = res["feasible"]
     assert 0 < ok.sum() < n
     c_l, c_u, c_star = res["c_l"][ok], res["c_u"][ok], res["c_star"][ok]
     assert np.all(c_l <= c_star) and np.all(c_star <= c_u)
-    assert np.all(res["beta_star"][ok] >= base.prob_req)
-    pi_min, pi_max, pv_min, pv_max = base.box
+    assert np.all(res["beta_star"][ok] >= base.prob_req[0])
+    pi_min, pi_max, pv_min, pv_max = (side[0] for side in base.box)
     assert np.all((res["p_i"] >= pi_min) & (res["p_i"] <= pi_max))
     assert np.all((res["p_v"] >= pv_min) & (res["p_v"] <= pv_max))
     # every infeasible slot has a floor above the box or one that misses the target
@@ -1167,8 +1231,8 @@ def test_solver_contract_on_wide_spread_estimate():
     inside = np.flatnonzero(~above)
     b_floor = beta(res["c_l"][inside], base, slots["g2_v_hat"][inside],
                    slots["g2_cross_hat"][inside])
-    np.testing.assert_array_equal(ok[inside], b_floor >= base.prob_req)
-    assert np.any(b_floor < base.prob_req)
+    np.testing.assert_array_equal(ok[inside], b_floor >= base.prob_req[0])
+    assert np.any(b_floor < base.prob_req[0])
     # infeasible slots fall back to the lowest budget
     assert np.all(res["c_star"][~ok] == lo)
     assert np.all(res["p_v"][~ok] == pv_max) and np.all(res["p_i"][~ok] == pi_min)
@@ -1186,9 +1250,9 @@ def test_solver_queries_only_deciding_budgets(monkeypatch):
         return real(cs, ells, *args)
 
     monkeypatch.setattr(adaptation, "_beta_batch_deconv", spy)
-    res = solve_slots(base, slots)
+    res = _solve(base, slots)
     monkeypatch.undo()
-    d2 = base.delta2
+    d2 = base.delta2[0]
     queried = set()
     for cs, ells in asked:
         for c, l in zip(cs, ells):
@@ -1197,12 +1261,12 @@ def test_solver_queries_only_deciding_budgets(monkeypatch):
                                   - (slots["g2_v_hat"] / c) * d2 / (1.0 - d2) == l)
             assert lane.size == 1
             queried.add((float(c), int(lane[0])))
-    c_lo, _, c_hi = _c_range(base)
+    c_lo, _, c_hi = _corners(base)
     c_l, ok = res["c_l"], res["feasible"]
     cand = np.flatnonzero(ok & (c_l < c_hi))
-    one = PairTable([base])
-    c_t = _u_pick(c_l[cand], np.full(cand.size, c_hi), one.take(np.zeros(cand.size, dtype=np.intp)),
-                  np.full(cand.size, _u_root(one)[0]))
+    c_t = _u_pick(c_l[cand], np.full(cand.size, c_hi),
+                  base.take(np.zeros(cand.size, dtype=np.intp)),
+                  np.full(cand.size, _u_root(base)[0]))
     at_hi = {k for c, k in queried if c == c_hi}
     assert at_hi <= set(cand[c_t == c_hi].tolist())
     above = np.flatnonzero(~ok & (c_l > c_lo))
@@ -1231,15 +1295,15 @@ def test_solver_invariants_on_random_estimates(n_probes, mean_e, spread, lam_y, 
     rng = np.random.default_rng(seed)
     z = rng.normal(mean_e, spread, n_probes) + rng.exponential(1.0 / lam_y, n_probes)
     box = (pi_min, pi_min * pi_span, pv_min, pv_min * pv_span)
-    base = _ctx(_estimate(z, lam=lam_y), lam_y, d2=d2, rate_gamma=rate_gamma, box=box)
+    base = _pair(_estimate(z, lam=lam_y), lam_y, d2=d2, rate_gamma=rate_gamma, box=box)
     slots = {name: rng.exponential(1.0, 8)
              for name in ("g2_v_hat", "g2_cross_hat", "g2_i", "g2_v_rsu")}
-    res = solve_slots(base, slots)
+    res = _solve(base, slots)
     assert np.all((res["p_i"] >= box[0]) & (res["p_i"] <= box[1]))
     assert np.all((res["p_v"] >= box[2]) & (res["p_v"] <= box[3]))
     for k in np.flatnonzero(res["feasible"]):
         c_l, c_u, c_star = res["c_l"][k], res["c_u"][k], res["c_star"][k]
         assert c_l <= c_star <= c_u, f"slot {k}"
         reports = slots["g2_v_hat"][k], slots["g2_cross_hat"][k]
-        assert beta(c_u, base, *reports) >= base.prob_req, f"slot {k}: beta at c_u"
-        assert beta(c_star, base, *reports) >= base.prob_req, f"slot {k}: beta at c_star"
+        assert beta(c_u, base, *reports) >= base.prob_req[0], f"slot {k}: beta at c_u"
+        assert beta(c_star, base, *reports) >= base.prob_req[0], f"slot {k}: beta at c_star"

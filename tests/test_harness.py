@@ -185,10 +185,11 @@ def test_deviation_trace_fills_beta_at_the_fallback_budget(monkeypatch, allocato
         np.testing.assert_array_equal(dec[key], dec_off[key])
     np.testing.assert_array_equal(dec["beta_star"][~floor_above],
                                   dec_off["beta_star"][~floor_above])
-    for i, pair in enumerate(pairs.contexts):
+    c_lo = _c_range(pairs)[0]
+    for i in range(pairs.size):
         for s in np.flatnonzero(infeasible[:, i]):
-            want = beta(_c_range(pair)[0], pair, slots["g2_v_hat"][s, i],
-                        slots["g2_cross_hat"][s, i])
+            want = beta(c_lo[i], pairs, slots["g2_v_hat"][s, i], slots["g2_cross_hat"][s, i],
+                        pair_of=i)
             np.testing.assert_allclose(dec["beta_star"][s, i], want, rtol=1e-12, atol=1e-14,
                                        err_msg=f"slot {s} pair {i}")
 
