@@ -26,6 +26,7 @@ from .adaptation import (
     ell,
     prop1_holds,
     solve_slots,
+    true_satisfaction_prob,
     u_value,
 )
 from .baselines import GaussianFit, HprRegion, fit_gaussian, fit_hpr
@@ -50,7 +51,6 @@ from .qosmodel import (
     hazard_rate,
     sinr,
     throughput,
-    true_satisfaction_prob,
 )
 from .scenario import Topology, build_topology, noise_power, qos_constants
 

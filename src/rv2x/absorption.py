@@ -305,7 +305,6 @@ class AbsorptionPlan:
     p_v_mw: np.ndarray     # (M,)
     lambda_y: np.ndarray   # (M,) exponential rate of the nuisance component
     weights: np.ndarray    # (M, N) full matching-weight matrix
-    bound: np.ndarray      # (M,) capability bound at the horizon length
 
 
 def run_absorption(large, config, law, rng):
@@ -339,8 +338,6 @@ def run_absorption(large, config, law, rng):
     p_i_a, p_v_a = np.full(m, p_i, dtype=float), np.full(m, p_v, dtype=float)
     l_cross_pair = large.l_cross[pairing, np.arange(m)]
     lambda_y = p_i_a * l_cross_pair / (p_v_a * large.l_v * (1.0 - delta * delta))
-    o = p_v_a * large.l_v / (p_i_a * l_cross_pair)
-    bound = np.array([adaptation_capability_bound(delta, o[i], k, t_len) for i in range(m)])
 
     fading = chan.evolve_small_scale(large, law, rng, n, m, t_len)
     g2c_hat = fading.g2_cross_hat[:, pairing, np.arange(m)]      # (T, M)
@@ -355,5 +352,5 @@ def run_absorption(large, config, law, rng):
         for i in range(m)
     ]
     plan = AbsorptionPlan(pairing=pairing, p_i_mw=p_i_a, p_v_mw=p_v_a,
-                          lambda_y=lambda_y, weights=weights, bound=bound)
+                          lambda_y=lambda_y, weights=weights)
     return plan, estimates, fading

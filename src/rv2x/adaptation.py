@@ -23,6 +23,9 @@ The solver runs on all slots of all pairs of a trial at once: each (slot,
 pair) is one lane, and each stage (the floor, the pick and each step of the
 search) is one satisfaction query over the lanes of every pair.
 
+Only this module forms the budget (``c_param``) and the knee (``ell``); the
+power maps and the deviation trace's true probability go through them.
+
 The satisfaction functional folds the empirical characteristic function of
 the probes into a truncated-frequency integral over the window x = e + ell in
 [0, K], where K grows with ell so that the window always holds the shifted
@@ -82,10 +85,16 @@ _U_GRID = 129           # points per multisection round of the root of u = 1
 _PROP1_GRID = 256       # geometric budgets per box on which Prop. 1 is tested
 
 
+def _gain(pairs):
+    """Budget per unit power ratio p_i / p_v, gamma_v l_cross / (l_v (1 - delta^2)),
+    one entry per pair: ``c_param`` and both of its inverses scale by it."""
+    return pairs.gamma_v * pairs.l_cross / (pairs.l_v * (1.0 - pairs.delta2))
+
+
 def c_param(p_i, p_v, pairs):
     """Interference-budget parameter of a power pair, for each entry of the
     :class:`PairTable` ``pairs`` (broadcast against the powers)."""
-    return pairs.gamma_v * pairs.l_cross / (pairs.l_v * (1.0 - pairs.delta2)) * p_i / p_v
+    return _gain(pairs) * p_i / p_v
 
 
 def _c_range(pairs):
@@ -100,6 +109,11 @@ def ell(c, pairs, g2_v_hat, g2_cross_hat):
     """Knee of the satisfaction profile at budget c for a slot's reported
     fading (noise term dropped), for each entry of ``pairs``."""
     return g2_cross_hat - (g2_v_hat / c) * pairs.delta2 / (1.0 - pairs.delta2)
+
+
+def _noisy_ell(c, p_i, pairs, g2_v_hat, g2_cross_hat):
+    """The knee at budget c plus the noise term sigma^2 / (p_i l_cross)."""
+    return ell(c, pairs, g2_v_hat, g2_cross_hat) + pairs.sigma2 / (p_i * pairs.l_cross)
 
 
 _PAIR_FIELDS = (
@@ -732,23 +746,21 @@ def _beta_batch_gaussian(cs, ells_full, mean_e, var_e):
 def _p_i_of_c(cs, pairs):
     """Uplink power deployed at budget c under the highest-power mapping,
     for each entry of ``pairs``."""
-    pi_min, pi_max, pv_min, pv_max = pairs.box
+    pi_min, pi_max, _, pv_max = pairs.box
     c_lo, c_mid, _ = _c_range(pairs)
-    gain = pv_max * pairs.l_v * (1.0 - pairs.delta2) / (pairs.gamma_v * pairs.l_cross)
-    return np.where(cs <= c_lo, pi_min, np.where(cs <= c_mid, cs * gain, pi_max))
+    return np.where(cs <= c_lo, pi_min, np.where(cs <= c_mid, cs * pv_max / _gain(pairs), pi_max))
 
 
 def _beta_raw(tab, pair, cs, g2_v_hat, g2_cross_hat):
     """Unclamped satisfaction of queries: query k asks pair ``pair[k]`` of
     the :class:`PairTable` ``tab`` at budget ``cs[k]`` for its reports."""
     lanes = tab.take(pair)
-    ells = ell(cs, lanes, g2_v_hat, g2_cross_hat)
     if tab.kind is DeconvEstimate:
-        return _beta_batch_deconv(cs, ells, tab.samples, pair, lanes.lambda_y,
-                                  tab.trunc_k1[0], tab.trunc_k2[0])
+        return _beta_batch_deconv(cs, ell(cs, lanes, g2_v_hat, g2_cross_hat), tab.samples,
+                                  pair, lanes.lambda_y, tab.trunc_k1[0], tab.trunc_k2[0])
     if tab.kind is GaussianFit:
-        shift = lanes.sigma2 / (_p_i_of_c(cs, lanes) * lanes.l_cross)
-        return _beta_batch_gaussian(cs, ells + shift, lanes.mean_e, lanes.var_e)
+        ells = _noisy_ell(cs, _p_i_of_c(cs, lanes), lanes, g2_v_hat, g2_cross_hat)
+        return _beta_batch_gaussian(cs, ells, lanes.mean_e, lanes.var_e)
     raise ConfigurationError("high-probability regions define no satisfaction curve")
 
 
@@ -769,6 +781,23 @@ def beta(c, pairs, g2_v_hat, g2_cross_hat, pair_of=0, return_raw=False):
     if not cs.ndim:
         raw, clamped = float(raw), float(clamped)
     return (clamped, raw) if return_raw else clamped
+
+
+def true_satisfaction_prob(p_v, p_i, pairs, g2_v_hat, g2_cross_hat, law):
+    """True delay-satisfaction probability of power pairs under the hidden law.
+
+    The powers (mW) and a slot's reported fading broadcast against the
+    columns of the :class:`PairTable` ``pairs``: (S, M) arrays hold one slot
+    per row.  Without clamping, the sidelink meets the SINR threshold when
+    p_v l_v (delta2 g2_v_hat + (1 - delta2) E) >= gamma_v (p_i l_cross
+    (g2_cross_hat + e) + sigma2), with E ~ Exp(1) and e drawn from ``law``:
+    E >= c (e + ell') at c = ``c_param(p_i, p_v)`` and the noise-shifted
+    knee ell', the mixture's weighted sum of ``qosmodel.gaussian_satisfaction``.
+    """
+    cs = c_param(p_i, p_v, pairs)
+    ells = _noisy_ell(cs, p_i, pairs, g2_v_hat, g2_cross_hat)
+    return sum(w * qosmodel.gaussian_satisfaction(cs, ells, mu, s2)
+               for w, mu, s2 in zip(law.weights, law.means, law.variances))
 
 
 # --------------------------------------------------------------------- the solver
@@ -844,8 +873,7 @@ def solve_slots(pairs, slots):
         b_raw = np.where(feasible, b_raw, np.where(c_l == c_lo, b_l, np.nan))
 
     # ---- map c to powers (highest-power preference) ----
-    p_v = np.where(c_star <= c_mid, pv_max,
-                   pairs.gamma_v * pi_max * pairs.l_cross / (c_star * pairs.l_v * one_minus))
+    p_v = np.where(c_star <= c_mid, pv_max, _gain(pairs) * pi_max / c_star)
     p_i = _p_i_of_c(c_star, pairs)
     # the map can round one ulp outside the box at its corners
     p_v = np.where(feasible, np.clip(p_v, pv_min, pv_max), pv_max)

@@ -8,6 +8,7 @@ error so typos do not silently fall back to defaults.
 import dataclasses
 import math
 
+from .channel import doppler_coefficient
 from .errors import ConfigurationError
 
 # 23 dBm in milliwatt; the default upper transmit power for both link classes.
@@ -121,6 +122,12 @@ class SimConfig:
         for ok, msg in checks:
             if not ok:
                 raise ConfigurationError(msg)
+        # the sidelink innovation has weight 1 - delta^2: none is left to adapt to
+        delta = doppler_coefficient(c.speed_mps, c.carrier_freq_hz, c.feedback_delay_s)
+        if delta * delta >= 1.0:
+            raise ConfigurationError(
+                f"speed_mps = {c.speed_mps!r} and feedback_delay_s = {c.feedback_delay_s!r} "
+                f"give a fading-aging coefficient delta = {delta!r}, but delta^2 must be < 1")
         if c.error_law == "custom":
             w, m, v = c.custom_weights, c.custom_means, c.custom_vars
             if not (len(w) and len(w) == len(m) == len(v)):

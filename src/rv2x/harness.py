@@ -19,7 +19,6 @@ import math
 import os
 import sys
 import traceback
-import types
 
 import numpy as np
 # imported with the package, not on first use, so that forked pool workers
@@ -123,9 +122,11 @@ def run_trial(config, allocator, trial):
     if allocator == "proposed":
         models = estimates
     elif allocator == "gaussian":
-        models = [baselines.fit_gaussian(e.samples, e.lambda_y) for e in estimates]
+        models = [baselines.fit_gaussian(e.samples, lam)
+                  for e, lam in zip(estimates, plan.lambda_y.tolist())]
     elif allocator == "hpr":
-        models = [baselines.fit_hpr(e.samples, e.lambda_y, config.prob_req) for e in estimates]
+        models = [baselines.fit_hpr(e.samples, lam, config.prob_req)
+                  for e, lam in zip(estimates, plan.lambda_y.tolist())]
     else:
         raise ConfigurationError(f"unknown allocator {allocator!r}")
 
@@ -153,12 +154,11 @@ def run_trial(config, allocator, trial):
         g2_i = fading.g2_i[:, pairing]                          # matched uplink fading
         g2_v_rsu = fading.g2_v_rsu
 
-        l_cross = large.l_cross[pairing, idx]                   # matched cross-link gains
         pairs = adaptation.PairTable(
             models, box, lambda_y=plan.lambda_y, delta2=large.delta ** 2, gamma_v=gamma_v,
-            sigma2=sigma2, l_v=large.l_v, l_cross=l_cross, l_i=large.l_i[pairing],
-            l_v_rsu=large.l_v_rsu, rate_gamma=rate_gamma, prob_req=config.prob_req,
-            trunc_k1=config.trunc_k1, trunc_k2=config.trunc_k2)
+            sigma2=sigma2, l_v=large.l_v, l_cross=large.l_cross[pairing, idx],
+            l_i=large.l_i[pairing], l_v_rsu=large.l_v_rsu, rate_gamma=rate_gamma,
+            prob_req=config.prob_req, trunc_k1=config.trunc_k1, trunc_k2=config.trunc_k2)
         decisions = adaptation.solve_slots(pairs, {
             "g2_v_hat": g2_v_hat, "g2_cross_hat": g2_cross_hat,
             "g2_i": g2_i, "g2_v_rsu": g2_v_rsu})
@@ -170,13 +170,8 @@ def run_trial(config, allocator, trial):
                 decisions["beta_star"][todo] = adaptation.beta(
                     decisions["c_star"][todo], pairs, g2_v_hat[todo], g2_cross_hat[todo],
                     pair_of=np.nonzero(todo)[1])
-
-        if config.deviation_trace:
-            block = types.SimpleNamespace(delta2=large.delta ** 2, gamma_v=gamma_v,
-                                          sigma2=sigma2, l_v=large.l_v, l_cross=l_cross,
-                                          g2_v_hat=g2_v_hat, g2_cross_hat=g2_cross_hat)
-            p_true = qosmodel.true_satisfaction_prob(
-                block, (decisions["p_v"], decisions["p_i"]), law)
+            p_true = adaptation.true_satisfaction_prob(
+                decisions["p_v"], decisions["p_i"], pairs, g2_v_hat, g2_cross_hat, law)
             j_trace = ((decisions["beta_star"] - p_true) ** 2).sum(axis=1)
 
         _fill_phase(rows, config.absorption_len, fading, large,

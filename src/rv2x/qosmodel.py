@@ -153,37 +153,3 @@ def gaussian_satisfaction(cs, ells, mu, s2):
     expo = (-cs * (ells + mu) + 0.5 * cs * cs * s2
             + _log_ndtr(-(e0 - mu + cs * s2) / s))
     return term1 + np.exp(np.minimum(expo, 0.0))
-
-
-def true_satisfaction_prob(context, alloc, law):
-    """True delay-satisfaction probability of a slot under the hidden law.
-
-    ``context`` carries the constants ``delta2``, ``gamma_v`` and ``sigma2``
-    and the per-pair large-scale gains ``l_v`` and ``l_cross`` and reported
-    gains ``g2_v_hat`` and ``g2_cross_hat``; ``alloc`` is the (p_v, p_i) pair
-    in milliwatt.  The per-pair values broadcast: scalars for one pair return
-    a float, and arrays, such as (M,) for one slot or (S, M) for a block of
-    slots, return an array of their shape.
-
-    Under the additive error model, without clamping, the sidelink meets
-    the SINR threshold when p_v l_v (delta2 g2_v_hat + (1 - delta2) E) >=
-    gamma_v (p_i l_cross (g2_cross_hat + e) + sigma2), with the innovation
-    E ~ Exp(1) and the cross error e drawn from ``law``.  That is
-    E >= c (e + ell) at the budget c = gamma_v l_cross p_i / (l_v (1 - delta2)
-    p_v) and the knee ell = g2_cross_hat - g2_v_hat delta2 p_v l_v /
-    (gamma_v p_i l_cross) + sigma2 / (p_i l_cross), so the probability is the
-    mixture's weighted sum of :func:`gaussian_satisfaction`.  At delta2 = 1
-    there is no innovation and it is sum_k w_k Phi((-ell - mu_k)/s_k).
-    """
-    p_v, p_i = alloc
-    c = context
-    direct, cross = p_v * c.l_v, p_i * c.l_cross
-    ells = c.g2_cross_hat - c.g2_v_hat * c.delta2 * direct / (c.gamma_v * cross) + c.sigma2 / cross
-    components = zip(law.means, law.variances)
-    if c.delta2 < 1.0:
-        cs = c.gamma_v * cross / ((1.0 - c.delta2) * direct)
-        probs = (gaussian_satisfaction(cs, ells, mu, s2) for mu, s2 in components)
-    else:
-        probs = (_ndtr((-ells - mu) / math.sqrt(s2)) for mu, s2 in components)
-    p = sum(w * q for w, q in zip(law.weights, probs))
-    return p if np.ndim(p) else float(p)

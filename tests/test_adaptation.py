@@ -1307,3 +1307,7 @@ def test_solver_invariants_on_random_estimates(n_probes, mean_e, spread, lam_y, 
         reports = slots["g2_v_hat"][k], slots["g2_cross_hat"][k]
         assert beta(c_u, base, *reports) >= base.prob_req[0], f"slot {k}: beta at c_u"
         assert beta(c_star, base, *reports) >= base.prob_req[0], f"slot {k}: beta at c_star"
+        # the deployed powers map back to c_star through the one gain: the
+        # inverse map, its clip to the box and c_param round a few ulp apart
+        back = c_param(res["p_i"][k], res["p_v"][k], base)[0]
+        assert abs(back - c_star) <= 4.0 * np.finfo(float).eps * c_star, f"slot {k}"

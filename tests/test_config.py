@@ -115,6 +115,9 @@ def test_load_bool_variants(tmp_path):
     (dict(adaptation_len=-1), "adaptation_len"),
     (dict(v2i_placement="ring"), "v2i_placement"),
     (dict(trunc_k2=0), "truncation"),
+    (dict(speed_mps=0.0), "speed_mps.*feedback_delay_s"),
+    (dict(feedback_delay_s=0.0), "speed_mps.*feedback_delay_s"),
+    (dict(speed_mps=1e-9), "speed_mps.*feedback_delay_s"),
 ])
 def test_validate_rejections(kwargs, fragment):
     with pytest.raises(ConfigurationError, match=fragment):

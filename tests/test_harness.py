@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-import types
 
 import numpy as np
 import pytest
@@ -11,11 +10,11 @@ import pytest
 import rv2x
 from rv2x import adaptation
 from rv2x.absorption import DeconvEstimate, run_absorption
-from rv2x.adaptation import _c_range, beta
+from rv2x.adaptation import PairTable, _c_range, beta, true_satisfaction_prob
+from rv2x.baselines import GaussianFit
 from rv2x.channel import build_large_scale, error_law, evolve_small_scale
 from rv2x.config import SimConfig
 from rv2x.errors import ConfigurationError
-from rv2x.qosmodel import true_satisfaction_prob
 from rv2x.harness import (_CHUNK_ROWS, RunReport, default_threads, emit, main, run,
                           run_trial, _stream)
 from rv2x.scenario import build_topology, noise_power, qos_constants
@@ -128,8 +127,8 @@ def test_deviation_trace_lengths():
 
 @pytest.mark.parametrize("allocator", ["gaussian", "proposed"])
 def test_deviation_trace_matches_per_slot_reference_loop(allocator):
-    # the trace equals a loop over slots and pairs of scalar calls to the
-    # true satisfaction probability, summed per slot
+    # the trace equals a loop over slots and pairs of calls to the true
+    # satisfaction probability on one-pair tables, summed per slot
     config = _tiny(num_pairs=3, adaptation_len=6, deviation_trace=True)
     seed, trial, m = config.rng_seed, 1, config.num_pairs
     got = run_trial(config, allocator, trial)
@@ -143,14 +142,18 @@ def test_deviation_trace_matches_per_slot_reference_loop(allocator):
     gamma_v, _ = qos_constants(config)
     dec = got["decisions"]
     want = np.zeros(config.adaptation_len)
+    # the trace reads only the gains and constants of a table
+    pairs = [PairTable([GaussianFit(0.0, 1.0)], (1.0, 2.0, 1.0, 2.0), lambda_y=1.0,
+                       delta2=large.delta ** 2, gamma_v=gamma_v, sigma2=noise_power(config),
+                       l_v=large.l_v[i], l_cross=large.l_cross[pairing[i], i], l_i=1.0,
+                       l_v_rsu=1.0, rate_gamma=1.0, prob_req=0.5, trunc_k1=1, trunc_k2=1)
+             for i in range(m)]
     for s in range(config.adaptation_len):
         dev = np.zeros(m)
         for i in range(m):
-            pair = types.SimpleNamespace(
-                delta2=large.delta ** 2, gamma_v=gamma_v, sigma2=noise_power(config),
-                l_v=large.l_v[i], l_cross=large.l_cross[pairing[i], i],
-                g2_v_hat=fading.g2_v_hat[s, i], g2_cross_hat=fading.g2_cross_hat[s, pairing[i], i])
-            p_true = true_satisfaction_prob(pair, (dec["p_v"][s, i], dec["p_i"][s, i]), law)
+            (p_true,) = true_satisfaction_prob(
+                dec["p_v"][s, i], dec["p_i"][s, i], pairs[i], fading.g2_v_hat[s, i],
+                fading.g2_cross_hat[s, pairing[i], i], law)
             dev[i] = (dec["beta_star"][s, i] - p_true) ** 2
         want[s] = float(np.sum(dev))
     assert np.count_nonzero(want) >= 2

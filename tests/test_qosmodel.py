@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import types
 
 import numpy as np
 import pytest
@@ -11,9 +10,10 @@ from scipy import integrate
 from rv2x.channel import ChannelState, LargeScaleState, error_law
 from rv2x.config import SimConfig
 from rv2x.errors import ConfigurationError
+from rv2x.adaptation import PairTable, true_satisfaction_prob
+from rv2x.baselines import GaussianFit
 from rv2x.qosmodel import (SINR_CAP, AllocationDecision, delay,
-                           delay_outage_closed_form, hazard_rate, sinr, throughput,
-                           true_satisfaction_prob)
+                           delay_outage_closed_form, hazard_rate, sinr, throughput)
 from rv2x.scenario import qos_constants
 
 CONSTANTS = qos_constants(SimConfig())
@@ -213,39 +213,54 @@ def test_hazard_rate_monotone_in_power_ratio():
     assert h2 > h1
 
 
-def _mc_context(**kw):
-    base = dict(delta2=0.4260865731671351, l_v=1e-7, l_cross=1e-9,
-                g2_v_hat=1.0, g2_cross_hat=1.0, gamma_v=GAMMA_V, sigma2=1e-11)
-    base.update(kw)
-    return types.SimpleNamespace(**base)
+def _trace_pairs(delta2=0.4260865731671351, l_v=1e-7, l_cross=1e-9):
+    """A table of one pair, or of one pair per entry of the gains, with the
+    fields the deviation trace reads; the model and the solver's fields are
+    placeholders."""
+    m = np.size(l_v)
+    return PairTable([GaussianFit(0.0, 1.0)] * m, (1.0, 200.0, 1.0, 200.0), lambda_y=1.0,
+                     delta2=delta2, gamma_v=GAMMA_V, sigma2=1e-11, l_v=l_v, l_cross=l_cross,
+                     l_i=1e-9, l_v_rsu=1e-9, rate_gamma=1.0, prob_req=0.95, trunc_k1=10,
+                     trunc_k2=10)
 
 
-def _at_budget(delta2, c, ell, p_v=50.0):
-    """A context and power pair whose budget is c and whose knee is ell: the
-    uplink power sets c, and the reported cross gain then sets ell."""
-    ctx = _mc_context(delta2=delta2)
-    p_i = c * ctx.l_v * (1.0 - delta2) * p_v / (ctx.gamma_v * ctx.l_cross)
-    ctx.g2_cross_hat = (ell + ctx.g2_v_hat * delta2 * p_v * ctx.l_v / (ctx.gamma_v * p_i * ctx.l_cross)
-                        - ctx.sigma2 / (p_i * ctx.l_cross))
-    return ctx, p_v, p_i
+def _true(p_v, p_i, pairs, g2_v_hat, g2_cross_hat, law):
+    """The one-pair table's probability as a float."""
+    (p,) = true_satisfaction_prob(p_v, p_i, pairs, g2_v_hat, g2_cross_hat, law)
+    return float(p)
 
 
-def _quad_reference(ctx, p_v, p_i, law):
+def _at_budget(delta2, c, ell, p_v=50.0, g2_v_hat=1.0):
+    """A one-pair table, reports and power pair whose budget is c and whose
+    knee is ell: the uplink power sets c, and the reported cross gain then
+    sets ell."""
+    pairs = _trace_pairs(delta2=delta2)
+    gamma_v, l_v, l_cross, sigma2 = (float(x[0]) for x in (pairs.gamma_v, pairs.l_v,
+                                                           pairs.l_cross, pairs.sigma2))
+    p_i = c * l_v * (1.0 - delta2) * p_v / (gamma_v * l_cross)
+    g2_cross_hat = (ell + g2_v_hat * delta2 * p_v * l_v / (gamma_v * p_i * l_cross)
+                    - sigma2 / (p_i * l_cross))
+    return pairs, g2_v_hat, g2_cross_hat, p_v, p_i
+
+
+def _quad_reference(pairs, g2_v_hat, g2_cross_hat, p_v, p_i, law):
     # the per-draw event integrated over each component's density: the
     # innovation clears the threshold with probability exp(-max(x, 0))
-    denom = p_v * ctx.l_v * (1.0 - ctx.delta2)
+    delta2, gamma_v, l_v, l_cross, sigma2 = (float(x[0]) for x in (
+        pairs.delta2, pairs.gamma_v, pairs.l_v, pairs.l_cross, pairs.sigma2))
+    denom = p_v * l_v * (1.0 - delta2)
     total = 0.0
     for w, mu, s2 in zip(law.weights, law.means, law.variances):
         s = math.sqrt(s2)
 
         def integrand(e):
-            x = (ctx.gamma_v * (p_i * ctx.l_cross * (ctx.g2_cross_hat + e) + ctx.sigma2)
-                 - p_v * ctx.l_v * ctx.delta2 * ctx.g2_v_hat) / denom
+            x = (gamma_v * (p_i * l_cross * (g2_cross_hat + e) + sigma2)
+                 - p_v * l_v * delta2 * g2_v_hat) / denom
             return math.exp(-0.5 * (e - mu) ** 2 / s2 - max(x, 0.0)) / math.sqrt(2.0 * math.pi * s2)
 
         # the kink where x crosses zero, inside the component's +-40 s span
-        kink = (p_v * ctx.l_v * ctx.delta2 * ctx.g2_v_hat - ctx.gamma_v * ctx.sigma2) / (
-            ctx.gamma_v * p_i * ctx.l_cross) - ctx.g2_cross_hat
+        kink = (p_v * l_v * delta2 * g2_v_hat - gamma_v * sigma2) / (
+            gamma_v * p_i * l_cross) - g2_cross_hat
         lo, hi = mu - 40.0 * s, mu + 40.0 * s
         kink = min(max(kink, lo), hi)
         for a, b in ((lo, kink), (kink, hi)):
@@ -255,35 +270,8 @@ def _quad_reference(ctx, p_v, p_i, law):
     return total
 
 
-def test_true_satisfaction_prob_deterministic_limit():
-    # no fading innovation and a (numerically) zero error law: indicator only
-    law = error_law("custom", weights=(1.0,), means=(0.0,), variances=(1e-30,))
-    ctx = _mc_context(delta2=1.0)
-    p = true_satisfaction_prob(ctx, (100.0, 1.0), law)
-    lhs = 100.0 * ctx.l_v * ctx.g2_v_hat
-    rhs = ctx.gamma_v * (1.0 * ctx.l_cross * ctx.g2_cross_hat + ctx.sigma2)
-    assert p == float(lhs >= rhs) == 1.0
-    p2 = true_satisfaction_prob(ctx, (1e-6, 1000.0), law)
-    assert p2 == 0.0
-
-
-def test_true_satisfaction_prob_no_innovation_is_the_mixture_cdf():
-    # at delta2 = 1 the event is e <= e*, with e* the knee's negative
-    law = error_law("type2")
-    ctx = _mc_context(delta2=1.0, l_cross=3e-7)
-    for p_v, p_i in ((30.0, 80.0), (25.0, 90.0), (40.0, 80.0)):
-        e_star = ((p_v * ctx.l_v * ctx.g2_v_hat - ctx.gamma_v * ctx.sigma2)
-                  / (ctx.gamma_v * p_i * ctx.l_cross) - ctx.g2_cross_hat)
-        want = sum(w * 0.5 * math.erfc(-(e_star - mu) / math.sqrt(2.0 * s2))
-                   for w, mu, s2 in zip(law.weights, law.means, law.variances))
-        got = true_satisfaction_prob(ctx, (p_v, p_i), law)
-        assert 1e-6 < got < 1.0 - 1e-6
-        np.testing.assert_allclose(got, want, rtol=1e-12)
-
-
 def test_true_satisfaction_prob_dominance():
-    ctx = _mc_context()
-    p = true_satisfaction_prob(ctx, (1e4, 1e-6), error_law("type1"))
+    p = _true(1e4, 1e-6, _trace_pairs(), 1.0, 1.0, error_law("type1"))
     assert p > 0.99
 
 
@@ -297,24 +285,25 @@ def test_true_satisfaction_prob_vs_quadrature():
         for delta2 in (1e-9, 0.4260865731671351, 0.9):
             for c in (0.05, 1.0, 8.0, 30.0):
                 for ell in (-8.0, -2.0, -0.6, 0.0, 0.7, 3.0):
-                    ctx, p_v, p_i = _at_budget(delta2, c, ell)
-                    got.append(true_satisfaction_prob(ctx, (p_v, p_i), law))
-                    want.append(_quad_reference(ctx, p_v, p_i, law))
+                    pairs, v_hat, x_hat, p_v, p_i = _at_budget(delta2, c, ell)
+                    got.append(_true(p_v, p_i, pairs, v_hat, x_hat, law))
+                    want.append(_quad_reference(pairs, v_hat, x_hat, p_v, p_i, law))
         got, want = np.array(got), np.array(want)
         # the grid reaches both tails
         assert want.min() < 1e-10 and want.max() > 1.0 - 1e-10
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
 
 
-def _reference_mc(ctx, p_v, p_i, law, n_draws, rng):
+def _reference_mc(pairs, g2_v_hat, g2_cross_hat, p_v, p_i, law, n_draws, rng):
     # the per-draw event sampled directly: one choice and one normal for the
     # mixture, then the exponential innovation
     comp = rng.choice(len(law.weights), size=n_draws, p=law.weights)
     e_cross = rng.normal(law.means[comp], np.sqrt(law.variances[comp]))
     e_direct = rng.exponential(1.0, n_draws)
-    d2 = ctx.delta2
-    lhs = p_v * ctx.l_v * (d2 * ctx.g2_v_hat + (1.0 - d2) * e_direct)
-    rhs = ctx.gamma_v * (p_i * ctx.l_cross * (ctx.g2_cross_hat + e_cross) + ctx.sigma2)
+    d2 = pairs.delta2[0]
+    lhs = p_v * pairs.l_v[0] * (d2 * g2_v_hat + (1.0 - d2) * e_direct)
+    rhs = pairs.gamma_v[0] * (p_i * pairs.l_cross[0] * (g2_cross_hat + e_cross)
+                              + pairs.sigma2[0])
     return (lhs >= rhs).mean(axis=-1)
 
 
@@ -323,16 +312,18 @@ def _reference_mc(ctx, p_v, p_i, law, n_draws, rng):
 def test_true_satisfaction_prob_vs_reference_mc(law):
     n = 1_000_000
     rng = np.random.default_rng(4)
-    ctx = _mc_context(l_cross=3e-7, g2_v_hat=0.7, g2_cross_hat=1.3)
+    pairs = _trace_pairs(l_cross=3e-7)
+    reports = 0.7, 1.3
     for p_v, p_i in ((50.0, 80.0), (80.0, 60.0), (30.0, 90.0)):
-        want = true_satisfaction_prob(ctx, (p_v, p_i), law)
+        want = _true(p_v, p_i, pairs, *reports, law)
         assert 0.01 < want < 0.99
-        got = float(_reference_mc(ctx, p_v, p_i, law, n, rng))
+        got = float(_reference_mc(pairs, *reports, p_v, p_i, law, n, rng))
         assert abs(got - want) < 4.0 * math.sqrt(want * (1.0 - want) / n)
 
 
 def test_true_satisfaction_prob_arrays_match_scalar_calls():
-    # entry (s, i) of an array call is the scalar call on that entry's values
+    # entry (s, i) of a call on an M-pair table is the call on a one-pair
+    # table of that entry's values
     law = _THREE_COMPONENTS
     s_len, m = 3, 5
     g = np.random.default_rng(5)
@@ -340,22 +331,18 @@ def test_true_satisfaction_prob_arrays_match_scalar_calls():
     l_cross = l_v * 10.0 ** g.uniform(0.3, 1.0, m)
     g2_v_hat, g2_cross_hat = g.exponential(1.0, (s_len, m)), g.exponential(1.0, (s_len, m))
     p_v, p_i = g.uniform(10.0, 200.0, (s_len, m)), g.uniform(10.0, 200.0, (s_len, m))
-    for delta2 in (0.4260865731671351, 1.0):
-        block = _mc_context(delta2=delta2, l_v=l_v, l_cross=l_cross,
-                            g2_v_hat=g2_v_hat, g2_cross_hat=g2_cross_hat)
-        got = true_satisfaction_prob(block, (p_v, p_i), law)
-        assert got.shape == (s_len, m)
-        assert np.count_nonzero((got > 1e-3) & (got < 1.0 - 1e-3)) >= 3
-        for s in range(s_len):
-            row = _mc_context(delta2=delta2, l_v=l_v, l_cross=l_cross,
-                              g2_v_hat=g2_v_hat[s], g2_cross_hat=g2_cross_hat[s])
-            got_row = true_satisfaction_prob(row, (p_v[s], p_i[s]), law)
-            assert got_row.shape == (m,) and got_row.tobytes() == got[s].tobytes()
-            for i in range(m):
-                one = _mc_context(delta2=delta2, l_v=l_v[i], l_cross=l_cross[i],
-                                  g2_v_hat=g2_v_hat[s, i], g2_cross_hat=g2_cross_hat[s, i])
-                want = true_satisfaction_prob(one, (p_v[s, i], p_i[s, i]), law)
-                assert isinstance(want, float) and want == got[s, i]
+    block = _trace_pairs(l_v=l_v, l_cross=l_cross)
+    got = true_satisfaction_prob(p_v, p_i, block, g2_v_hat, g2_cross_hat, law)
+    assert got.shape == (s_len, m)
+    assert np.count_nonzero((got > 1e-3) & (got < 1.0 - 1e-3)) >= 3
+    for s in range(s_len):
+        got_row = true_satisfaction_prob(p_v[s], p_i[s], block, g2_v_hat[s], g2_cross_hat[s],
+                                         law)
+        assert got_row.shape == (m,) and got_row.tobytes() == got[s].tobytes()
+        for i in range(m):
+            one = _trace_pairs(l_v=l_v[i], l_cross=l_cross[i])
+            want = _true(p_v[s, i], p_i[s, i], one, g2_v_hat[s, i], g2_cross_hat[s, i], law)
+            assert want == got[s, i]
 
 
 @settings(max_examples=150, deadline=None)
@@ -371,10 +358,10 @@ def test_true_satisfaction_prob_bounded_and_monotone(law, delta2, l_v, l_cross, 
     # cross gain is negative always satisfies and a higher uplink power can
     # only hurt; a higher sidelink power always helps
     law = error_law(law)
-    ctx = _mc_context(delta2=delta2, l_v=10.0 ** l_v, l_cross=10.0 ** l_cross,
-                      g2_v_hat=g2_v_hat, g2_cross_hat=g2_cross_hat)
-    p = true_satisfaction_prob(ctx, (p_v, p_i), law)
+    pairs = _trace_pairs(delta2=delta2, l_v=10.0 ** l_v, l_cross=10.0 ** l_cross)
+    reports = g2_v_hat, g2_cross_hat
+    p = _true(p_v, p_i, pairs, *reports, law)
     assert 0.0 <= p <= 1.0
     # up to the rounding of the probability's two terms
-    assert true_satisfaction_prob(ctx, (p_v * up, p_i), law) >= p - 1e-13
-    assert true_satisfaction_prob(ctx, (p_v, p_i * up), law) <= p + 1e-13
+    assert _true(p_v * up, p_i, pairs, *reports, law) >= p - 1e-13
+    assert _true(p_v, p_i * up, pairs, *reports, law) <= p + 1e-13
