@@ -339,11 +339,10 @@ def run_absorption(large, config, law, rng):
     l_cross_pair = large.l_cross[pairing, np.arange(m)]
     lambda_y = p_i_a * l_cross_pair / (p_v_a * large.l_v * (1.0 - delta * delta))
 
-    fading = chan.evolve_small_scale(large, law, rng, n, m, t_len)
-    g2c_hat = fading.g2_cross_hat[:, pairing, np.arange(m)]      # (T, M)
-    g2c = fading.g2_cross[:, pairing, np.arange(m)]
-    rss = p_i_a * l_cross_pair * g2c + p_v_a * large.l_v * fading.g2_v + sigma2
-    nominal = p_i_a * l_cross_pair * g2c_hat + p_v_a * large.l_v * fading.g2_v_hat + sigma2
+    fading = chan.evolve_small_scale(large, law, rng, pairing, t_len)   # (T, M) columns
+    rss = p_i_a * l_cross_pair * fading.g2_cross + p_v_a * large.l_v * fading.g2_v + sigma2
+    nominal = (p_i_a * l_cross_pair * fading.g2_cross_hat + p_v_a * large.l_v * fading.g2_v_hat
+               + sigma2)
     probes = collect_sample(rss, nominal, p_i_a, l_cross_pair, p_v_a,
                             large.l_v, delta, fading.g2_v_hat)
 

@@ -25,20 +25,21 @@ class GaussianFit:
 
 
 def fit_gaussian(samples, lambda_y):
-    """Moment matching on probes z = e + Y, Y ~ Exp(lambda_y).
+    """Moment matching on each pair's probes z = e + Y, Y ~ Exp(lambda_y).
 
-    Subtracts the known nuisance moments; a sample variance falling below
-    the nuisance variance is floored (and flagged) rather than going
-    negative.
+    ``samples`` is the (M, T) probe matrix and ``lambda_y`` the (M,) array
+    of nuisance rates; returns the M fits in pair order.  Subtracts the
+    known nuisance moments; a sample variance falling below the nuisance
+    variance is floored (and flagged) rather than going negative.
     """
-    z = np.asarray(samples, dtype=float)
-    if z.size < MIN_PROBES:
-        raise ConfigurationError(f"gaussian moment fit needs at least {MIN_PROBES} probes")
-    mean_e = float(z.mean() - 1.0 / lambda_y)
-    var_raw = float(z.var(ddof=1) - 1.0 / lambda_y ** 2)
-    floored = var_raw < VAR_FLOOR
-    return GaussianFit(mean_e=mean_e, var_e=max(var_raw, VAR_FLOOR),
-                       floored=floored, n=int(z.size))
+    z = np.ascontiguousarray(samples, dtype=float)   # a row reduction rounds as on its row alone
+    if z.ndim != 2 or z.shape[1] < MIN_PROBES:
+        raise ConfigurationError(f"gaussian moment fit needs (M, T) probes, T >= {MIN_PROBES}")
+    mean_e = z.mean(axis=1) - 1.0 / lambda_y
+    var_raw = z.var(axis=1, ddof=1) - 1.0 / lambda_y ** 2
+    return [GaussianFit(mean_e=mu, var_e=max(v, VAR_FLOOR), floored=v < VAR_FLOOR,
+                        n=z.shape[1])
+            for mu, v in zip(mean_e.tolist(), var_raw.tolist())]
 
 
 @dataclasses.dataclass
@@ -52,17 +53,20 @@ class HprRegion:
 
 
 def fit_hpr(samples, lambda_y, prob_req):
-    """Empirical central interval of the e-proxies z - E[Y].
+    """Empirical central interval of each pair's e-proxies z - E[Y].
 
-    Quantile sides are rounded outward so the empirical coverage on the fit
-    set is at least the target.
+    ``samples`` is the (M, T) probe matrix and ``lambda_y`` the (M,) array
+    of nuisance rates; returns the M regions in pair order.  Quantile sides
+    are rounded outward so the empirical coverage on the fit set is at
+    least the target.
     """
-    z = np.asarray(samples, dtype=float)
-    if z.size < MIN_PROBES:
-        raise ConfigurationError(f"region fit needs at least {MIN_PROBES} probes")
-    proxies = z - 1.0 / lambda_y
+    z = np.ascontiguousarray(samples, dtype=float)   # as in fit_gaussian
+    if z.ndim != 2 or z.shape[1] < MIN_PROBES:
+        raise ConfigurationError(f"region fit needs (M, T) probes, T >= {MIN_PROBES}")
+    proxies = z - (1.0 / lambda_y)[:, None]
     tail = 0.5 * (1.0 - prob_req)
-    lo = float(np.quantile(proxies, tail, method="lower"))
-    hi = float(np.quantile(proxies, 1.0 - tail, method="higher"))
-    coverage = float(np.mean((proxies >= lo) & (proxies <= hi)))
-    return HprRegion(lo=lo, hi=hi, coverage=coverage, n=int(z.size))
+    lo = np.quantile(proxies, tail, axis=1, method="lower")
+    hi = np.quantile(proxies, 1.0 - tail, axis=1, method="higher")
+    coverage = np.mean((proxies >= lo[:, None]) & (proxies <= hi[:, None]), axis=1)
+    return [HprRegion(lo=a, hi=b, coverage=c, n=z.shape[1])
+            for a, b, c in zip(lo.tolist(), hi.tolist(), coverage.tolist())]

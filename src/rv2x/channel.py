@@ -23,6 +23,7 @@ from .errors import ConfigurationError
 _B1_H_BS = 1.5
 _B1_H_MS = 1.5
 _LIGHT_SPEED = 299792458.0
+_BUFFER_BYTES = 1 << 16   # per fading draw buffer: below glibc's 128 KiB mmap threshold
 
 
 def pathloss_v2i_db(d_km):
@@ -248,25 +249,29 @@ def build_large_scale(topology, config, rng):
 
 @dataclasses.dataclass
 class ChannelState:
-    """Squared fading magnitudes, reported and actual, for a block of S slots.
+    """Squared fading magnitudes, reported and actual, for a block of S slots,
+    in pair order.
 
-    :func:`evolve_small_scale` gives every array a leading slot axis; a
-    single slot may also be held without it, as :func:`rv2x.qosmodel.sinr`
-    takes either.
+    Column i of every array belongs to V2V pair i and its matched uplink: the
+    matched-pair model gives a sidelink one cross link, so the unmatched
+    entries of the N x M cross field are never kept.  :func:`evolve_small_scale`
+    gives every array a leading slot axis; a single slot may also be held
+    without it, as :func:`rv2x.qosmodel.sinr` takes either.
     """
 
-    g2_i: np.ndarray           # (S, N)  uplink direct; reported == actual
+    g2_i: np.ndarray           # (S, M)  matched uplink pairing[i] direct; reported == actual
     g2_v_rsu: np.ndarray       # (S, M)  V2V TX -> RSU; reported == actual
     g2_v_hat: np.ndarray       # (S, M)  sidelink direct, as reported
     g2_v: np.ndarray           # (S, M)  sidelink direct, actual after aging
-    g2_cross_hat: np.ndarray   # (S, N, M) cross channel, as reported
-    g2_cross: np.ndarray       # (S, N, M) actual = reported + hidden error (can be < 0)
-    e_cross: np.ndarray        # (S, N, M) the hidden additive errors
+    g2_cross_hat: np.ndarray   # (S, M)  matched cross link pairing[i] -> i, as reported
+    g2_cross: np.ndarray       # (S, M)  actual = reported + hidden error (can be < 0)
+    e_cross: np.ndarray        # (S, M)  the hidden additive errors of the matched cross links
     e_direct: np.ndarray       # (S, M)  the unit exponentials driving sidelink aging
 
 
-def evolve_small_scale(large, law, rng, num_v2i, num_v2v, slots):
-    """Draw ``slots`` consecutive slots of fading state.
+def evolve_small_scale(large, law, rng, pairing, slots):
+    """Draw ``slots`` consecutive slots of fading state for the pairs matched
+    by ``pairing`` (pair i to uplink ``pairing[i]``).
 
     Reported gains are fresh unit exponentials each slot (squared magnitudes
     of unit complex-normal fades).  The actual sidelink gain mixes the report
@@ -274,35 +279,43 @@ def evolve_small_scale(large, law, rng, num_v2i, num_v2v, slots):
     the actual cross gain adds a hidden mixture error to the report.
 
     Stream contract: each slot takes the same raw draws, in the same order,
-    as per-field ``rng.exponential(1.0, shape)`` calls for ``g2_i``,
-    ``g2_v_rsu``, ``g2_v_hat``, ``e_direct`` and ``g2_cross_hat``, then one
-    ``law.sample(rng, (N, M))`` for ``e_cross``, and gives the same values
-    bit for bit.  The consecutive exponentials are one fill per slot, and so
-    are the mixture's uniforms and its normals; a block therefore equals
-    that many one-slot calls on the same generator.
+    as per-field ``rng.exponential(1.0, shape)`` calls for all N uplinks'
+    ``g2_i``, then ``g2_v_rsu``, ``g2_v_hat``, ``e_direct`` and the full
+    (N, M) cross report, then one ``law.sample(rng, (N, M))`` for the cross
+    errors.  Of these only the entries read are kept: uplink ``pairing[i]``
+    and cross entry ``(pairing[i], i)`` of each slot, in column i, bit for
+    bit.  The consecutive exponentials are one fill per slot, and so are the
+    mixture's uniforms and its normals; a block therefore equals that many
+    one-slot calls on the same generator.  The fills go through buffers of
+    a few slots, and the mixture is composed on the kept entries alone.
     """
-    n, m = num_v2i, num_v2v
-    ex = np.empty((slots, n + 3 * m + n * m))
-    u = np.empty((slots, n * m))
-    z = np.empty((slots, n * m))
-    for s in range(slots):
-        rng.standard_exponential(out=ex[s])
-        rng.random(out=u[s])
-        rng.standard_normal(out=z[s])
-    g2_i, g2_v_rsu, g2_v_hat, e_direct, cross = np.split(
-        ex, np.cumsum([n, m, m, m]), axis=1)
-    g2_cross_hat = cross.reshape(slots, n, m)
-    e_cross = law._compose(u, z).reshape(slots, n, m)
-    # the uniforms are spent, so their buffer takes the actual cross gains
-    g2_cross = np.add(g2_cross_hat, e_cross, out=u.reshape(slots, n, m))
+    pairing = np.asarray(pairing)
+    n, m = large.l_i.shape[0], pairing.shape[0]
+    width = n + 3 * m + n * m
+    block = max(1, _BUFFER_BYTES // (8 * width))
+    ex = np.empty((min(block, slots), width))
+    u = np.empty((ex.shape[0], n * m))
+    z = np.empty((ex.shape[0], n * m))
+    fills = list(zip(ex, u, z))
+    cols = np.arange(m)
+    cross = pairing * m + cols   # entry (pairing[i], i) of a row-major (N, M) field
+    g2_i, g2_v_rsu, g2_v_hat, e_direct, g2_cross_hat, u_kept, z_kept = (
+        np.empty((slots, m)) for _ in range(7))
+    picks = ((g2_i, ex, pairing), (g2_v_rsu, ex, n + cols), (g2_v_hat, ex, n + m + cols),
+             (e_direct, ex, n + 2 * m + cols), (g2_cross_hat, ex, n + 3 * m + cross),
+             (u_kept, u, cross), (z_kept, z, cross))
+    for lo in range(0, slots, block):
+        b = min(block, slots - lo)
+        for e_row, u_row, z_row in fills[:b]:
+            rng.standard_exponential(out=e_row)
+            rng.random(out=u_row)
+            rng.standard_normal(out=z_row)
+        # every index is in range, so "clip" only spares take a buffer
+        for out, buf, idx in picks:
+            np.take(buf[:b], idx, axis=1, out=out[lo:lo + b], mode="clip")
+    e_cross = law._compose(u_kept, z_kept)
+    # the uniforms are spent, so their array takes the actual cross gains
+    g2_cross = np.add(g2_cross_hat, e_cross, out=u_kept)
     d2 = large.delta * large.delta
-    return ChannelState(
-        g2_i=g2_i,
-        g2_v_rsu=g2_v_rsu,
-        g2_v_hat=g2_v_hat,
-        g2_v=d2 * g2_v_hat + (1.0 - d2) * e_direct,
-        g2_cross_hat=g2_cross_hat,
-        g2_cross=g2_cross,
-        e_cross=e_cross,
-        e_direct=e_direct,
-    )
+    return ChannelState(g2_i, g2_v_rsu, g2_v_hat, d2 * g2_v_hat + (1.0 - d2) * e_direct,
+                        g2_cross_hat, g2_cross, e_cross, e_direct)

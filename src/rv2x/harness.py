@@ -122,11 +122,11 @@ def run_trial(config, allocator, trial):
     if allocator == "proposed":
         models = estimates
     elif allocator == "gaussian":
-        models = [baselines.fit_gaussian(e.samples, lam)
-                  for e, lam in zip(estimates, plan.lambda_y.tolist())]
+        models = baselines.fit_gaussian(np.array([e.samples for e in estimates]),
+                                        plan.lambda_y)
     elif allocator == "hpr":
-        models = [baselines.fit_hpr(e.samples, lam, config.prob_req)
-                  for e, lam in zip(estimates, plan.lambda_y.tolist())]
+        models = baselines.fit_hpr(np.array([e.samples for e in estimates]), plan.lambda_y,
+                                   config.prob_req)
     else:
         raise ConfigurationError(f"unknown allocator {allocator!r}")
 
@@ -147,21 +147,17 @@ def run_trial(config, allocator, trial):
 
     if adapt_len:
         fading = chan.evolve_small_scale(large, law, _stream(seed, trial, "adaptation"),
-                                         m, m, adapt_len)
-        idx = np.arange(m)
-        g2_v_hat = fading.g2_v_hat                              # (S, M)
-        g2_cross_hat = fading.g2_cross_hat[:, pairing, idx]
-        g2_i = fading.g2_i[:, pairing]                          # matched uplink fading
-        g2_v_rsu = fading.g2_v_rsu
+                                         pairing, adapt_len)        # (S, M) columns
+        g2_v_hat, g2_cross_hat = fading.g2_v_hat, fading.g2_cross_hat
 
         pairs = adaptation.PairTable(
             models, box, lambda_y=plan.lambda_y, delta2=large.delta ** 2, gamma_v=gamma_v,
-            sigma2=sigma2, l_v=large.l_v, l_cross=large.l_cross[pairing, idx],
+            sigma2=sigma2, l_v=large.l_v, l_cross=large.l_cross[pairing, np.arange(m)],
             l_i=large.l_i[pairing], l_v_rsu=large.l_v_rsu, rate_gamma=rate_gamma,
             prob_req=config.prob_req, trunc_k1=config.trunc_k1, trunc_k2=config.trunc_k2)
         decisions = adaptation.solve_slots(pairs, {
             "g2_v_hat": g2_v_hat, "g2_cross_hat": g2_cross_hat,
-            "g2_i": g2_i, "g2_v_rsu": g2_v_rsu})
+            "g2_i": fading.g2_i, "g2_v_rsu": fading.g2_v_rsu})
         if config.deviation_trace:
             # the solver leaves beta at the fallback budget unevaluated
             # where the floor lies above it; the trace needs it
@@ -190,8 +186,7 @@ def run_trial(config, allocator, trial):
 
 
 def _trial_worker(payload):
-    config_kwargs, allocator, trial = payload
-    config = SimConfig(**config_kwargs)
+    config, allocator, trial = payload
     try:
         return run_trial(config, allocator, trial)
     except Exception as exc:  # aborted trial: record and continue
@@ -228,7 +223,7 @@ def run(config, allocator="proposed", trials=1, threads=None):
     if threads < 1:
         raise ConfigurationError("threads must be >= 1")
 
-    payloads = [(dataclasses.asdict(config), allocator, t) for t in range(trials)]
+    payloads = [(config, allocator, t) for t in range(trials)]
     if threads > 1 and trials > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_trial_worker, payloads))

@@ -30,25 +30,29 @@ def sinr(link_kind, channel, large, alloc, sigma2, flags=None):
 
     Entry i of the result is V2V pair i's sidelink ("v2v") or its matched
     uplink ``pairing[i]`` ("v2i").  ``channel`` holds one slot or a block of
-    slots (a leading slot axis), and the powers of ``alloc`` broadcast against
-    it, so one call covers a whole phase.  Actual cross gains can dip below
-    zero under the additive error model; they are clamped at zero here (a
-    count is recorded in ``flags``).  A zero denominator is replaced by a large finite cap, also counted.
+    slots (a leading slot axis) in pair order, as
+    :func:`rv2x.channel.evolve_small_scale` draws it for ``alloc.pairing``:
+    column i is read as is, and only the large-scale gains are picked out
+    by ``pairing``.  The powers of ``alloc`` broadcast against it, so one
+    call covers a whole phase.  Actual cross gains can dip below zero under
+    the additive error model; they are clamped at zero here (a count is
+    recorded in ``flags``).  A zero denominator is replaced by a large
+    finite cap, also counted.
     """
     if link_kind not in ("v2i", "v2v"):
         raise ConfigurationError(f"unknown link kind {link_kind!r}")
     pairing = np.asarray(alloc.pairing)
     if link_kind == "v2i":
-        num = alloc.p_i_mw * large.l_i[pairing] * channel.g2_i[..., pairing]
+        num = alloc.p_i_mw * large.l_i[pairing] * channel.g2_i
         den = alloc.p_v_mw * large.l_v_rsu * channel.g2_v_rsu + sigma2
     elif link_kind == "v2v":
-        m = np.arange(pairing.shape[0])
-        cross = channel.g2_cross[..., pairing, m]
+        cross = channel.g2_cross
         clamped = cross < 0.0
         if flags is not None and clamped.any():
             flags["cross_clamped"] = flags.get("cross_clamped", 0) + int(clamped.sum())
         num = alloc.p_v_mw * large.l_v * channel.g2_v
-        den = alloc.p_i_mw * large.l_cross[pairing, m] * np.maximum(cross, 0.0) + sigma2
+        den = (alloc.p_i_mw * large.l_cross[pairing, np.arange(pairing.shape[0])]
+               * np.maximum(cross, 0.0) + sigma2)
 
     degenerate = den <= 0.0
     if degenerate.any():

@@ -464,16 +464,15 @@ def test_run_absorption_plan_invariants():
         perm = rng.permutation(m)
         assert matched <= plan.weights[np.arange(m), perm].sum() + 1e-12
     assert len(estimates) == m
-    assert fading.g2_cross.shape == (t, m, m) and fading.g2_v.shape == (t, m)
+    assert fading.g2_cross.shape == (t, m) and fading.g2_v.shape == (t, m)
     for i, est in enumerate(estimates):
         assert est.samples.shape == (t,)
         # the fits and the pair table read plan.lambda_y: the copy is the same number
         assert np.float64(est.lambda_y).tobytes() == plan.lambda_y[i].tobytes()
         assert est.trunc_k == k
     # the probes come from the returned fading: cross error plus an exponential
-    pair = np.arange(m)
     probes = np.stack([est.samples for est in estimates], axis=1)
-    residual = (fading.e_cross[:, plan.pairing, pair]
+    residual = (fading.e_cross     # pair order: the matched cross link of each pair
                 + (plan.p_v_mw * large.l_v / (plan.p_i_mw * l_cross_pair))
                 * (1.0 - large.delta ** 2) * fading.e_direct)
     np.testing.assert_allclose(probes, residual, rtol=1e-6, atol=1e-9)

@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from rv2x.channel import (ChannelState, ErrorDistribution, LargeScaleState, _j0,
-                          build_large_scale, doppler_coefficient, error_law,
+from rv2x.channel import (_BUFFER_BYTES, ChannelState, ErrorDistribution, LargeScaleState,
+                          _j0, build_large_scale, doppler_coefficient, error_law,
                           evolve_small_scale, pathloss_v2i_db,
                           pathloss_winner_b1_db)
 from rv2x.config import SimConfig
@@ -213,29 +214,38 @@ def _unit_large(delta, n=2, m=2):
                            l_cross=np.ones((n, m)), delta=delta)
 
 
+def _block_spanning(n, m):
+    """A slot count that fills three of evolve_small_scale's draw buffers and
+    part of a fourth, at N = n uplinks and M = m pairs."""
+    block = _BUFFER_BYTES // (8 * (n + 3 * m + n * m))
+    assert block >= 2
+    return 3 * block + block // 2
+
+
 def test_evolve_identities():
     law = error_law("type1")
     rng = np.random.default_rng(1)
     large = _unit_large(0.65, 3, 3)
-    st = evolve_small_scale(large, law, rng, 3, 3, 2)
+    st = evolve_small_scale(large, law, rng, np.array([2, 0, 1]), 2)
     d2 = large.delta ** 2
     np.testing.assert_allclose(st.g2_v, d2 * st.g2_v_hat + (1 - d2) * st.e_direct,
                                rtol=1e-12)
     np.testing.assert_allclose(st.g2_cross, st.g2_cross_hat + st.e_cross, rtol=1e-12)
-    assert st.g2_i.shape == (2, 3) and st.g2_cross.shape == (2, 3, 3)
+    for field in dataclasses.fields(ChannelState):
+        assert getattr(st, field.name).shape == (2, 3), field.name
 
 
 def test_evolve_full_correlation_keeps_report():
     law = error_law("type1")
     rng = np.random.default_rng(2)
-    st = evolve_small_scale(_unit_large(1.0), law, rng, 2, 2, 1)
+    st = evolve_small_scale(_unit_large(1.0), law, rng, np.arange(2), 1)
     np.testing.assert_allclose(st.g2_v, st.g2_v_hat, rtol=1e-12)
 
 
 def test_evolve_zero_error_law_keeps_cross_report():
     law = error_law("custom", weights=(1.0,), means=(0.0,), variances=(1e-30,))
     rng = np.random.default_rng(3)
-    st = evolve_small_scale(_unit_large(0.65), law, rng, 2, 2, 1)
+    st = evolve_small_scale(_unit_large(0.65), law, rng, np.array([1, 0]), 1)
     np.testing.assert_allclose(st.g2_cross, st.g2_cross_hat, atol=1e-12)
 
 
@@ -245,7 +255,7 @@ def test_evolve_zero_correlation_mean():
     rng = np.random.default_rng(4)
     large = _unit_large(0.0, 1, 10_000)
     slots = 100
-    st = evolve_small_scale(large, law, rng, 1, 10_000, slots)
+    st = evolve_small_scale(large, law, rng, np.zeros(10_000, dtype=int), slots)
     mean = st.g2_v.mean()
     n = slots * 10_000
     assert abs(mean - 1.0) < 3.0 / math.sqrt(n)
@@ -255,7 +265,7 @@ def test_evolve_reported_gains_are_unit_exponential():
     law = error_law("type1")
     rng = np.random.default_rng(5)
     large = _unit_large(0.65, 1, 100_000)
-    st = evolve_small_scale(large, law, rng, 1, 100_000, 1)
+    st = evolve_small_scale(large, law, rng, np.zeros(100_000, dtype=int), 1)
     res = stats.kstest(st.g2_v_hat[0], "expon")
     assert res.pvalue > 1e-3, f"reported fading fails Exp(1) fit: {res}"
     assert abs(st.g2_v_hat.mean() - 1.0) < 3.0 / math.sqrt(100_000)
@@ -265,7 +275,7 @@ def test_evolve_lag_relation():
     law = error_law("type1")
     rng = np.random.default_rng(6)
     large = _unit_large(0.6527530721238584, 1, 200_000)
-    st = evolve_small_scale(large, law, rng, 1, 200_000, 1)
+    st = evolve_small_scale(large, law, rng, np.zeros(200_000, dtype=int), 1)
     d2 = large.delta ** 2
     predicted = d2 * st.g2_v_hat.mean() + (1.0 - d2) * 1.0
     assert abs(st.g2_v.mean() - predicted) < 4.0 / math.sqrt(200_000)
@@ -274,14 +284,15 @@ def test_evolve_lag_relation():
 def test_evolve_cross_gain_may_go_negative():
     law = error_law("custom", weights=(1.0,), means=(-5.0,), variances=(0.01,))
     rng = np.random.default_rng(7)
-    st = evolve_small_scale(_unit_large(0.65, 4, 4), law, rng, 4, 4, 1)
+    st = evolve_small_scale(_unit_large(0.65, 4, 4), law, rng, np.array([3, 1, 0, 2]), 1)
     assert np.any(st.g2_cross < 0.0), "additive error must be allowed to drive the gain negative"
 
 
 def test_evolve_deterministic_per_seed():
     law = error_law("type1")
-    a = evolve_small_scale(_unit_large(0.65, 3, 3), law, np.random.default_rng(8), 3, 3, 1)
-    b = evolve_small_scale(_unit_large(0.65, 3, 3), law, np.random.default_rng(8), 3, 3, 1)
+    pairing = np.array([1, 2, 0])
+    a = evolve_small_scale(_unit_large(0.65, 3, 3), law, np.random.default_rng(8), pairing, 1)
+    b = evolve_small_scale(_unit_large(0.65, 3, 3), law, np.random.default_rng(8), pairing, 1)
     np.testing.assert_array_equal(a.g2_cross, b.g2_cross)
     np.testing.assert_array_equal(a.g2_v, b.g2_v)
 
@@ -289,9 +300,10 @@ def test_evolve_deterministic_per_seed():
 def test_evolve_block_equals_consecutive_one_slot_calls():
     law = error_law("type1")
     large = _unit_large(0.65, 3, 4)
-    block = evolve_small_scale(large, law, np.random.default_rng(9), 3, 4, 5)
+    pairing = np.array([1, 2, 0, 2])
+    block = evolve_small_scale(large, law, np.random.default_rng(9), pairing, 5)
     rng = np.random.default_rng(9)
-    singles = [evolve_small_scale(large, law, rng, 3, 4, 1) for _ in range(5)]
+    singles = [evolve_small_scale(large, law, rng, pairing, 1) for _ in range(5)]
     for field in dataclasses.fields(ChannelState):
         got = getattr(block, field.name)
         want = np.concatenate([getattr(st, field.name) for st in singles])
@@ -300,16 +312,26 @@ def test_evolve_block_equals_consecutive_one_slot_calls():
 
 
 def test_evolve_draw_order_within_each_slot():
-    # g2_i, g2_v_rsu, g2_v_hat, e_direct, g2_cross_hat, e_cross, slot after slot:
-    # every seeded trajectory depends on this order
+    # all N uplinks' g2_i, then g2_v_rsu, g2_v_hat, e_direct, the (N, M) cross
+    # report and the (N, M) cross errors, slot after slot: every seeded
+    # trajectory depends on this order.  Column i keeps uplink pairing[i] and
+    # cross entry (pairing[i], i), over several draw buffers and a remainder.
     law = error_law("type2")
-    block = evolve_small_scale(_unit_large(0.65, 3, 4), law, np.random.default_rng(10), 3, 4, 4)
+    n, m = 5, 6
+    slots = _block_spanning(n, m)
+    pairing = np.array([4, 0, 3, 1, 1, 2])
+    cols = np.arange(m)
+    block = evolve_small_scale(_unit_large(0.65, n, m), law, np.random.default_rng(10),
+                               pairing, slots)
     rng = np.random.default_rng(10)
-    for s in range(4):
-        for name, shape in (("g2_i", 3), ("g2_v_rsu", 4), ("g2_v_hat", 4),
-                            ("e_direct", 4), ("g2_cross_hat", (3, 4))):
-            assert getattr(block, name)[s].tobytes() == rng.exponential(1.0, shape).tobytes()
-        assert block.e_cross[s].tobytes() == law.sample(rng, (3, 4)).tobytes()
+    for s in range(slots):
+        for name, shape, keep in (("g2_i", n, pairing), ("g2_v_rsu", m, cols),
+                                  ("g2_v_hat", m, cols), ("e_direct", m, cols),
+                                  ("g2_cross_hat", (n, m), (pairing, cols))):
+            want = rng.exponential(1.0, shape)[keep]
+            assert getattr(block, name)[s].tobytes() == want.tobytes(), (name, s)
+        want = law.sample(rng, (n, m))[pairing, cols]
+        assert block.e_cross[s].tobytes() == want.tobytes(), s
 
 
 def test_build_large_scale_zero_shadow_matches_pathloss():
@@ -340,27 +362,57 @@ def test_build_large_scale_shapes_and_positivity():
 
 @pytest.mark.parametrize("name", ["type1", "custom"])
 def test_evolve_matches_per_field_reference_loop(name):
-    # every seeded trajectory is pinned to this per-slot loop of separate calls
+    # every seeded trajectory is pinned to this per-slot loop of separate
+    # calls, of which the matched entries (pairing[i], i) are kept
     law = error_law(name, **_THREE) if name == "custom" else error_law(name)
-    n, m, slots = 3, 4, 6
+    n, m = 4, 5
+    slots = _block_spanning(n, m)
+    pairing = np.array([3, 0, 2, 0, 1])
+    cols = np.arange(m)
     large = _unit_large(0.65, n, m)
     rng, ref = np.random.default_rng(12), np.random.default_rng(12)
-    got = evolve_small_scale(large, law, rng, n, m, slots)
+    got = evolve_small_scale(large, law, rng, pairing, slots)
     want = {k: [] for k in ("g2_i", "g2_v_rsu", "g2_v_hat", "e_direct",
                             "g2_cross_hat", "e_cross")}
     for _ in range(slots):
-        want["g2_i"].append(ref.exponential(1.0, n))
+        want["g2_i"].append(ref.exponential(1.0, n)[pairing])
         want["g2_v_rsu"].append(ref.exponential(1.0, m))
         want["g2_v_hat"].append(ref.exponential(1.0, m))
         want["e_direct"].append(ref.exponential(1.0, m))
-        want["g2_cross_hat"].append(ref.exponential(1.0, (n, m)))
-        want["e_cross"].append(_reference_mixture(law, ref, (n, m)))
+        want["g2_cross_hat"].append(ref.exponential(1.0, (n, m))[pairing, cols])
+        want["e_cross"].append(_reference_mixture(law, ref, (n, m))[pairing, cols])
     want = {k: np.stack(v) for k, v in want.items()}
     d2 = large.delta * large.delta
     want["g2_v"] = d2 * want["g2_v_hat"] + (1.0 - d2) * want["e_direct"]
     want["g2_cross"] = want["g2_cross_hat"] + want["e_cross"]
     for field in dataclasses.fields(ChannelState):
         a, b = getattr(got, field.name), want[field.name]
-        assert a.shape == b.shape, field.name
+        assert a.shape == b.shape == (slots, m), field.name
         assert a.tobytes() == np.ascontiguousarray(b).tobytes(), field.name
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_evolve_memory_scales_with_the_pairs_not_the_cross_field():
+    # 20 pairs x 1,000 slots.  What the call must hold at once: its eight
+    # (S, M) float64 outputs; at most three more (S, M) arrays of 8-byte
+    # entries while it composes (the mixture's component indices, or the two
+    # products of the aging mix); the three draw buffers, each at most
+    # _BUFFER_BYTES; and 64 KiB for index arrays, views and the booleans of
+    # the component lookup.  Keeping the (S, N, M) cross fields would take
+    # about seven times this bound.
+    n = m = 20
+    slots = 1000
+    large = _unit_large(0.65, n, m)
+    law = error_law("type1")
+    pairing = np.random.default_rng(13).permutation(m)
+    rng = np.random.default_rng(14)
+    evolve_small_scale(large, law, rng, pairing, 3)     # warm every code path
+    bound = 11 * slots * m * 8 + 3 * _BUFFER_BYTES + 64 * 1024
+    tracemalloc.start()
+    try:
+        st = evolve_small_scale(large, law, rng, pairing, slots)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert st.g2_cross.shape == (slots, m)
+    assert peak < bound, f"peak {peak} B against a bound of {bound} B"

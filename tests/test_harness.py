@@ -138,7 +138,7 @@ def test_deviation_trace_matches_per_slot_reference_loop(allocator):
     plan, _, _ = run_absorption(large, config, law, _stream(seed, trial, "absorption"))
     pairing = plan.pairing
     fading = evolve_small_scale(large, law, _stream(seed, trial, "adaptation"),
-                                m, m, config.adaptation_len)
+                                pairing, config.adaptation_len)
     gamma_v, _ = qos_constants(config)
     dec = got["decisions"]
     want = np.zeros(config.adaptation_len)
@@ -153,7 +153,7 @@ def test_deviation_trace_matches_per_slot_reference_loop(allocator):
         for i in range(m):
             (p_true,) = true_satisfaction_prob(
                 dec["p_v"][s, i], dec["p_i"][s, i], pairs[i], fading.g2_v_hat[s, i],
-                fading.g2_cross_hat[s, pairing[i], i], law)
+                fading.g2_cross_hat[s, i], law)
             dev[i] = (dec["beta_star"][s, i] - p_true) ** 2
         want[s] = float(np.sum(dev))
     assert np.count_nonzero(want) >= 2

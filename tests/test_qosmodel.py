@@ -21,6 +21,7 @@ GAMMA_V, D_V = CONSTANTS
 
 
 def _state(g2_i, g2_v_rsu, g2_v, g2_cross):
+    # every field in pair order: column i is pair i and its matched uplink
     g2_i = np.asarray(g2_i, dtype=float)
     g2_v = np.asarray(g2_v, dtype=float)
     g2_cross = np.asarray(g2_cross, dtype=float)
@@ -40,9 +41,10 @@ def _large(l_i, l_v, l_v_rsu, l_cross, delta=0.65):
 def test_sinr_hand_evaluation():
     large = _large([2e-9, 3e-9], [5e-8, 6e-8], [1e-10, 2e-10],
                    [[4e-11, 5e-11], [6e-11, 7e-11]])
-    state = _state([0.9, 1.1], [0.4, 0.6], [1.2, 0.8], [[0.5, 1.5], [2.0, 0.3]])
-    # uplink 1 is reused by pair 0, uplink 0 by pair 1; powers are in pair
-    # order, so uplink 1 sends 40 mW and uplink 0 sends 30 mW
+    # uplink 1 is reused by pair 0, uplink 0 by pair 1; fading and powers are
+    # in pair order, so uplink 1 has g2_i 1.1 and sends 40 mW, uplink 0 has
+    # 0.9 and sends 30 mW, and pair 0's cross gain from uplink 1 is 2.0
+    state = _state([1.1, 0.9], [0.4, 0.6], [1.2, 0.8], [2.0, 1.5])
     alloc = AllocationDecision(pairing=np.array([1, 0]),
                                p_v_mw=np.array([10.0, 20.0]),
                                p_i_mw=np.array([40.0, 30.0]))
@@ -62,7 +64,7 @@ def test_sinr_hand_evaluation():
 
 def test_sinr_symmetry_near_one():
     large = _large([1.0], [1.0], [1.0], [[1.0]])
-    state = _state([1.0], [1.0], [1.0], [[1.0]])
+    state = _state([1.0], [1.0], [1.0], [1.0])
     alloc = AllocationDecision(pairing=np.array([0]), p_v_mw=np.array([5.0]),
                                p_i_mw=np.array([5.0]))
     got = sinr("v2v", state, large, alloc, 1e-15)
@@ -71,7 +73,7 @@ def test_sinr_symmetry_near_one():
 
 def test_sinr_degenerate_denominator_flagged():
     large = _large([1.0], [1.0], [1.0], [[1.0]])
-    state = _state([1.0], [1.0], [1.0], [[0.0]])
+    state = _state([1.0], [1.0], [1.0], [0.0])
     alloc = AllocationDecision(pairing=np.array([0]), p_v_mw=np.array([1.0]),
                                p_i_mw=np.array([1.0]))
     flags = {}
@@ -79,14 +81,14 @@ def test_sinr_degenerate_denominator_flagged():
     assert got[0] == SINR_CAP
     assert flags["degenerate"] == 1
     # zero signal over a zero denominator stays zero
-    state2 = _state([1.0], [1.0], [0.0], [[0.0]])
+    state2 = _state([1.0], [1.0], [0.0], [0.0])
     got2 = sinr("v2v", state2, large, alloc, 0.0, {})
     assert got2[0] == 0.0
 
 
 def test_sinr_negative_cross_gain_clamped_and_counted():
     large = _large([1.0], [1.0], [1.0], [[1.0]])
-    state = _state([1.0], [1.0], [1.0], [[-0.5]])
+    state = _state([1.0], [1.0], [1.0], [-0.5])
     alloc = AllocationDecision(pairing=np.array([0]), p_v_mw=np.array([2.0]),
                                p_i_mw=np.array([3.0]))
     flags = {}
@@ -100,11 +102,11 @@ def test_phase_qos_equals_per_slot_calls():
     # a clamped cross gain and a dead V2V-to-RSU gain give zero denominators
     rng = np.random.default_rng(21)
     s_len, n = 4, 3
-    g2_cross = rng.exponential(1.0, (s_len, n, n))
+    g2_cross = rng.exponential(1.0, (s_len, n))     # pair order: uplink pairing[i] -> pair i
     g2_v_rsu = rng.exponential(1.0, (s_len, n))
     pairing = np.array([2, 0, 1])
-    g2_cross[1, pairing[0], 0] = -0.3      # negative actual cross gain
-    g2_cross[2, pairing[1], 1] = 0.0       # zero cross gain
+    g2_cross[1, 0] = -0.3                  # negative actual cross gain
+    g2_cross[2, 1] = 0.0                   # zero cross gain
     g2_v_rsu[3, 2] = 0.0                   # uplink pairing[2] sees no interference
     g2_v = rng.exponential(1.0, (s_len, n))
     state = ChannelState(g2_i=rng.exponential(1.0, (s_len, n)), g2_v_rsu=g2_v_rsu,
